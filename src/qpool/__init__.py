@@ -29,9 +29,12 @@ from .errors import (
     HermiticityError,
     ImpossibleOutcomeError,
     IncompatibleKnowledgeError,
+    IncompleteMeasurementError,
     InconsistentStatesError,
     InvalidEffectError,
     NoncommutingError,
+    NonFiniteError,
+    NotNormalizedError,
     PositivityError,
     QpoolError,
     ShapeError,
@@ -60,6 +63,7 @@ from .fusion import (
     decompose_common,
     demonstrate_ambiguity,
     max_common_weight,
+    realize_pair,
     realize_tripartite,
     simulate_tripartite,
 )

@@ -17,16 +17,20 @@ from .errors import (
     ImpossibleOutcomeError,
     IncompatibleKnowledgeError,
     NoncommutingError,
+    NonFiniteError,
+    NotNormalizedError,
+    PositivityError,
     ShapeError,
 )
 from .linalg import (
+    TOL_COMMUTE,
+    TOL_DIAGONAL,
+    TOL_PROB_SUM,
     dagger,
     ensure_density_matrix,
     ensure_hermitian,
     matrix_sqrt_psd,
 )
-
-_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,12 +44,12 @@ class ProbDist:
         if arr.size == 0:
             raise ShapeError("distribution must have at least one entry")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("distribution contains non-finite entries")
-        if arr.min() < -_SUM_TOL:
-            raise ValueError(f"negative probability {arr.min()!r}")
+            raise NonFiniteError("distribution contains non-finite entries")
+        if arr.min() < -TOL_PROB_SUM:
+            raise PositivityError(f"negative probability {float(arr.min())!r}")
         arr = np.clip(arr, 0.0, None)
-        if abs(arr.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {arr.sum()!r}, expected 1")
+        if abs(arr.sum() - 1.0) > TOL_PROB_SUM:
+            raise NotNormalizedError(f"probabilities sum to {float(arr.sum())!r}, expected 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -73,10 +77,10 @@ class LikelihoodModel:
         arr = np.asarray(self.cond, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ShapeError(f"likelihood table must be a non-empty 2-D array, got {arr.shape}")
-        if arr.min() < 0.0 or arr.max() > 1.0 + _SUM_TOL:
+        if arr.min() < 0.0 or arr.max() > 1.0 + TOL_PROB_SUM:
             raise ValueError("conditional probabilities must lie in [0, 1]")
         col_sums = arr.sum(axis=0)
-        if np.abs(col_sums - 1.0).max() > _SUM_TOL:
+        if np.abs(col_sums - 1.0).max() > TOL_PROB_SUM:
             raise ValueError("each column of P(m|n) must sum to 1 (complete outcome set)")
         arr.setflags(write=False)
         object.__setattr__(self, "cond", arr)
@@ -162,22 +166,22 @@ def apply_transform(dist: ProbDist, transform: PermutationTransform) -> ProbDist
     return ProbDist(out)
 
 
-def _ensure_diagonal(mat: np.ndarray, *, tol: float, name: str) -> np.ndarray:
+def _ensure_diagonal(mat: np.ndarray, *, name: str) -> np.ndarray:
     off = mat - np.diag(np.diag(mat))
     scale = max(1.0, float(np.abs(mat).max()))
-    if mat.size and float(np.abs(off).max()) > tol * scale:
+    if mat.size and float(np.abs(off).max()) > TOL_DIAGONAL * scale:
         raise ValueError(f"{name} must be diagonal for the matrix-form Bayes rule")
     return mat
 
 
-def matrix_bayes_update(rho, effect, *, tol: float = 1e-9):
+def matrix_bayes_update(rho, effect):
     """Matrix form of the Bayes update for co-diagonal ``rho`` and ``effect``.
 
     Returns ``(sqrt(E) rho sqrt(E) / Tr[E rho], Tr[E rho])``.  The diagonal of
     the updated matrix equals the vector Bayes posterior of the diagonals.
     """
-    rho = _ensure_diagonal(ensure_density_matrix(rho, name="rho"), tol=tol, name="rho")
-    effect = _ensure_diagonal(ensure_hermitian(effect, name="effect"), tol=tol, name="effect")
+    rho = _ensure_diagonal(ensure_density_matrix(rho, name="rho"), name="rho")
+    effect = _ensure_diagonal(ensure_hermitian(effect, name="effect"), name="effect")
     if effect.shape != rho.shape:
         raise ShapeError(f"effect shape {effect.shape} != rho shape {rho.shape}")
     prob = float(np.trace(effect @ rho).real)
@@ -188,14 +192,14 @@ def matrix_bayes_update(rho, effect, *, tol: float = 1e-9):
     return (post + dagger(post)) / 2, prob
 
 
-def pool_commuting_density(rho_a, rho_b, *, tol_comm: float = 1e-9) -> np.ndarray:
+def pool_commuting_density(rho_a, rho_b) -> np.ndarray:
     """Pool two commuting density matrices: rho_a rho_b / Tr[rho_a rho_b]."""
     a = ensure_density_matrix(rho_a, name="rho_a")
     b = ensure_density_matrix(rho_b, name="rho_b")
     if a.shape != b.shape:
         raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
     comm = a @ b - b @ a
-    if float(np.linalg.norm(comm)) > tol_comm:
+    if float(np.linalg.norm(comm)) > TOL_COMMUTE:
         raise NoncommutingError(
             f"states do not commute (||[rho_a, rho_b]|| = {np.linalg.norm(comm):.3e})"
         )

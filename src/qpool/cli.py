@@ -7,7 +7,8 @@ random stream of a scenario uses ``numpy.random.SeedSequence([seed, k])``
 ``outputs`` section of the report bit-for-bit in canonical JSON.
 
 Exit codes: 0 success, 1 configuration/validation problems, 2 numerical
-failures (the error name is embedded in the emitted report).
+failures and invalid physics that passes the schema (the error name is
+embedded in the emitted report).
 
 ``QPOOL_OUT_DIR`` sets the directory against which relative ``--out`` paths
 are resolved.
@@ -16,6 +17,7 @@ are resolved.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -26,6 +28,7 @@ import numpy as np
 from . import classical, estimation, fusion, measurement
 from .config import literal_to_matrix, load_config, matrix_to_literal, validate_config
 from .errors import ConfigError, QpoolError
+from .linalg import TOL_RANK
 from .reporting import emit_report, render_text
 
 _EXPLORATORY_NOTE = (
@@ -76,7 +79,7 @@ def _run_consistency(payload: dict, seed: int):
     verdict, intersection = fusion.check_consistency(
         literal_to_matrix(payload["rho_a"]),
         literal_to_matrix(payload["rho_b"]),
-        payload.get("tol", 1e-9),
+        payload.get("tol", TOL_RANK),
     )
     outputs = {
         "consistent": bool(verdict),
@@ -90,15 +93,12 @@ def _run_realize(payload: dict, seed: int):
     rho_a = literal_to_matrix(payload["rho_a"])
     rho_b = literal_to_matrix(payload["rho_b"])
     sigma = literal_to_matrix(payload["sigma"])
-    alpha_max = fusion.max_common_weight(rho_a, sigma)
-    beta_max = fusion.max_common_weight(rho_b, sigma)
-    alpha = payload.get("alpha", alpha_max / 2.0)
-    beta = payload.get("beta", beta_max / 2.0)
-    dec = fusion.decompose_common(rho_a, rho_b, sigma, alpha, beta)
-    report = fusion.simulate_tripartite(fusion.realize_tripartite(dec))
+    dec, alpha_max, beta_max, report = fusion.realize_pair(
+        rho_a, rho_b, sigma, payload.get("alpha"), payload.get("beta")
+    )
     outputs = {
-        "alpha": float(alpha),
-        "beta": float(beta),
+        "alpha": dec.alpha,
+        "beta": dec.beta,
         "alpha_max": alpha_max,
         "beta_max": beta_max,
         "norm_psi_sq": report.norm_psi_sq,
@@ -225,7 +225,8 @@ def _failure_report(cfg: dict, exc: QpoolError) -> dict:
     return {
         "kind": cfg.get("kind"),
         "seed": cfg.get("seed", 0),
-        "config": cfg,
+        # Python's json reads NaN and Infinity; the report spells them as strings.
+        "config": json.loads(json.dumps(cfg), parse_constant=str),
         "error": {"name": type(exc).__name__, "message": str(exc)},
     }
 

@@ -15,6 +15,7 @@ import jsonschema
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .fusion import DEFAULT_FAMILY
 
 _PAIR = {
     "type": "array",
@@ -107,7 +108,7 @@ PAYLOAD_SCHEMAS = {
             "rho_a": _MATRIX,
             "rho_b": _MATRIX,
             "n_samples": {"type": "integer", "minimum": 1},
-            "family": {"type": "string"},
+            "family": {"enum": [DEFAULT_FAMILY]},
             "weight_exponent": {"type": "number"},
         },
         "required": ["rho_a", "rho_b", "n_samples"],

@@ -17,8 +17,20 @@ class PositivityError(QpoolError, ValueError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
 
+class NotNormalizedError(QpoolError, ValueError):
+    """A density matrix, or a set of weights, does not sum to 1 within tolerance."""
+
+
+class IncompleteMeasurementError(QpoolError, ValueError):
+    """Measurement operators do not satisfy sum M^dag M = I within tolerance."""
+
+
+class NonFiniteError(QpoolError, ValueError):
+    """A matrix has a NaN or infinite entry."""
+
+
 class ImpossibleOutcomeError(QpoolError, ValueError):
-    """Conditioning on an outcome whose probability is zero."""
+    """Conditioning on an outcome whose probability is zero, or that does not exist."""
 
 
 class IncompatibleKnowledgeError(QpoolError, ValueError):
@@ -46,7 +58,7 @@ class SingularConstraintError(QpoolError, ValueError):
 
 
 class InvalidEffectError(QpoolError, ValueError):
-    """A diagonal effect parameter lies outside [0, 1]."""
+    """An effect is not below the identity, or a diagonal effect parameter is outside [0, 1]."""
 
 
 class DimensionGuardError(QpoolError, ValueError):

@@ -36,7 +36,7 @@ from .errors import (
     SingularConstraintError,
 )
 from .haar import PureStateSample, sample_amplitudes
-from .linalg import dagger
+from .linalg import TOL_DENSITY, TOL_SINGULAR, dagger
 from .measurement import ensure_effect
 
 _GRID_POINTS = 1001
@@ -63,7 +63,7 @@ class PolynomialDensity:
             raise ShapeError("polynomial needs at least one coefficient")
         grid = np.linspace(0.0, 1.0, _GRID_POINTS)
         values = np.polynomial.polynomial.polyval(grid, [float(c) for c in coeffs])
-        if values.min() < -1e-12:
+        if values.min() < -TOL_DENSITY:
             raise ValueError(f"density is negative on [0, 1] (min {values.min():.3e})")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -168,7 +168,7 @@ def matching_beta(alpha, gamma):
         half, third = 0.5, 1.0 / 3.0
     target = third * (alpha + 1)
     denom = (2 * gamma - 1) * target - gamma
-    if denom == 0 or (not exact and abs(denom) < 1e-15):
+    if denom == 0 or (not exact and abs(denom) < TOL_SINGULAR):
         raise SingularConstraintError(f"constraint singular at alpha={alpha}, gamma={gamma}")
     beta = (target * (gamma - 2) + half) / denom
     if not 0 <= beta <= 1:

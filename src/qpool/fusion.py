@@ -17,8 +17,11 @@ import numpy as np
 
 from .errors import (
     AmbiguityPreconditionError,
+    ConfigError,
     DegenerateConstructionError,
+    ImpossibleOutcomeError,
     InconsistentStatesError,
+    NotNormalizedError,
     PositivityError,
     ShapeError,
 )
@@ -26,16 +29,18 @@ from .haar import sample_amplitudes
 from .linalg import (
     TOL_PSD,
     TOL_RANK,
+    TOL_RECON,
+    TOL_REMAINDER,
+    TOL_TRACE,
     dagger,
     ensure_density_matrix,
     hermitian_eig,
+    psd_ok,
     subspace_intersection,
     support,
+    support_cutoff,
     trace_distance,
 )
-
-_REMAINDER_CUTOFF = 1e-12
-_RECON_TOL = 1e-10
 
 
 def check_consistency(rho_a, rho_b, tol: float = TOL_RANK):
@@ -52,7 +57,7 @@ def check_consistency(rho_a, rho_b, tol: float = TOL_RANK):
     return intersection.dimension >= 1, intersection
 
 
-def max_common_weight(rho, sigma, tol: float = TOL_RANK) -> float:
+def max_common_weight(rho, sigma) -> float:
     """Largest weight alpha in [0, 1] such that rho - alpha * sigma stays PSD.
 
     Zero when the support of sigma is not contained in the support of rho.
@@ -63,14 +68,12 @@ def max_common_weight(rho, sigma, tol: float = TOL_RANK) -> float:
     sigma = ensure_density_matrix(sigma, name="sigma")
     if rho.shape != sigma.shape:
         raise ShapeError(f"shapes differ: {rho.shape} vs {sigma.shape}")
-    vals, vecs = hermitian_eig(rho)
-    mask = vals > tol * float(vals[0])
-    basis = vecs[:, mask]
+    lam, basis = support_cutoff(*hermitian_eig(rho), TOL_RANK)
     projected = dagger(basis) @ sigma @ basis
     leak = float(np.trace(sigma).real - np.trace(projected).real)
-    if leak > tol:
+    if leak > TOL_RANK:
         return 0.0
-    inv_root = 1.0 / np.sqrt(vals[mask])
+    inv_root = 1.0 / np.sqrt(lam)
     scaled = inv_root[:, None] * projected * inv_root[None, :]
     top = float(np.linalg.eigvalsh(scaled)[-1])
     return min(1.0, 1.0 / top)
@@ -79,7 +82,7 @@ def max_common_weight(rho, sigma, tol: float = TOL_RANK) -> float:
 def _remainder_terms(rho: np.ndarray, sigma: np.ndarray, weight: float, *, name: str):
     remainder = rho - weight * sigma
     vals, vecs = hermitian_eig(remainder, name=f"{name} remainder")
-    if float(vals[-1]) < -TOL_PSD * max(1.0, float(vals[0])):
+    if not psd_ok(float(vals[-1]), float(vals[0]), TOL_PSD):
         raise PositivityError(
             f"{name}: weight {weight:g} exceeds the admissible maximum "
             f"(remainder eigenvalue {vals[-1]:.3e})"
@@ -87,7 +90,7 @@ def _remainder_terms(rho: np.ndarray, sigma: np.ndarray, weight: float, *, name:
     kept = [
         (float(v), vecs[:, k].copy())
         for k, v in enumerate(vals)
-        if float(v) > _REMAINDER_CUTOFF
+        if float(v) > TOL_REMAINDER
     ]
     return tuple(kept)
 
@@ -115,12 +118,12 @@ class CommonTermDecomposition:
             ("beta", self.beta, self.remainder_b),
         ):
             if not 0.0 < weight <= 1.0:
-                raise ValueError(f"{label} must lie in (0, 1], got {weight!r}")
+                raise DegenerateConstructionError(f"{label} must lie in (0, 1], got {weight!r}")
             total = weight + sum(p for p, _ in terms)
             if any(p < 0 for p, _ in terms):
-                raise ValueError("remainder weights must be nonnegative")
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"{label} + remainder weights = {total!r}, expected 1")
+                raise PositivityError("remainder weights must be nonnegative")
+            if abs(total - 1.0) > TOL_TRACE:
+                raise NotNormalizedError(f"{label} + remainder weights = {total!r}, expected 1")
 
     @property
     def dim(self) -> int:
@@ -146,8 +149,6 @@ def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTe
     sig = ensure_density_matrix(sigma, name="sigma")
     if not (a.shape == b.shape == sig.shape):
         raise ShapeError("rho_a, rho_b and sigma must share one dimension")
-    if not 0.0 < alpha <= 1.0 or not 0.0 < beta <= 1.0:
-        raise ValueError("common-term weights must lie in (0, 1]")
     dec = CommonTermDecomposition(
         sigma=sig,
         alpha=float(alpha),
@@ -159,8 +160,8 @@ def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTe
         ("rho_a", a, dec.reconstruct_a()),
         ("rho_b", b, dec.reconstruct_b()),
     ):
-        if float(np.abs(original - rebuilt).max()) > _RECON_TOL:
-            raise PositivityError(f"{label} reconstruction drifted beyond {_RECON_TOL:g}")
+        if float(np.abs(original - rebuilt).max()) > TOL_RECON:
+            raise PositivityError(f"{label} reconstruction drifted beyond {TOL_RECON:g}")
     return dec
 
 
@@ -189,23 +190,8 @@ class TripartiteScenario:
     def norm_sq(self) -> float:
         return float(np.vdot(self.psi, self.psi).real)
 
-    @property
-    def uniform_a(self) -> np.ndarray:
-        out = np.zeros(self.dim_a, dtype=complex)
-        out[: self.n_common] = 1.0 / np.sqrt(self.n_common)
-        return out
 
-    @property
-    def uniform_b(self) -> np.ndarray:
-        out = np.zeros(self.dim_b, dtype=complex)
-        out[: self.n_common] = 1.0 / np.sqrt(self.n_common)
-        return out
-
-    def sigma(self) -> np.ndarray:
-        return (self.sigma_eigvecs * self.sigma_eigvals) @ dagger(self.sigma_eigvecs)
-
-
-def realize_tripartite(dec: CommonTermDecomposition, tol: float = TOL_RANK) -> TripartiteScenario:
+def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
     """Build the three-system pure state whose local measurements realize ``dec``.
 
     Summed over the rank of sigma and the two remainder lists:
@@ -218,10 +204,7 @@ def realize_tripartite(dec: CommonTermDecomposition, tol: float = TOL_RANK) -> T
     """
     if dec.alpha <= 0.0 or dec.beta <= 0.0:
         raise DegenerateConstructionError("common-term weights must be strictly positive")
-    vals, vecs = hermitian_eig(dec.sigma, name="sigma")
-    mask = vals > tol * float(vals[0])
-    lam = vals[mask]
-    phi = vecs[:, mask]
+    lam, phi = support_cutoff(*hermitian_eig(dec.sigma, name="sigma"), TOL_RANK)
     n_common = int(lam.size)
     if n_common < 1:
         raise DegenerateConstructionError("sigma has empty support")
@@ -340,26 +323,33 @@ class AmbiguityReport:
     distance: float  # trace distance between the two Charlie states
 
 
-def _realization_pipeline(rho_a, rho_b, sigma, tol: float) -> TripartiteReport:
-    a_max = max_common_weight(rho_a, sigma, tol)
-    b_max = max_common_weight(rho_b, sigma, tol)
+def realize_pair(rho_a, rho_b, sigma, alpha=None, beta=None):
+    """Decompose both states around ``sigma``, then realize and simulate the scenario.
+
+    ``alpha`` and ``beta`` default to half of ``max_common_weight``; returns
+    ``(decomposition, alpha_max, beta_max, report)``.
+    """
+    a_max = max_common_weight(rho_a, sigma)
+    b_max = max_common_weight(rho_b, sigma)
     if a_max <= 0.0 or b_max <= 0.0:
         raise AmbiguityPreconditionError(
             "sigma is not absorbable into both states (zero admissible weight)"
         )
     # Half the admissible maximum keeps the remainders well conditioned.
-    dec = decompose_common(rho_a, rho_b, sigma, a_max / 2.0, b_max / 2.0)
-    return simulate_tripartite(realize_tripartite(dec, tol))
+    alpha = a_max / 2.0 if alpha is None else alpha
+    beta = b_max / 2.0 if beta is None else beta
+    dec = decompose_common(rho_a, rho_b, sigma, alpha, beta)
+    return dec, a_max, b_max, simulate_tripartite(realize_tripartite(dec))
 
 
-def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2, tol: float = TOL_RANK) -> AmbiguityReport:
+def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
     """Realize the same pair of marginals around two different common states.
 
     Both candidate states must be supported inside the intersection of the
     two supports; the report carries the trace distance between the two
     resulting pooled states.
     """
-    consistent, intersection = check_consistency(rho_a, rho_b, tol)
+    consistent, intersection = check_consistency(rho_a, rho_b)
     if not consistent:
         raise AmbiguityPreconditionError("the states' supports do not intersect")
     proj = intersection.projector()
@@ -368,11 +358,11 @@ def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2, tol: float = TOL_RANK)
     for label, sigma in (("sigma_1", sigma_1), ("sigma_2", sigma_2)):
         sig = ensure_density_matrix(sigma, name=label)
         leak = float(np.trace(sig).real - np.trace(proj @ sig @ proj).real)
-        if leak > tol:
+        if leak > TOL_RANK:
             raise AmbiguityPreconditionError(
                 f"{label} has weight {leak:.3e} outside the support intersection"
             )
-        report = _realization_pipeline(rho_a, rho_b, sig, tol)
+        report = realize_pair(rho_a, rho_b, sig)[-1]
         reports.append(report)
         deviations.append(trace_distance(report.charlie_state, sig))
     return AmbiguityReport(
@@ -383,7 +373,6 @@ def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2, tol: float = TOL_RANK)
 
 
 DEFAULT_FAMILY = "haar-pure-intersection"
-MEASURE_FAMILIES = (DEFAULT_FAMILY,)
 
 
 @dataclass(frozen=True)
@@ -404,25 +393,23 @@ class HistoryMeasureConfig:
 
     def __post_init__(self):
         if int(self.n_samples) < 1:
-            raise ValueError("n_samples must be at least 1")
-        if self.family not in MEASURE_FAMILIES:
-            raise ValueError(f"unknown measure family {self.family!r}; known: {MEASURE_FAMILIES}")
+            raise ConfigError("n_samples must be at least 1")
+        if self.family != DEFAULT_FAMILY:
+            raise ConfigError(f"unknown measure family {self.family!r}; known: {DEFAULT_FAMILY!r}")
 
 
-def _support_pinv(rho: np.ndarray, tol: float) -> np.ndarray:
-    vals, vecs = hermitian_eig(rho)
-    mask = vals > tol * float(vals[0])
-    basis = vecs[:, mask]
-    return (basis / vals[mask]) @ dagger(basis)
+def _support_pinv(rho: np.ndarray) -> np.ndarray:
+    lam, basis = support_cutoff(*hermitian_eig(rho), TOL_RANK)
+    return (basis / lam) @ dagger(basis)
 
 
-def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig, tol: float = TOL_RANK) -> np.ndarray:
+def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     """Monte-Carlo average of pooled states over the configured measure family.
 
     Deterministic for a fixed seed (single stream, fixed reduction order).
     The support of the result lies inside the intersection of the supports.
     """
-    consistent, intersection = check_consistency(rho_a, rho_b, tol)
+    consistent, intersection = check_consistency(rho_a, rho_b)
     if not consistent:
         raise InconsistentStatesError("cannot fuse states with disjoint supports")
     a = ensure_density_matrix(rho_a)
@@ -432,14 +419,19 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig, tol: float = TOL_RA
     local = sample_amplitudes(intersection.dimension, int(cfg.n_samples), rng)
     states = local @ intersection.basis.T  # rows are ambient pure states
 
-    pinv_a = _support_pinv(a, tol)
-    pinv_b = _support_pinv(b, tol)
+    pinv_a = _support_pinv(a)
+    pinv_b = _support_pinv(b)
     # For a pure common state, the admissible maximum weight is the inverse
     # of the quadratic form of the support pseudo-inverse.
     alpha = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), pinv_a, states).real
     beta = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), pinv_b, states).real
     norm_sq = 1.0 + (1.0 - alpha) / alpha + (1.0 - beta) / beta
     weights = (1.0 / norm_sq) ** cfg.weight_exponent
+    total = weights.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise ImpossibleOutcomeError(
+            f"fusion weights sum to {float(total)!r} at weight_exponent {cfg.weight_exponent!r}"
+        )
 
-    fused = (states.T * weights) @ states.conj() / weights.sum()
+    fused = (states.T * weights) @ states.conj() / total
     return (fused + dagger(fused)) / 2

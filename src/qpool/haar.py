@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-
-_SUM_TOL = 1e-12
+from .linalg import TOL_PROB_SUM
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class PureStateSample:
         phases = np.asarray(self.phases, dtype=float).reshape(-1)
         if probs.size == 0 or probs.size != phases.size:
             raise ShapeError("probs and phases must be non-empty and equally long")
-        if probs.min() < 0.0 or abs(probs.sum() - 1.0) > _SUM_TOL:
+        if probs.min() < 0.0 or abs(probs.sum() - 1.0) > TOL_PROB_SUM:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         probs.setflags(write=False)
         phases.setflags(write=False)
@@ -52,24 +51,26 @@ class PureStateSample:
         return np.outer(amps, amps.conj())
 
 
-def sample_amplitudes(dim: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Amplitude rows for ``n_samples`` invariant-measure pure states, shape (n, dim)."""
+def _draw_coordinates(dim: int, n_samples: int, rng: np.random.Generator):
+    """Probability and phase rows for ``n_samples`` states, each of shape (n, dim)."""
     if dim < 1:
         raise ShapeError(f"dimension must be positive, got {dim}")
-    spacings = rng.standard_exponential((int(n_samples), dim))
+    spacings = rng.standard_exponential((n_samples, dim))
     probs = spacings / spacings.sum(axis=1, keepdims=True)
-    phases = rng.uniform(0.0, 2.0 * np.pi, (int(n_samples), dim))
+    phases = rng.uniform(0.0, 2.0 * np.pi, (n_samples, dim))
+    return probs, phases
+
+
+def sample_amplitudes(dim: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Amplitude rows for ``n_samples`` invariant-measure pure states, shape (n, dim)."""
+    probs, phases = _draw_coordinates(dim, int(n_samples), rng)
     return np.sqrt(probs) * np.exp(1j * phases)
 
 
 def sample_pure_state(dim: int, rng: np.random.Generator) -> PureStateSample:
     """Draw one pure state from the invariant measure."""
-    if dim < 1:
-        raise ShapeError(f"dimension must be positive, got {dim}")
-    spacings = rng.standard_exponential(dim)
-    probs = spacings / spacings.sum()
-    phases = rng.uniform(0.0, 2.0 * np.pi, dim)
-    return PureStateSample(probs, phases)
+    probs, phases = _draw_coordinates(dim, 1, rng)
+    return PureStateSample(probs[0], phases[0])
 
 
 def measure_normalization(dim: int) -> float:

@@ -4,8 +4,8 @@ Matrices are plain numpy arrays of complex128.  Index convention for
 composite systems: subsystem 0 is the most significant tensor factor,
 i.e. ``tensor(A, B)`` is the row-major Kronecker product ``np.kron(A, B)``.
 
-Rank decisions (support, subspace intersection) use relative eigenvalue /
-singular-value cutoffs, configurable per call.
+Every tolerance in qpool is a ``TOL_*`` constant below, and each validity
+rule (PSD, completeness, support cutoff) is one function here.
 """
 
 from __future__ import annotations
@@ -14,14 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HermiticityError, PositivityError, ShapeError
+from .errors import HermiticityError, IncompleteMeasurementError, NonFiniteError
+from .errors import NotNormalizedError, PositivityError, ShapeError
 
-# Default tolerances, relative to the largest magnitude involved.
-TOL_HERM = 1e-9
-TOL_TRACE = 1e-9
-TOL_PSD = 1e-9
-TOL_ORTH = 1e-10
-TOL_RANK = 1e-9
+# Tolerances, relative to the largest magnitude involved unless marked absolute.
+TOL_HERM = 1e-9  # max|A - A^dag| <= TOL_HERM * max(1, max|A|)
+TOL_TRACE = 1e-9  # absolute: |Tr rho - 1|, and common-term weights summing to 1
+TOL_PSD = 1e-9  # lambda_min >= -TOL_PSD * max(1, lambda_max); effects: lambda_max <= 1 + TOL_PSD
+TOL_ORTH = 1e-10  # absolute: max|B^dag B - I| for a subspace basis
+TOL_RANK = 1e-9  # support: lambda > TOL_RANK * lambda_max; intersection: s > 1 - TOL_RANK
+TOL_COMPLETENESS = 1e-9  # absolute: max|sum_k M_k^dag M_k - I|
+TOL_RECON = 1e-10  # absolute: drift of a rebuilt common-term decomposition
+TOL_REMAINDER = 1e-12  # absolute: smallest kept remainder eigenvalue
+TOL_DIAGONAL = 1e-9  # off-diagonal entries for the matrix-form Bayes rule
+TOL_COMMUTE = 1e-9  # absolute: Frobenius norm of [rho_a, rho_b] for commuting pooling
+TOL_PROB_SUM = 1e-12  # absolute: probability vectors' negative entries and |sum - 1|
+TOL_DENSITY = 1e-12  # absolute: negativity of a polynomial density on its check grid
+TOL_SINGULAR = 1e-15  # absolute: vanishing denominator of the matching constraint
 
 
 def as_matrix(mat, *, name: str = "matrix") -> np.ndarray:
@@ -30,7 +39,7 @@ def as_matrix(mat, *, name: str = "matrix") -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -45,36 +54,55 @@ def dagger(mat: np.ndarray) -> np.ndarray:
     return mat.conj().T
 
 
-def ensure_hermitian(mat, *, tol: float = TOL_HERM, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within ``tol`` and return the symmetrized matrix."""
+def psd_ok(lam_min: float, lam_max: float, tol: float) -> bool:
+    """The PSD rule on a spectrum: lambda_min >= -tol * max(1, lambda_max)."""
+    return bool(lam_min >= -tol * max(1.0, lam_max))
+
+
+def require_psd(lam_min: float, lam_max: float, name: str) -> None:
+    """Raise :class:`PositivityError` unless the spectrum passes the PSD rule at ``TOL_PSD``."""
+    if not psd_ok(lam_min, lam_max, TOL_PSD):
+        raise PositivityError(f"{name} has negative eigenvalue {lam_min:.3e}")
+
+
+def completeness_residual(total: np.ndarray) -> float:
+    """max|total - I| for ``total = sum_k M_k^dag M_k`` (or the sum of the effects)."""
+    return float(np.abs(total - np.eye(total.shape[0])).max())
+
+
+def require_complete(residual: float, name: str) -> None:
+    """The completeness rule: raise unless ``residual <= TOL_COMPLETENESS``."""
+    if residual > TOL_COMPLETENESS:
+        raise IncompleteMeasurementError(f"{name}: completeness residual {residual:.3e}")
+
+
+def support_cutoff(vals: np.ndarray, vecs: np.ndarray, tol: float):
+    """The support cutoff: the descending eigenpairs with eigenvalue above ``tol * lambda_max``."""
+    mask = vals > tol * float(vals[0])
+    return vals[mask], vecs[:, mask]
+
+
+def ensure_hermitian(mat, *, name: str = "matrix") -> np.ndarray:
+    """Validate Hermiticity within ``TOL_HERM`` and return the symmetrized matrix."""
     arr = as_square_matrix(mat, name=name)
     scale = max(1.0, float(np.abs(arr).max())) if arr.size else 1.0
-    if arr.size and float(np.abs(arr - dagger(arr)).max()) > tol * scale:
-        raise HermiticityError(f"{name} is not Hermitian within relative tolerance {tol:g}")
+    if arr.size and float(np.abs(arr - dagger(arr)).max()) > TOL_HERM * scale:
+        raise HermiticityError(f"{name} is not Hermitian within relative tolerance {TOL_HERM:g}")
     return (arr + dagger(arr)) / 2
 
 
-def ensure_density_matrix(
-    mat,
-    *,
-    tol_herm: float = TOL_HERM,
-    tol_psd: float = TOL_PSD,
-    tol_trace: float = TOL_TRACE,
-    name: str = "rho",
-) -> np.ndarray:
+def ensure_density_matrix(mat, *, name: str = "rho") -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD, unit trace) and return it symmetrized."""
-    arr = ensure_hermitian(mat, tol=tol_herm, name=name)
+    arr = ensure_hermitian(mat, name=name)
     tr = float(np.trace(arr).real)
-    if abs(tr - 1.0) > tol_trace:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1 within {tol_trace:g}")
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise NotNormalizedError(f"{name} has trace {tr!r}, expected 1 within {TOL_TRACE:g}")
     vals = np.linalg.eigvalsh(arr)
-    lam_max = float(vals[-1])
-    if float(vals[0]) < -tol_psd * max(1.0, lam_max):
-        raise PositivityError(f"{name} has negative eigenvalue {vals[0]:.3e}")
+    require_psd(float(vals[0]), float(vals[-1]), name)
     return arr
 
 
-def hermitian_eig(mat, *, tol: float = TOL_HERM, name: str = "matrix"):
+def hermitian_eig(mat, *, name: str = "matrix"):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and sorted
@@ -82,23 +110,21 @@ def hermitian_eig(mat, *, tol: float = TOL_HERM, name: str = "matrix"):
     columns.  The choice of basis inside a degenerate eigenspace is
     arbitrary but the returned column matrix is always unitary.
     """
-    arr = ensure_hermitian(mat, tol=tol, name=name)
+    arr = ensure_hermitian(mat, name=name)
     vals, vecs = np.linalg.eigh(arr)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def is_psd(mat, tol: float = TOL_PSD, *, name: str = "matrix") -> bool:
     """True iff the minimum eigenvalue is >= -tol * max(1, largest eigenvalue)."""
-    arr = ensure_hermitian(mat, name=name)
-    vals = np.linalg.eigvalsh(arr)
-    return bool(vals[0] >= -tol * max(1.0, float(vals[-1])))
+    vals = np.linalg.eigvalsh(ensure_hermitian(mat, name=name))
+    return psd_ok(float(vals[0]), float(vals[-1]), tol)
 
 
-def matrix_sqrt_psd(mat, *, tol: float = TOL_PSD, name: str = "matrix") -> np.ndarray:
+def matrix_sqrt_psd(mat, *, name: str = "matrix") -> np.ndarray:
     """Hermitian PSD square root, via eigendecomposition."""
     vals, vecs = hermitian_eig(mat, name=name)
-    if float(vals[-1]) < -tol * max(1.0, float(vals[0])):
-        raise PositivityError(f"{name} is not PSD (eigenvalue {vals[-1]:.3e})")
+    require_psd(float(vals[-1]), float(vals[0]), name)
     root = np.sqrt(np.clip(vals, 0.0, None))
     out = (vecs * root) @ dagger(vecs)
     return (out + dagger(out)) / 2
@@ -183,10 +209,8 @@ class Subspace:
 def support(rho, tol: float = TOL_RANK) -> Subspace:
     """Span of the eigenvectors of ``rho`` with eigenvalue above ``tol * lambda_max``."""
     arr = ensure_density_matrix(rho)
-    vals, vecs = hermitian_eig(arr)
-    lam_max = float(vals[0])
-    mask = vals > tol * lam_max
-    return Subspace(arr.shape[0], vecs[:, mask])
+    _, basis = support_cutoff(*hermitian_eig(arr), tol)
+    return Subspace(arr.shape[0], basis)
 
 
 def subspace_intersection(u: Subspace, v: Subspace, tol: float = TOL_RANK) -> Subspace:

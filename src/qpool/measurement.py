@@ -22,30 +22,47 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, ShapeError
+from .errors import ImpossibleOutcomeError, InvalidEffectError, QpoolError, ShapeError
 from .linalg import (
     TOL_PSD,
     as_square_matrix,
+    completeness_residual,
     dagger,
     ensure_density_matrix,
     ensure_hermitian,
     matrix_sqrt_psd,
+    require_complete,
+    require_psd,
 )
 
 OWNERS = ("alice", "bob", "eve")
 
-_COMPLETENESS_TOL = 1e-9
+
+def _check_effect_spectrum(vals: np.ndarray, name: str) -> None:
+    """The effect rules on an ascending spectrum: PSD, and no eigenvalue above 1 + TOL_PSD."""
+    require_psd(float(vals[0]), float(vals[-1]), name)
+    if float(vals[-1]) > 1.0 + TOL_PSD:
+        raise InvalidEffectError(f"{name} has eigenvalue {vals[-1]:.6f} > 1")
 
 
-def ensure_effect(mat, *, tol: float = TOL_PSD, name: str = "effect") -> np.ndarray:
-    """Validate an effect: Hermitian, PSD, eigenvalues at most 1 + tol."""
+def ensure_effect(mat, *, name: str = "effect") -> np.ndarray:
+    """Validate an effect: Hermitian, PSD, eigenvalues at most 1 + TOL_PSD."""
     arr = ensure_hermitian(mat, name=name)
-    vals = np.linalg.eigvalsh(arr)
-    if float(vals[0]) < -tol * max(1.0, float(vals[-1])):
-        raise ValueError(f"{name} has negative eigenvalue {vals[0]:.3e}")
-    if float(vals[-1]) > 1.0 + tol:
-        raise ValueError(f"{name} has eigenvalue {vals[-1]:.6f} > 1")
+    _check_effect_spectrum(np.linalg.eigvalsh(arr), name)
     return arr
+
+
+def _require_complete_family(effects, what: str) -> None:
+    """Shape and completeness rules for effects, or for the ``M^dag M`` of Kraus operators."""
+    if not effects:
+        raise ShapeError(f"a measurement needs at least one of its {what}")
+    dim = effects[0].shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    for e in effects:
+        if e.shape[0] != dim:
+            raise ShapeError(f"all {what} must share one dimension")
+        total += e
+    require_complete(completeness_residual(total), what)
 
 
 @dataclass(frozen=True)
@@ -56,16 +73,7 @@ class Povm:
 
     def __post_init__(self):
         effects = tuple(ensure_effect(e, name=f"effect {k}") for k, e in enumerate(self.effects))
-        if not effects:
-            raise ShapeError("a POVM needs at least one effect")
-        dim = effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in effects:
-            if e.shape[0] != dim:
-                raise ShapeError("all effects must share one dimension")
-            total += e
-        if float(np.abs(total - np.eye(dim)).max()) > _COMPLETENESS_TOL:
-            raise ValueError("effects do not sum to the identity")
+        _require_complete_family(effects, "effects")
         object.__setattr__(self, "effects", effects)
 
     @property
@@ -90,16 +98,7 @@ class KrausPovm:
 
     def __post_init__(self):
         ops = tuple(as_square_matrix(m, name=f"operator {k}") for k, m in enumerate(self.ops))
-        if not ops:
-            raise ShapeError("a measurement needs at least one operator")
-        dim = ops[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for m in ops:
-            if m.shape[0] != dim:
-                raise ShapeError("all operators must share one dimension")
-            total += dagger(m) @ m
-        if float(np.abs(total - np.eye(dim)).max()) > _COMPLETENESS_TOL:
-            raise ValueError("operators do not satisfy sum M^dag M = I")
+        _require_complete_family([dagger(m) @ m for m in ops], "operators")
         object.__setattr__(self, "ops", ops)
 
     @classmethod
@@ -171,9 +170,7 @@ class FlatPovm:
             raise ShapeError(f"ops must have shape (i_max, j_max, e_max, {self.dim}, {self.dim})")
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
-        residual = self.completeness_residual()
-        if residual > _COMPLETENESS_TOL:
-            raise ValueError(f"flattened operators are not complete (residual {residual:.3e})")
+        require_complete(self.completeness_residual(), "flattened operators")
 
     @property
     def i_max(self) -> int:
@@ -188,8 +185,7 @@ class FlatPovm:
         return self.ops.shape[2]
 
     def completeness_residual(self) -> float:
-        total = np.einsum("ijeab,ijeac->bc", self.ops.conj(), self.ops)
-        return float(np.abs(total - np.eye(self.dim)).max())
+        return completeness_residual(np.einsum("ijeab,ijeac->bc", self.ops.conj(), self.ops))
 
 
 def measurement_update(rho, op: KrausPovm, outcome: int):
@@ -252,7 +248,7 @@ def _select_known(flat: FlatPovm, known: Mapping[str, int]) -> np.ndarray:
         if key in known and known[key] is not None:
             val = int(known[key])
             if not 0 <= val < ops.shape[axis]:
-                raise IndexError(f"index {key}={val} out of range 0..{ops.shape[axis] - 1}")
+                raise ImpossibleOutcomeError(f"index {key}={val} out of range 0..{ops.shape[axis] - 1}")
             index[axis] = slice(val, val + 1)
     return ops[tuple(index)]
 
@@ -309,9 +305,14 @@ class PovmReport:
         return not self.failures
 
 
-def validate_povm(povm, *, tol: float = _COMPLETENESS_TOL) -> PovmReport:
-    """Report completeness residual and per-effect PSD margins without raising."""
-    if isinstance(povm, KrausPovm):
+def validate_povm(povm) -> PovmReport:
+    """Apply the constructor's rules and report the failures instead of raising.
+
+    Effects (a ``Povm`` or a sequence of matrices) get the rules of ``Povm``, a
+    ``KrausPovm`` its own: completeness of ``sum M^dag M``.
+    """
+    kraus = isinstance(povm, KrausPovm)
+    if kraus:
         effects = [dagger(m) @ m for m in povm.ops]
     elif isinstance(povm, Povm):
         effects = list(povm.effects)
@@ -320,21 +321,27 @@ def validate_povm(povm, *, tol: float = _COMPLETENESS_TOL) -> PovmReport:
     dim = effects[0].shape[0]
     failures = []
     margins = []
+
+    def record(check, *args, **kwargs):
+        try:
+            check(*args, **kwargs)
+        except QpoolError as exc:
+            failures.append(str(exc))
+
     total = np.zeros((dim, dim), dtype=complex)
     for k, e in enumerate(effects):
+        name = f"effect {k}"
         if e.shape != (dim, dim):
-            failures.append(f"effect {k}: shape {e.shape} != ({dim}, {dim})")
+            failures.append(f"{name}: shape {e.shape} != ({dim}, {dim})")
             continue
-        herm = float(np.abs(e - dagger(e)).max())
-        if herm > tol * max(1.0, float(np.abs(e).max())):
-            failures.append(f"effect {k}: not Hermitian (residual {herm:.3e})")
-        vals = np.linalg.eigvalsh((e + dagger(e)) / 2)
-        margin = float(vals[0]) / max(1.0, float(vals[-1]))
-        margins.append(margin)
-        if margin < -tol:
-            failures.append(f"effect {k}: negative eigenvalue {vals[0]:.3e}")
+        sym = (e + dagger(e)) / 2
+        vals = np.linalg.eigvalsh(sym)
+        margins.append(float(vals[0]) / max(1.0, float(vals[-1])))
+        if not kraus:
+            record(ensure_hermitian, e, name=name)
+            record(_check_effect_spectrum, vals, name)
+            e = sym
         total += e
-    residual = float(np.abs(total - np.eye(dim)).max())
-    if residual > tol:
-        failures.append(f"completeness residual {residual:.3e} exceeds {tol:g}")
+    residual = completeness_residual(total)
+    record(require_complete, residual, "effects")
     return PovmReport(residual, tuple(margins), tuple(failures))

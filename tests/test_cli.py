@@ -18,6 +18,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
 
 EYE2 = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+TRACE_09 = [[[0.45, 0], [0, 0]], [[0, 0], [0.45, 0]]]
+NAN_ENTRY = [[[float("nan"), 0], [0, 0]], [[0, 0], [0.5, 0]]]
 PROJ0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
 PROJ1 = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
 PROJ_PLUS = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
@@ -247,3 +249,76 @@ class TestMainExitCodes:
         assert out_a.read_bytes()[:200] == out_b.read_bytes()[:200]
         report = json.loads(out_a.read_text())
         assert report["seed"] == 9
+
+
+def _history(step, known=None):
+    payload = {"steps": [dict(owner="alice", **step)]}
+    if known is not None:
+        payload["known"] = known
+    return {"kind": "history", "payload": payload}
+
+
+# Invalid inputs.  The schema rejects the unknown family (exit 1); the others pass it
+# and must leave through a failure report that names the error (exit 2).
+INVALID_INPUTS = {
+    "realize_trace_not_one": (
+        {"kind": "realize", "payload": {"rho_a": TRACE_09, "rho_b": EYE2, "sigma": PROJ0}},
+        2,
+        "NotNormalizedError",
+    ),
+    "kraus_incomplete": (_history({"kraus": [EYE2]}), 2, "IncompleteMeasurementError"),
+    "povm_incomplete": (_history({"povm": [PROJ0, EYE2]}), 2, "IncompleteMeasurementError"),
+    "nan_entry": (
+        {"kind": "consistency", "payload": {"rho_a": NAN_ENTRY, "rho_b": EYE2}},
+        2,
+        "NonFiniteError",
+    ),
+    "known_out_of_range": (
+        _history({"povm": [PROJ0, PROJ1]}, known={"i": 5}),
+        2,
+        "ImpossibleOutcomeError",
+    ),
+    "probabilities_not_normalized": (
+        {"kind": "pool-classical", "payload": {"p": [0.5, 0.6], "q": [0.5, 0.5]}},
+        2,
+        "NotNormalizedError",
+    ),
+    "probability_nan": (
+        {"kind": "pool-classical", "payload": {"p": [float("nan"), 1.0], "q": [0.5, 0.5]}},
+        2,
+        "NonFiniteError",
+    ),
+    "realize_sigma_outside_support": (
+        {"kind": "realize", "payload": {"rho_a": PROJ0, "rho_b": EYE2, "sigma": PROJ1}},
+        2,
+        "AmbiguityPreconditionError",
+    ),
+    "fuse_unknown_family": (
+        {"kind": "fuse", "payload": {"rho_a": EYE2, "rho_b": EYE2, "n_samples": 10, "family": "x"}},
+        1,
+        None,
+    ),
+    "fuse_weights_underflow": (
+        {
+            "kind": "fuse",
+            "payload": {"rho_a": EYE2, "rho_b": EYE2, "n_samples": 10, "weight_exponent": 1e308},
+        },
+        2,
+        "ImpossibleOutcomeError",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_input_exits_with_named_error(case, tmp_path, capsys):
+    cfg, code, error = INVALID_INPUTS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # writes NaN as Python's json module does
+    out_file = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out_file)]) == code
+    err = capsys.readouterr().err
+    if error is None:
+        assert err.startswith("config error:") and not out_file.exists()
+    else:
+        assert json.loads(out_file.read_text())["error"]["name"] == error
+        assert err.startswith(f"error: {error}:")

@@ -9,6 +9,7 @@ from conftest import (
 from qpool.errors import (
     AmbiguityPreconditionError,
     DegenerateConstructionError,
+    ImpossibleOutcomeError,
     InconsistentStatesError,
     PositivityError,
     ShapeError,
@@ -20,6 +21,7 @@ from qpool.fusion import (
     decompose_common,
     demonstrate_ambiguity,
     max_common_weight,
+    realize_pair,
     realize_tripartite,
     simulate_tripartite,
 )
@@ -275,6 +277,11 @@ class TestAveragedFusion:
             averaged_fusion(rho_a, rho_b, cfg), averaged_fusion(rho_a, rho_b, cfg)
         )
 
+    def test_underflowing_weights_rejected(self):
+        cfg = HistoryMeasureConfig(n_samples=10, weight_exponent=1e308)
+        with pytest.raises(ImpossibleOutcomeError):
+            averaged_fusion(np.eye(2) / 2, np.eye(2) / 2, cfg)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             HistoryMeasureConfig(n_samples=10, family="not-a-family")
@@ -282,3 +289,25 @@ class TestAveragedFusion:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             HistoryMeasureConfig(n_samples=0)
+
+
+class TestRealizePair:
+    def test_default_weights_are_half_the_admissible_maximum(self):
+        rng = np.random.default_rng(12)
+        rho_a, rho_b, common = random_consistent_pair(rng, 3, overlap=2)
+        sigma = random_intersection_state(rng, common)
+        dec, alpha_max, beta_max, _ = realize_pair(rho_a, rho_b, sigma)
+        assert dec.alpha == alpha_max / 2.0 and dec.beta == beta_max / 2.0
+        assert alpha_max == max_common_weight(rho_a, sigma)
+
+    def test_explicit_weights_are_used(self):
+        half = np.eye(2) / 2
+        dec, _, _, report = realize_pair(half, half, np.outer(KET0, KET0), 0.25, 0.5)
+        assert (dec.alpha, dec.beta) == (0.25, 0.5)
+        np.testing.assert_allclose(report.rho_a_recovered, half, atol=1e-12)
+
+    def test_sigma_outside_a_support_rejected(self):
+        with pytest.raises(AmbiguityPreconditionError):
+            realize_pair(np.outer(KET0, KET0), np.eye(2) / 2, np.outer(KET1, KET1))
+        with pytest.raises(AmbiguityPreconditionError):
+            realize_pair(np.outer(KET0, KET0), np.eye(2) / 2, np.outer(KET1, KET1), 0.5, 0.5)

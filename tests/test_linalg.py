@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import ginibre, random_density, random_hermitian, random_unitary
+
+import qpool
 
 from qpool.errors import HermiticityError, PositivityError, ShapeError
 from qpool.linalg import (
@@ -232,3 +237,26 @@ def test_trace_distance_pure_states():
     assert trace_distance(proj(KET0), proj(KET_PLUS)) == pytest.approx(np.sqrt(0.5), abs=1e-12)
     assert trace_distance(proj(KET0), proj(KET1)) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(proj(KET0), proj(KET0)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_tolerance_literals_live_in_the_block():
+    """No float literal in (0, 1e-6] appears in src/qpool outside linalg's TOL_* block."""
+    offenders = []
+    for path in sorted(Path(qpool.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "linalg.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and all(
+                    isinstance(t, ast.Name) and t.id.startswith("TOL_") for t in node.targets
+                ):
+                    allowed.update(id(n) for n in ast.walk(node.value))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0 < abs(node.value) <= 1e-6
+                and id(node) not in allowed
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not offenders, offenders

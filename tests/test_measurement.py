@@ -2,9 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import random_history, random_kraus_povm
+from conftest import (
+    ginibre,
+    random_effects,
+    random_history,
+    random_kraus_povm,
+    random_unitary,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpool.errors import ImpossibleOutcomeError, ShapeError
+from qpool.errors import ImpossibleOutcomeError, IncompleteMeasurementError, QpoolError, ShapeError
 from qpool.linalg import is_psd, trace_distance
 from qpool.measurement import (
     KrausPovm,
@@ -35,7 +43,7 @@ class TestKrausPovm:
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
     def test_incomplete_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IncompleteMeasurementError):
             KrausPovm((np.diag([0.5, 0.5]),))
 
     def test_unitaries_fold_in(self):
@@ -252,3 +260,56 @@ class TestValidatePovm:
         report = validate_povm([np.diag([1.2, 1.0]), np.diag([-0.2, 0.0])])
         assert not report.passed
         assert any("negative" in f for f in report.failures)
+
+
+@st.composite
+def near_complete_family(draw):
+    """A random complete measurement with a small random error added.
+
+    Returns ``(kraus, matrices)``: Kraus operators of a general complete
+    family, or the effects of a random or a projective (rank-deficient) one.
+    The error sizes straddle the tolerances, so all rules are exercised.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["kraus", "effects", "projective"]))
+    scale = draw(st.sampled_from([0.0, 2e-10, 6e-10, 1.2e-9, 3e-9, 1e-6]))
+    hermitian_error = draw(st.booleans())
+    if kind == "kraus":
+        mats = list(random_kraus_povm(rng, dim, n, hermitian=False).ops)
+    elif kind == "effects":
+        mats = random_effects(rng, dim, n)
+    else:
+        frame = random_unitary(rng, dim)
+        mats = [np.outer(frame[:, k], frame[:, k].conj()) for k in range(dim)]
+    out = []
+    for m in mats:
+        err = ginibre(rng, dim, dim)
+        if hermitian_error:
+            err = err + err.conj().T
+        out.append(m + scale * err)
+    return kind == "kraus", out
+
+
+def _builds(cls, mats) -> bool:
+    try:
+        cls(tuple(mats))
+    except QpoolError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(near_complete_family())
+def test_validate_povm_agrees_with_constructors(family):
+    # validate_povm(x).passed holds exactly when the constructor accepts x.
+    # An invalid KrausPovm cannot be built, so Kraus families are checked
+    # through their effects M^dag M (the rules of Povm), and every family
+    # KrausPovm accepts must validate as a KrausPovm.
+    kraus, mats = family
+    if kraus:
+        if _builds(KrausPovm, mats):
+            assert validate_povm(KrausPovm(tuple(mats))).passed
+        mats = [m.conj().T @ m for m in mats]
+    assert validate_povm(mats).passed == _builds(Povm, mats)
