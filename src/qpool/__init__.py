@@ -5,7 +5,8 @@ its matrix form, multi-observer measurement histories and their flattened
 operator families, the support-intersection consistency condition with the
 tripartite realizability construction behind pooled-state ambiguity, and
 Bayesian pure-state estimation over the invariant measure with an exact
-polynomial path for diagonal qubit effects.
+polynomial path for diagonal qubit effects, whose posteriors have
+nonnegative coefficients in the basis r^k (1 - r)^(n - k).
 """
 
 from . import classical, estimation, fusion, haar, linalg, measurement

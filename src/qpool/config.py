@@ -9,6 +9,7 @@ plain arrays of decimals.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -152,6 +153,10 @@ def validate_config(cfg: dict) -> dict:
     _check_schema(cfg, CONFIG_SCHEMA, root="$")
     payload = cfg.get("payload", {})
     _check_schema(payload, PAYLOAD_SCHEMAS[cfg["kind"]], root="$.payload")
+    # The schema cannot demand a finite tol: NaN fails every comparison, so
+    # exclusiveMinimum lets it through, and Infinity satisfies it.
+    if "tol" in payload and not math.isfinite(payload["tol"]):
+        raise ConfigError(f"$.payload.tol: {payload['tol']!r} is not a finite number")
     return {"kind": cfg["kind"], "seed": int(cfg.get("seed", 0)), "payload": payload}
 
 

@@ -14,16 +14,18 @@ Two evaluation paths are provided and cross-checked against each other:
   uniformly distributed under the invariant measure, and the phase average
   kills all off-diagonal moments).
 
-The exact path keeps rational coefficients rational so that audits can
+The exact path expands the posterior in the basis r^k (1 - r)^(n - k), where
+its coefficients and moments are sums of nonnegative terms, so nothing
+cancels.  Rational coefficients stay rational so that audits can
 distinguish genuine discrepancies from round-off.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +34,17 @@ from .errors import (
     DimensionGuardError,
     ImpossibleOutcomeError,
     InvalidEffectError,
+    NonFiniteError,
+    PositivityError,
     ShapeError,
     SingularConstraintError,
 )
 from .haar import PureStateSample, sample_amplitudes
-from .linalg import TOL_DENSITY, TOL_SINGULAR, dagger
+from .linalg import TOL_SINGULAR, dagger
 from .measurement import ensure_effect
 
-_GRID_POINTS = 1001
 _DIM_GUARD = 4096
+_CHUNK = 65_536  # samples per tensor-power batch, scaled down by dim^N / 4
 
 
 def _is_exact(value) -> bool:
@@ -49,10 +53,10 @@ def _is_exact(value) -> bool:
 
 @dataclass(frozen=True)
 class PolynomialDensity:
-    """Unnormalized posterior density q(r) on r in [0, 1], ascending coefficients.
+    """Unnormalized posterior density q(r) = sum_k c_k r^k (1 - r)^(n - k) on [0, 1].
 
-    Coefficients stay exact (int/Fraction) whenever the inputs were exact;
-    float coefficients fall back to compensated summation for the moments.
+    ``coeffs`` holds the nonnegative c_0 .. c_n.  They stay exact (int/Fraction)
+    whenever the inputs were exact, and then so do the moments.
     """
 
     coeffs: tuple
@@ -61,15 +65,9 @@ class PolynomialDensity:
         coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ShapeError("polynomial needs at least one coefficient")
-        grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-        values = np.polynomial.polynomial.polyval(grid, [float(c) for c in coeffs])
-        if values.min() < -TOL_DENSITY:
-            raise ValueError(f"density is negative on [0, 1] (min {values.min():.3e})")
+        if any(c < 0 for c in coeffs):
+            raise PositivityError(f"density has a negative coefficient (min {min(coeffs)})")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -77,13 +75,16 @@ class PolynomialDensity:
 
     def evaluate(self, r):
         """Evaluate q at a scalar or array of points."""
-        return np.polynomial.polynomial.polyval(r, [float(c) for c in self.coeffs])
+        r, n = np.asarray(r, dtype=float), self.degree
+        return sum(float(c) * r**j * (1.0 - r) ** (n - j) for j, c in enumerate(self.coeffs))
 
     def moment(self, k: int):
-        """Integral of r^k q(r) over [0, 1]; exact when the coefficients are."""
-        if self.is_exact:
-            return sum(Fraction(c) / (j + k + 1) for j, c in enumerate(self.coeffs))
-        return math.fsum(float(c) / (j + k + 1) for j, c in enumerate(self.coeffs))
+        """Integral of r^k q(r) over [0, 1]; exact when the coefficients are.
+
+        Term j integrates to c_j B(j+k+1, n-j+1) = c_j / ((n+k+1) C(n+k, j+k)).
+        """
+        d = self.degree + k
+        return sum(c * Fraction(1, (d + 1) * comb(d, j + k)) for j, c in enumerate(self.coeffs))
 
     def multiply(self, other: "PolynomialDensity") -> "PolynomialDensity":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -107,8 +108,8 @@ class DiagonalEffect:
         return np.diag([float(self.x), 1.0 - float(self.x)]).astype(complex)
 
     def likelihood(self) -> PolynomialDensity:
-        """Outcome probability as a polynomial in the population: (2x-1) r + (1-x)."""
-        return PolynomialDensity((1 - self.x, 2 * self.x - 1))
+        """Outcome probability as a polynomial in the population: (1-x) (1-r) + x r."""
+        return PolynomialDensity((1 - self.x, self.x))
 
 
 FLAT_DENSITY = PolynomialDensity((1,))
@@ -141,7 +142,7 @@ def polynomial_predictive(q: PolynomialDensity) -> np.ndarray:
     """Predictive state for the one remaining copy, as a diagonal 2x2 matrix.
 
     The off-diagonal moments vanish in the phase average, so the state is
-    ``diag(m1/m0, 1 - m1/m0)`` with the monomial moments of q.
+    ``diag(m1/m0, 1 - m1/m0)`` with the moments m_k of q.
     """
     top, bottom = predictive_populations(q)
     return np.diag([float(top), float(bottom)]).astype(complex)
@@ -181,7 +182,8 @@ class WeightedStateEnsemble:
     """Weighted pure-state samples representing a (possibly updated) density.
 
     Amplitude rows carry the samples; weights are unnormalized and only
-    normalized at readout.
+    normalized at readout.  At least one weight is positive, so every
+    ensemble has a positive total weight.
     """
 
     dim: int
@@ -195,10 +197,12 @@ class WeightedStateEnsemble:
             raise ShapeError(f"amplitudes must have shape (n, {self.dim})")
         if weights.shape != (amps.shape[0],):
             raise ShapeError("one weight per sample is required")
-        if not np.all(np.isfinite(weights)) or weights.min() < 0.0:
-            raise ValueError("weights must be finite and nonnegative")
+        if not np.all(np.isfinite(weights)):
+            raise NonFiniteError("weights must be finite")
+        if weights.min() < 0.0:
+            raise PositivityError("weights must be nonnegative")
         if not np.any(weights > 0.0):
-            raise ValueError("at least one weight must be positive")
+            raise ImpossibleOutcomeError("no sample has positive weight: the outcome is impossible")
         amps.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -237,16 +241,12 @@ def posterior_update(ens: WeightedStateEnsemble, effect) -> WeightedStateEnsembl
         "ni,ij,nj->n", ens.amplitudes.conj(), effect, ens.amplitudes
     ).real
     weights = ens.weights * np.clip(likelihood, 0.0, None)
-    if not np.any(weights > 0.0):
-        raise ImpossibleOutcomeError("outcome has zero probability on the whole ensemble")
     return WeightedStateEnsemble(ens.dim, ens.amplitudes, weights)
 
 
 def predictive_state(ens: WeightedStateEnsemble) -> np.ndarray:
     """Weight-normalized mean projector of the ensemble."""
     total = float(ens.weights.sum())
-    if total <= 0.0:
-        raise ImpossibleOutcomeError("ensemble weights sum to zero")
     out = (ens.amplitudes.T * ens.weights) @ ens.amplitudes.conj() / total
     return (out + dagger(out)) / 2
 
@@ -257,8 +257,6 @@ def definetti_state(
     seed: int = 0,
     posterior: WeightedStateEnsemble | None = None,
     dim: int = 2,
-    *,
-    chunk: int = 65_536,
 ) -> np.ndarray:
     """Monte-Carlo estimate of the density-weighted average of N-fold copies.
 
@@ -268,7 +266,7 @@ def definetti_state(
     symmetric subspace by construction.
     """
     if n_copies < 0:
-        raise ValueError("n_copies must be nonnegative")
+        raise ShapeError("n_copies must be nonnegative")
     if n_copies == 0:
         return np.eye(1, dtype=complex)
     if posterior is not None:
@@ -282,7 +280,7 @@ def definetti_state(
 
     total_weight = float(posterior.weights.sum())
     out = np.zeros((full_dim, full_dim), dtype=complex)
-    chunk = max(1, int(chunk * 4 // max(1, full_dim)))
+    chunk = max(1, int(_CHUNK * 4 // max(1, full_dim)))
     for start in range(0, posterior.n_samples, chunk):
         amps = posterior.amplitudes[start : start + chunk]
         weights = posterior.weights[start : start + chunk]

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NotNormalizedError, PositivityError, ShapeError
 from .linalg import TOL_PROB_SUM
+
+_CHUNK = 200_000  # samples per batch in average_projector
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,10 @@ class PureStateSample:
         phases = np.asarray(self.phases, dtype=float).reshape(-1)
         if probs.size == 0 or probs.size != phases.size:
             raise ShapeError("probs and phases must be non-empty and equally long")
-        if probs.min() < 0.0 or abs(probs.sum() - 1.0) > TOL_PROB_SUM:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        if probs.min() < 0.0:
+            raise PositivityError(f"negative probability {float(probs.min())!r}")
+        if abs(probs.sum() - 1.0) > TOL_PROB_SUM:
+            raise NotNormalizedError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
         probs.setflags(write=False)
         phases.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -80,15 +84,15 @@ def measure_normalization(dim: int) -> float:
     return 2.0 * math.pi**dim / math.factorial(dim - 1)
 
 
-def average_projector(dim: int, n_samples: int, seed: int, *, chunk: int = 200_000) -> np.ndarray:
+def average_projector(dim: int, n_samples: int, seed: int) -> np.ndarray:
     """Monte-Carlo mean projector over the invariant measure; converges to I/d."""
     if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+        raise ShapeError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     total = np.zeros((dim, dim), dtype=complex)
     remaining = int(n_samples)
     while remaining > 0:
-        batch = min(chunk, remaining)
+        batch = min(_CHUNK, remaining)
         amps = sample_amplitudes(dim, batch, rng)
         total += amps.T @ amps.conj()
         remaining -= batch

@@ -29,7 +29,6 @@ TOL_REMAINDER = 1e-12  # absolute: smallest kept remainder eigenvalue
 TOL_DIAGONAL = 1e-9  # off-diagonal entries for the matrix-form Bayes rule
 TOL_COMMUTE = 1e-9  # absolute: Frobenius norm of [rho_a, rho_b] for commuting pooling
 TOL_PROB_SUM = 1e-12  # absolute: probability vectors' negative entries and |sum - 1|
-TOL_DENSITY = 1e-12  # absolute: negativity of a polynomial density on its check grid
 TOL_SINGULAR = 1e-15  # absolute: vanishing denominator of the matching constraint
 
 

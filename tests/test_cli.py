@@ -258,8 +258,9 @@ def _history(step, known=None):
     return {"kind": "history", "payload": payload}
 
 
-# Invalid inputs.  The schema rejects the unknown family (exit 1); the others pass it
-# and must leave through a failure report that names the error (exit 2).
+# Invalid inputs.  Config validation rejects the unknown family and a non-finite
+# tol (exit 1, naming the field); the others pass it and must leave through a
+# failure report that names the error (exit 2).
 INVALID_INPUTS = {
     "realize_trace_not_one": (
         {"kind": "realize", "payload": {"rho_a": TRACE_09, "rho_b": EYE2, "sigma": PROJ0}},
@@ -296,7 +297,17 @@ INVALID_INPUTS = {
     "fuse_unknown_family": (
         {"kind": "fuse", "payload": {"rho_a": EYE2, "rho_b": EYE2, "n_samples": 10, "family": "x"}},
         1,
-        None,
+        "$.payload.family",
+    ),
+    "consistency_tol_nan": (
+        {"kind": "consistency", "payload": {"rho_a": EYE2, "rho_b": EYE2, "tol": float("nan")}},
+        1,
+        "$.payload.tol",
+    ),
+    "consistency_tol_infinity": (
+        {"kind": "consistency", "payload": {"rho_a": EYE2, "rho_b": EYE2, "tol": float("inf")}},
+        1,
+        "$.payload.tol",
     ),
     "fuse_weights_underflow": (
         {
@@ -317,8 +328,8 @@ def test_invalid_input_exits_with_named_error(case, tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["run", str(path), "--out", str(out_file)]) == code
     err = capsys.readouterr().err
-    if error is None:
-        assert err.startswith("config error:") and not out_file.exists()
+    if code == 1:
+        assert err.startswith(f"config error: {error}:") and not out_file.exists()
     else:
         assert json.loads(out_file.read_text())["error"]["name"] == error
         assert err.startswith(f"error: {error}:")

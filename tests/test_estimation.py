@@ -1,12 +1,21 @@
+import json
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ, Poly, Rational, symbols
 
+from qpool.cli import main
 from qpool.errors import (
     DimensionGuardError,
     ImpossibleOutcomeError,
     InvalidEffectError,
+    NonFiniteError,
+    NotNormalizedError,
+    PositivityError,
     ShapeError,
     SingularConstraintError,
 )
@@ -24,7 +33,7 @@ from qpool.estimation import (
     predictive_state,
     qubit_diagonal_posterior,
 )
-from qpool.haar import PureStateSample
+from qpool.haar import PureStateSample, average_projector
 
 
 def gauss_moment(q: PolynomialDensity, k: int) -> float:
@@ -34,14 +43,46 @@ def gauss_moment(q: PolynomialDensity, k: int) -> float:
     return float(0.5 * np.sum(weights * r**k * q.evaluate(r)))
 
 
+R = symbols("r")
+
+
+def sympy_top_population(effects) -> Fraction:
+    """Exact oracle: expand the likelihood product in QQ[r] and integrate it with sympy."""
+    q = Poly(1, R, domain=QQ)
+    for x in effects:
+        x = Rational(x.numerator, x.denominator)
+        q = q * Poly([2 * x - 1, 1 - x], R, domain=QQ)  # x r + (1 - x)(1 - r)
+    top = (q * Poly(R, R, domain=QQ)).integrate().eval(1) / q.integrate().eval(1)
+    return Fraction(int(top.p), int(top.q))
+
+
+def mpmath_top_population(effects) -> float:
+    """Float-input oracle: the monomial expansion at 300 significant digits.
+
+    The float effects enter exactly.  For n factors the monomial coefficients
+    are below 2^n in magnitude, and the moments are above 2^-n / (16n): every
+    factor is 1/2 at r = 1/2 and has slope at most 1.  With n <= 300, 300
+    digits leave over 100 after the cancellation.
+    """
+    with mpmath.workdps(300):
+        coeffs = [mpmath.mpf(1)]
+        for x in effects:
+            a, b = 1 - mpmath.mpf(x), 2 * mpmath.mpf(x) - 1
+            coeffs = [a * c + b * d for c, d in zip(coeffs + [0], [0] + coeffs)]
+        m0 = mpmath.fsum(c / (j + 1) for j, c in enumerate(coeffs))
+        m1 = mpmath.fsum(c / (j + 2) for j, c in enumerate(coeffs))
+        return float(m1 / m0)
+
+
 class TestPolynomialDensity:
     def test_negative_density_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PositivityError):
             PolynomialDensity((-0.1, 0.0))
 
-    def test_exactness_flag(self):
-        assert PolynomialDensity((Fraction(1, 2), 1)).is_exact
-        assert not PolynomialDensity((0.5, 1)).is_exact
+    def test_moments_exact_for_exact_coefficients(self):
+        assert PolynomialDensity((Fraction(1, 2), 1)).moment(1) == Fraction(5, 12)
+        assert PolynomialDensity((1, 0, 2)).moment(0) == Fraction(1)
+        assert isinstance(PolynomialDensity((0.5, 1)).moment(1), float)
 
     def test_moments_match_quadrature(self):
         rng = np.random.default_rng(0)
@@ -59,16 +100,23 @@ class TestQubitDiagonalPosterior:
     def test_single_effect_coefficients(self):
         alpha = Fraction(2, 5)
         q = qubit_diagonal_posterior([DiagonalEffect(alpha)])
-        assert q.coeffs == (1 - alpha, 2 * alpha - 1)
+        assert q.coeffs == (1 - alpha, alpha)
 
     def test_two_effect_expansion(self):
-        # Product of the two linear likelihoods, expanded by hand:
-        # (2b-1)(2g-1) r^2 + (3b+3g-4bg-2) r + (1-b)(1-g).
+        # Product of the two likelihoods (1-x)(1-r) + x r, expanded by hand:
+        # (1-b)(1-g) (1-r)^2 + (b(1-g) + (1-b)g) r(1-r) + bg r^2.
         beta, gamma = Fraction(3, 4), Fraction(1, 4)
         q = qubit_diagonal_posterior([DiagonalEffect(beta), DiagonalEffect(gamma)])
-        assert q.coeffs[2] == (2 * beta - 1) * (2 * gamma - 1)
-        assert q.coeffs[1] == 3 * beta + 3 * gamma - 4 * beta * gamma - 2
+        assert q.coeffs[2] == beta * gamma
+        assert q.coeffs[1] == beta * (1 - gamma) + (1 - beta) * gamma
         assert q.coeffs[0] == (1 - beta) * (1 - gamma)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=64), max_size=20))
+    def test_coefficients_nonnegative_and_sum_to_one(self, effects):
+        coeffs = qubit_diagonal_posterior(effects).coeffs
+        assert all(c >= 0 for c in coeffs)
+        assert sum(coeffs) == 1
 
     def test_matches_pointwise_product(self):
         rng = np.random.default_rng(1)
@@ -147,6 +195,52 @@ class TestPooledPredictive:
         for _ in range(50):
             xs = rng.uniform(0.01, 0.99, size=rng.integers(1, 5))
             assert qubit_diagonal_posterior(xs).moment(0) > 0
+
+
+class TestOracles:
+    def test_exact_path_equals_sympy(self):
+        # Effects k/20 keep sympy's rationals small; float-derived ones make
+        # the 300-effect expansion take tens of seconds.
+        rng = np.random.default_rng(6)
+        effects = [Fraction(int(k), 20) for k in rng.integers(1, 20, 300)]
+        for n in (1, 21, 87):
+            assert predictive_populations(qubit_diagonal_posterior(effects[:n]))[0] == (
+                sympy_top_population(effects[:n])
+            )
+        q_a = qubit_diagonal_posterior(effects[:150])
+        q_b = qubit_diagonal_posterior(effects[150:])
+        top, bottom = predictive_populations(q_a.multiply(q_b))
+        assert top == sympy_top_population(effects) and top + bottom == 1
+
+    @pytest.mark.parametrize(
+        "effects", [[0.1] * 20, [0.1] * 21, [0.3] * 87], ids=["20x0.1", "21x0.1", "87x0.3"]
+    )
+    def test_repeated_float_effects(self, effects):
+        top = mpmath_top_population(effects)
+        got = polynomial_predictive(qubit_diagonal_posterior(effects))
+        np.testing.assert_allclose(got, np.diag([top, 1 - top]), rtol=0, atol=1e-13)
+
+    def test_float_pairs(self):
+        rng = np.random.default_rng(7)
+        for n_a, n_b in ((3, 5), (40, 60), (150, 150)):
+            xs_a, xs_b = list(rng.uniform(0, 1, n_a)), list(rng.uniform(0, 1, n_b))
+            q_a, q_b = qubit_diagonal_posterior(xs_a), qubit_diagonal_posterior(xs_b)
+            for got, xs in (
+                (polynomial_predictive(q_a), xs_a),
+                (polynomial_predictive(q_b), xs_b),
+                (pooled_predictive(q_a, q_b), xs_a + xs_b),
+            ):
+                top = mpmath_top_population(xs)
+                np.testing.assert_allclose(got, np.diag([top, 1 - top]), rtol=0, atol=1e-13)
+
+    def test_cli_runs_repeated_effects(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "estimate", "payload": {"effects_a": [0.1] * 21}}))
+        out = tmp_path / "report.json"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        outputs = json.loads(out.read_text())["outputs"]
+        assert min(outputs["posterior_coeffs_a"]) >= 0
+        assert sum(outputs["posterior_coeffs_a"]) == pytest.approx(1, abs=1e-15)
 
 
 class TestMatchingBeta:
@@ -317,7 +411,20 @@ class TestAudit:
 
 
 def test_ensemble_validation():
+    amps = np.ones((2, 2), dtype=complex)
     with pytest.raises(ShapeError):
         WeightedStateEnsemble(2, np.zeros((3, 2), dtype=complex), np.ones(2))
-    with pytest.raises(ValueError):
-        WeightedStateEnsemble(2, np.ones((2, 2), dtype=complex), np.zeros(2))
+    with pytest.raises(ImpossibleOutcomeError):
+        WeightedStateEnsemble(2, amps, np.zeros(2))
+    with pytest.raises(NonFiniteError):
+        WeightedStateEnsemble(2, amps, np.array([1.0, np.nan]))
+    with pytest.raises(PositivityError):
+        WeightedStateEnsemble(2, amps, np.array([1.0, -0.5]))
+    with pytest.raises(ShapeError):
+        definetti_state(-1)
+    with pytest.raises(ShapeError):
+        average_projector(2, 0, seed=0)
+    with pytest.raises(PositivityError):
+        PureStateSample(np.array([1.5, -0.5]), np.zeros(2))
+    with pytest.raises(NotNormalizedError):
+        PureStateSample(np.array([0.5, 0.6]), np.zeros(2))
