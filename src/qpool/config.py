@@ -29,6 +29,49 @@ _MATRIX = {
     "minItems": 1,
     "items": {"type": "array", "minItems": 1, "items": _PAIR},
 }
+"""The schema of a matrix literal.
+
+Descending it runs jsonschema's keyword machinery on every row, pair and
+number, tens of microseconds per matrix entry.  So the payload schemas wrap
+it as ``{"matrixLiteral": _MATRIX}``: the keyword accepts a literal in one
+plain-Python pass when it is a non-empty list of non-empty rows of
+``[re, im]`` pairs of ``int`` or ``float`` (never ``bool``), and only a
+literal that pass rejects descends ``_MATRIX``.  The pass accepts nothing
+the schema rejects, so every verdict, and every error path and message, is
+the schema's own.
+"""
+_NUMBER_TYPES = (int, float)
+
+
+def _is_literal(instance) -> bool:
+    """The one-pass check: every ``[re, im]`` pair exactly two ``int``/``float``."""
+    return (
+        type(instance) is list
+        and len(instance) > 0
+        and all(
+            type(row) is list
+            and len(row) > 0
+            and all(
+                type(pair) is list
+                and len(pair) == 2
+                and type(pair[0]) in _NUMBER_TYPES
+                and type(pair[1]) in _NUMBER_TYPES
+                for pair in row
+            )
+            for row in instance
+        )
+    )
+
+
+def _matrix_literal(validator, schema, instance, _):
+    if not _is_literal(instance):
+        yield from validator.descend(instance, schema)
+
+
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, {"matrixLiteral": _matrix_literal}
+)
+_LITERAL = {"matrixLiteral": _MATRIX}
 _PROBS = {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}}
 _EFFECTS = {
     "type": "array",
@@ -38,8 +81,8 @@ _STEP = {
     "type": "object",
     "properties": {
         "owner": {"enum": ["alice", "bob", "eve"]},
-        "povm": {"type": "array", "minItems": 1, "items": _MATRIX},
-        "kraus": {"type": "array", "minItems": 1, "items": _MATRIX},
+        "povm": {"type": "array", "minItems": 1, "items": _LITERAL},
+        "kraus": {"type": "array", "minItems": 1, "items": _LITERAL},
     },
     "required": ["owner"],
     "anyOf": [{"required": ["povm"]}, {"required": ["kraus"]}],
@@ -73,8 +116,8 @@ PAYLOAD_SCHEMAS = {
     "consistency": {
         "type": "object",
         "properties": {
-            "rho_a": _MATRIX,
-            "rho_b": _MATRIX,
+            "rho_a": _LITERAL,
+            "rho_b": _LITERAL,
             "tol": {"type": "number", "exclusiveMinimum": 0},
         },
         "required": ["rho_a", "rho_b"],
@@ -83,9 +126,9 @@ PAYLOAD_SCHEMAS = {
     "realize": {
         "type": "object",
         "properties": {
-            "rho_a": _MATRIX,
-            "rho_b": _MATRIX,
-            "sigma": _MATRIX,
+            "rho_a": _LITERAL,
+            "rho_b": _LITERAL,
+            "sigma": _LITERAL,
             "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             "beta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         },
@@ -95,10 +138,10 @@ PAYLOAD_SCHEMAS = {
     "ambiguity": {
         "type": "object",
         "properties": {
-            "rho_a": _MATRIX,
-            "rho_b": _MATRIX,
-            "sigma_1": _MATRIX,
-            "sigma_2": _MATRIX,
+            "rho_a": _LITERAL,
+            "rho_b": _LITERAL,
+            "sigma_1": _LITERAL,
+            "sigma_2": _LITERAL,
         },
         "required": ["rho_a", "rho_b", "sigma_1", "sigma_2"],
         "additionalProperties": False,
@@ -106,8 +149,8 @@ PAYLOAD_SCHEMAS = {
     "fuse": {
         "type": "object",
         "properties": {
-            "rho_a": _MATRIX,
-            "rho_b": _MATRIX,
+            "rho_a": _LITERAL,
+            "rho_b": _LITERAL,
             "n_samples": {"type": "integer", "minimum": 1},
             "family": {"enum": [DEFAULT_FAMILY]},
             "weight_exponent": {"type": "number"},
@@ -143,6 +186,9 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+_CONFIG_VALIDATOR = _Validator(CONFIG_SCHEMA)
+_PAYLOAD_VALIDATORS = {kind: _Validator(schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
+
 
 def validate_config(cfg: dict) -> dict:
     """Validate a scenario config against the strict schema.
@@ -150,9 +196,9 @@ def validate_config(cfg: dict) -> dict:
     Returns a normalized copy with explicit ``seed`` and ``payload`` fields.
     Raises :class:`ConfigError` carrying a field-path diagnostic.
     """
-    _check_schema(cfg, CONFIG_SCHEMA, root="$")
+    _check_schema(cfg, _CONFIG_VALIDATOR, root="$")
     payload = cfg.get("payload", {})
-    _check_schema(payload, PAYLOAD_SCHEMAS[cfg["kind"]], root="$.payload")
+    _check_schema(payload, _PAYLOAD_VALIDATORS[cfg["kind"]], root="$.payload")
     # The schema cannot demand a finite tol: NaN fails every comparison, so
     # exclusiveMinimum lets it through, and Infinity satisfies it.
     if "tol" in payload and not math.isfinite(payload["tol"]):
@@ -160,8 +206,7 @@ def validate_config(cfg: dict) -> dict:
     return {"kind": cfg["kind"], "seed": int(cfg.get("seed", 0)), "payload": payload}
 
 
-def _check_schema(instance, schema, *, root: str) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
+def _check_schema(instance, validator, *, root: str) -> None:
     errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
     if errors:
         err = jsonschema.exceptions.best_match(errors)

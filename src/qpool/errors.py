@@ -6,7 +6,7 @@ class QpoolError(Exception):
 
 
 class ShapeError(QpoolError, ValueError):
-    """Matrix or vector dimensions do not match the operation's contract."""
+    """Dimensions, or a history's owner and index names, break the operation's contract."""
 
 
 class HermiticityError(QpoolError, ValueError):

@@ -1,11 +1,15 @@
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from qpool.cli import main, run_scenario
 from qpool.config import (
+    _MATRIX,
     literal_to_matrix,
     load_config,
     matrix_to_literal,
@@ -66,6 +70,72 @@ class TestValidateConfig:
         path.write_text('{"kind": "history",\n  "seed": }')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+
+def _with_entry(value, row=0, col=1):
+    literal = copy.deepcopy(EYE2)
+    literal[row][col] = value
+    return literal
+
+
+VALID_LITERALS = {
+    "eye": EYE2,
+    "ints": PROJ0,
+    "one_by_one": [[[1, 0]]],
+    "rectangular": [[[0.5, 0], [0, -0.25], [1e-300, 2]]],
+    "float_subclass": [[[np.float64(1.0), np.float64(-0.0)]]],
+}
+# Each replaces one part of a valid literal.  `true` is a JSON number to a
+# check written as isinstance(x, (int, float)), but not to the schema.
+INVALID_LITERALS = {
+    "string_entry": _with_entry(["0.5", 0]),
+    "true_entry": _with_entry([True, 0]),
+    "null_entry": _with_entry([0, None]),
+    "short_pair": _with_entry([0.5]),
+    "long_pair": _with_entry([0.5, 0, 0]),
+    "empty_row": [EYE2[0], []],
+    "empty_matrix": [],
+    "not_a_list": {"re": 0.5, "im": 0},
+    "pair_too_deep": _with_entry([[0.5, 0], [0, 0]]),
+}
+# Where a literal sits in a config, and the config around it.
+LITERAL_SITES = {
+    "$.payload.rho_a": lambda lit: {"kind": "consistency", "payload": {"rho_a": lit, "rho_b": EYE2}},
+    "$.payload.steps[0].kraus[1]": lambda lit: {
+        "kind": "history",
+        "payload": {"steps": [{"owner": "bob", "kraus": [EYE2, lit]}]},
+    },
+}
+
+
+def _schema_verdict(literal, site):
+    """The ConfigError message of a plain validator on the matrix schema, or None."""
+    errors = sorted(
+        Draft202012Validator(_MATRIX).iter_errors(literal), key=lambda e: list(e.absolute_path)
+    )
+    if not errors:
+        return None
+    err = best_match(errors)
+    return site + err.json_path[1:] + ": " + err.message
+
+
+@pytest.mark.parametrize("site", sorted(LITERAL_SITES))
+@pytest.mark.parametrize("case", sorted(VALID_LITERALS))
+def test_valid_literal_accepted_as_by_schema(case, site):
+    literal = VALID_LITERALS[case]
+    assert _schema_verdict(literal, site) is None
+    validate_config(LITERAL_SITES[site](literal))
+
+
+@pytest.mark.parametrize("site", sorted(LITERAL_SITES))
+@pytest.mark.parametrize("case", sorted(INVALID_LITERALS))
+def test_invalid_literal_rejected_as_by_schema(case, site):
+    literal = INVALID_LITERALS[case]
+    expected = _schema_verdict(literal, site)
+    assert expected is not None
+    with pytest.raises(ConfigError) as info:
+        validate_config(LITERAL_SITES[site](literal))
+    assert str(info.value) == expected
 
 
 class TestRunScenario:

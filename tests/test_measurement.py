@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qpool.errors import ImpossibleOutcomeError, IncompleteMeasurementError, QpoolError, ShapeError
 from qpool.linalg import is_psd, trace_distance
 from qpool.measurement import (
+    OWNERS,
     KrausPovm,
     MeasurementHistory,
     Povm,
@@ -132,6 +133,88 @@ class TestFlattenHistory:
                 (("alice", random_kraus_povm(rng, 2, 2)), ("bob", random_kraus_povm(rng, 3, 2)))
             )
 
+    def test_unknown_owner(self):
+        with pytest.raises(ShapeError, match="unknown owner 'carol'"):
+            MeasurementHistory((("carol", KrausPovm((np.eye(2),))),))
+
+    def test_fixed_twelve_step_qubit_history_matches_reference(self):
+        rng = np.random.default_rng(9)
+        history = MeasurementHistory(
+            tuple(
+                (OWNERS[k % 3], random_kraus_povm(rng, 2, 2, hermitian=k % 2 == 0))
+                for k in range(12)
+            )
+        )
+        flat = flatten_history(history)
+        assert (flat.i_max, flat.j_max, flat.e_max) == (16, 16, 16)
+        assert_same_bytes(flat.ops, reference_flatten(history))
+
+    def test_exact_zeros_match_reference(self):
+        # Real projectors with entries of both signs leave exact zeros that
+        # the products may carry as -0.0.
+        history = MeasurementHistory(
+            (
+                ("alice", KrausPovm.projective(Z_BASIS)),
+                ("bob", KrausPovm.projective(X_BASIS)),
+                ("eve", KrausPovm.projective(-X_BASIS)),
+                ("alice", KrausPovm.projective(Z_BASIS)),
+            )
+        )
+        assert_same_bytes(flatten_history(history).ops, reference_flatten(history))
+
+
+def reference_flatten(history: MeasurementHistory) -> np.ndarray:
+    """The flattened operators by definition: one product per joint outcome choice."""
+    dim = history.dim
+    counts = [p.n_outcomes for _, p in history.steps]
+    owners = [owner for owner, _ in history.steps]
+    sizes = {o: 1 for o in OWNERS}
+    for owner, count in zip(owners, counts):
+        sizes[owner] *= count
+    ops = np.zeros((sizes["alice"], sizes["bob"], sizes["eve"], dim, dim), dtype=complex)
+    for choice in itertools.product(*(range(c) for c in counts)):
+        product = np.eye(dim, dtype=complex)
+        for (_, povm), outcome in zip(history.steps, choice):
+            product = povm.ops[outcome] @ product
+        composite = {o: 0 for o in OWNERS}
+        for owner, count, outcome in zip(owners, counts, choice):
+            composite[owner] = composite[owner] * count + outcome
+        ops[composite["alice"], composite["bob"], composite["eve"]] += product
+    return ops
+
+
+def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    # Stricter than np.array_equal: a signed zero counts as a difference too.
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def histories(draw):
+    """Random histories: dims 1-4, 1-6 steps, 1-3 outcomes, owners may repeat."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    owners = OWNERS if draw(st.booleans()) else OWNERS[:2]
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(owners), st.integers(1, 3), st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return MeasurementHistory(
+        tuple(
+            (owner, random_kraus_povm(rng, dim, n, hermitian=hermitian))
+            for owner, n, hermitian in steps
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(histories())
+def test_flatten_history_matches_reference(history):
+    assert_same_bytes(flatten_history(history).ops, reference_flatten(history))
+
 
 def z_then_x_history():
     return MeasurementHistory(
@@ -227,6 +310,11 @@ class TestConditionalState:
         before = conditional_state(flatten_history(without), {"i": 0})
         after = conditional_state(flatten_history(with_eve), {"i": 0})
         assert trace_distance(before, after) > 0.01
+
+    def test_unknown_index_name(self):
+        flat = flatten_history(z_then_x_history())
+        with pytest.raises(ShapeError, match="unknown index name 'k'"):
+            conditional_state(flat, {"k": 0})
 
     def test_general_initial_state_variant(self):
         history = MeasurementHistory((("alice", KrausPovm.projective(Z_BASIS)),))
