@@ -16,9 +16,9 @@ import numpy as np
 from .errors import (
     ImpossibleOutcomeError,
     IncompatibleKnowledgeError,
+    InvalidEffectError,
     NoncommutingError,
     NonFiniteError,
-    NotNormalizedError,
     PositivityError,
     ShapeError,
 )
@@ -30,6 +30,7 @@ from .linalg import (
     ensure_density_matrix,
     ensure_hermitian,
     matrix_sqrt_psd,
+    require_normalized,
 )
 
 
@@ -48,8 +49,7 @@ class ProbDist:
         if arr.min() < -TOL_PROB_SUM:
             raise PositivityError(f"negative probability {float(arr.min())!r}")
         arr = np.clip(arr, 0.0, None)
-        if abs(arr.sum() - 1.0) > TOL_PROB_SUM:
-            raise NotNormalizedError(f"probabilities sum to {float(arr.sum())!r}, expected 1")
+        require_normalized(float(arr.sum()), TOL_PROB_SUM, "probability sum")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -78,10 +78,8 @@ class LikelihoodModel:
         if arr.ndim != 2 or arr.size == 0:
             raise ShapeError(f"likelihood table must be a non-empty 2-D array, got {arr.shape}")
         if arr.min() < 0.0 or arr.max() > 1.0 + TOL_PROB_SUM:
-            raise ValueError("conditional probabilities must lie in [0, 1]")
-        col_sums = arr.sum(axis=0)
-        if np.abs(col_sums - 1.0).max() > TOL_PROB_SUM:
-            raise ValueError("each column of P(m|n) must sum to 1 (complete outcome set)")
+            raise InvalidEffectError("conditional probabilities must lie in [0, 1]")
+        require_normalized(arr.sum(axis=0), TOL_PROB_SUM, "column sums of P(m|n)")
         arr.setflags(write=False)
         object.__setattr__(self, "cond", arr)
 
@@ -106,7 +104,7 @@ class PermutationTransform:
     def __post_init__(self):
         perm = tuple(int(p) for p in self.perm)
         if sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
+            raise ShapeError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
         object.__setattr__(self, "perm", perm)
 
 
@@ -170,7 +168,7 @@ def _ensure_diagonal(mat: np.ndarray, *, name: str) -> np.ndarray:
     off = mat - np.diag(np.diag(mat))
     scale = max(1.0, float(np.abs(mat).max()))
     if mat.size and float(np.abs(off).max()) > TOL_DIAGONAL * scale:
-        raise ValueError(f"{name} must be diagonal for the matrix-form Bayes rule")
+        raise NoncommutingError(f"{name} must be diagonal for the matrix-form Bayes rule")
     return mat
 
 

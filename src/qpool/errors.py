@@ -6,7 +6,7 @@ class QpoolError(Exception):
 
 
 class ShapeError(QpoolError, ValueError):
-    """Dimensions, or a history's owner and index names, break the operation's contract."""
+    """Dimensions, history owner or index names, or a permutation break an operation's contract."""
 
 
 class HermiticityError(QpoolError, ValueError):
@@ -18,7 +18,7 @@ class PositivityError(QpoolError, ValueError):
 
 
 class NotNormalizedError(QpoolError, ValueError):
-    """A density matrix, or a set of weights, does not sum to 1 within tolerance."""
+    """A trace or a set of weights differs from 1, or a subspace basis is not orthonormal."""
 
 
 class IncompleteMeasurementError(QpoolError, ValueError):
@@ -38,7 +38,7 @@ class IncompatibleKnowledgeError(QpoolError, ValueError):
 
 
 class NoncommutingError(QpoolError, ValueError):
-    """The commuting-density pooling rule was applied to non-commuting states."""
+    """A commuting-state rule got non-commuting states, or matrix Bayes a non-diagonal matrix."""
 
 
 class DegenerateConstructionError(QpoolError, ValueError):
@@ -58,7 +58,7 @@ class SingularConstraintError(QpoolError, ValueError):
 
 
 class InvalidEffectError(QpoolError, ValueError):
-    """An effect is not below the identity, or a diagonal effect parameter is outside [0, 1]."""
+    """An effect exceeds the identity, or a diagonal effect parameter or P(m|n) is not in [0, 1]."""
 
 
 class DimensionGuardError(QpoolError, ValueError):

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateConstructionError,
     ImpossibleOutcomeError,
     InconsistentStatesError,
-    NotNormalizedError,
     PositivityError,
     ShapeError,
 )
@@ -36,6 +35,7 @@ from .linalg import (
     ensure_density_matrix,
     hermitian_eig,
     psd_ok,
+    require_normalized,
     subspace_intersection,
     support,
     support_cutoff,
@@ -122,8 +122,7 @@ class CommonTermDecomposition:
             total = weight + sum(p for p, _ in terms)
             if any(p < 0 for p, _ in terms):
                 raise PositivityError("remainder weights must be nonnegative")
-            if abs(total - 1.0) > TOL_TRACE:
-                raise NotNormalizedError(f"{label} + remainder weights = {total!r}, expected 1")
+            require_normalized(total, TOL_TRACE, f"{label} + remainder weights")
 
     @property
     def dim(self) -> int:
@@ -194,13 +193,13 @@ class TripartiteScenario:
 def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
     """Build the three-system pure state whose local measurements realize ``dec``.
 
-    Summed over the rank of sigma and the two remainder lists:
+    Viewed as a ``(dim_s, dim_a, dim_b)`` array, ``psi`` holds three blocks with
+    disjoint supports, each written in place (N is the rank of sigma and ``u``
+    the uniform superposition of the first N auxiliary basis states):
 
-    * ``sqrt(lam_n) |phi_n>|A_n>|B_n>`` for each eigenpair of sigma,
-    * ``sqrt(p_k / alpha) |phi_k^A>|psi_unif^A>|B_{k+N}>`` for A-remainders,
-    * ``sqrt(p_l / beta) |phi_l^B>|A_{l+N}>|psi_unif^B>`` for B-remainders,
-
-    where the uniform states superpose the first N auxiliary basis states.
+    * ``psi[:, n, n] = sqrt(lam_n) |phi_n>`` for each eigenpair of sigma,
+    * ``psi[:, :N, N+k] = sqrt(p_k / alpha) |phi_k^A>|u^A>`` for A-remainders,
+    * ``psi[:, N+l, :N] = sqrt(p_l / beta) |phi_l^B>|u^B>`` for B-remainders.
     """
     if dec.alpha <= 0.0 or dec.beta <= 0.0:
         raise DegenerateConstructionError("common-term weights must be strictly positive")
@@ -212,25 +211,15 @@ def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
     dim_s = dec.dim
     dim_a = n_common + len(dec.remainder_b)
     dim_b = n_common + len(dec.remainder_a)
+    uniform = 1.0 / np.sqrt(n_common)
 
-    uniform_a = np.zeros(dim_a, dtype=complex)
-    uniform_a[:n_common] = 1.0 / np.sqrt(n_common)
-    uniform_b = np.zeros(dim_b, dtype=complex)
-    uniform_b[:n_common] = 1.0 / np.sqrt(n_common)
-
-    psi = np.zeros(dim_s * dim_a * dim_b, dtype=complex)
-
-    def add(coeff: float, sys_vec, a_vec, b_vec):
-        psi[:] += coeff * np.kron(np.kron(sys_vec, a_vec), b_vec)
-
-    basis_a = np.eye(dim_a, dtype=complex)
-    basis_b = np.eye(dim_b, dtype=complex)
-    for n in range(n_common):
-        add(np.sqrt(lam[n]), phi[:, n], basis_a[n], basis_b[n])
+    psi = np.zeros((dim_s, dim_a, dim_b), dtype=complex)
+    diag = np.arange(n_common)
+    psi[:, diag, diag] = phi * np.sqrt(lam)
     for k, (p, vec) in enumerate(dec.remainder_a):
-        add(np.sqrt(p / dec.alpha), vec, uniform_a, basis_b[n_common + k])
+        psi[:, :n_common, n_common + k] = (np.sqrt(p / dec.alpha) * (vec * uniform))[:, None]
     for l, (p, vec) in enumerate(dec.remainder_b):
-        add(np.sqrt(p / dec.beta), vec, basis_a[n_common + l], uniform_b)
+        psi[:, n_common + l, :n_common] = (np.sqrt(p / dec.beta) * (vec * uniform))[:, None]
 
     return TripartiteScenario(
         dim_s=dim_s,
@@ -239,7 +228,7 @@ def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
         n_common=n_common,
         alpha=dec.alpha,
         beta=dec.beta,
-        psi=psi,
+        psi=psi.reshape(-1) + 0.0,  # stores exact zeros as +0.0
         sigma_eigvals=lam,
         sigma_eigvecs=phi,
     )
@@ -266,10 +255,10 @@ class TripartiteReport:
 def simulate_tripartite(sc: TripartiteScenario) -> TripartiteReport:
     """Run both observers' projective measurements on the realized state.
 
-    Alice projects S_A onto its basis and traces out S_B (and vice versa);
-    averaging her post-selected per-outcome states recovers rho_a.  The
-    observer who sees both outcomes keeps only matched results ``n = m`` and
-    holds sigma after averaging them with their joint probabilities.
+    One loop over the common outcomes ``n < N`` updates three accumulators:
+    Alice projects S_A onto its basis and traces out S_B (Bob vice versa), and
+    averaging their post-selected states recovers rho_a (rho_b); the observer
+    who sees both keeps matched results ``n = m`` and so holds sigma.
     """
     psi3 = sc.psi.reshape(sc.dim_s, sc.dim_a, sc.dim_b)
     norm_sq = sc.norm_sq
@@ -277,8 +266,8 @@ def simulate_tripartite(sc: TripartiteScenario) -> TripartiteReport:
 
     outcome_probs = np.zeros(n_common)
     alice_states = []
-    a_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
-    a_weight = 0.0
+    a_accum, b_accum, c_accum = np.zeros((3, sc.dim_s, sc.dim_s), dtype=complex)
+    a_weight = b_weight = c_weight = 0.0
     for n in range(n_common):
         block = psi3[:, n, :]  # amplitudes on S x S_B given Alice outcome n
         weight = float(np.vdot(block, block).real)
@@ -287,18 +276,10 @@ def simulate_tripartite(sc: TripartiteScenario) -> TripartiteReport:
         alice_states.append(term / weight)
         a_accum += term
         a_weight += weight
-
-    b_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
-    b_weight = 0.0
-    for m in range(n_common):
-        block = psi3[:, :, m]
+        block = psi3[:, :, n]  # amplitudes on S x S_A given Bob outcome n
         b_accum += block @ dagger(block)
         b_weight += float(np.vdot(block, block).real)
-
-    c_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
-    c_weight = 0.0
-    for n in range(n_common):
-        vec = psi3[:, n, n]
+        vec = psi3[:, n, n]  # amplitudes on S given matched outcomes
         c_accum += np.outer(vec, vec.conj())
         c_weight += float(np.vdot(vec, vec).real)
 
@@ -412,15 +393,13 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     consistent, intersection = check_consistency(rho_a, rho_b)
     if not consistent:
         raise InconsistentStatesError("cannot fuse states with disjoint supports")
-    a = ensure_density_matrix(rho_a)
-    b = ensure_density_matrix(rho_b)
 
     rng = np.random.default_rng(cfg.seed)
     local = sample_amplitudes(intersection.dimension, int(cfg.n_samples), rng)
     states = local @ intersection.basis.T  # rows are ambient pure states
 
-    pinv_a = _support_pinv(a)
-    pinv_b = _support_pinv(b)
+    pinv_a = _support_pinv(rho_a)
+    pinv_b = _support_pinv(rho_b)
     # For a pure common state, the admissible maximum weight is the inverse
     # of the quadratic form of the support pseudo-inverse.
     alpha = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), pinv_a, states).real

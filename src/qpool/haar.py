@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalizedError, PositivityError, ShapeError
-from .linalg import TOL_PROB_SUM
+from .errors import PositivityError, ShapeError
+from .linalg import TOL_PROB_SUM, require_normalized
 
 _CHUNK = 200_000  # samples per batch in average_projector
 
@@ -35,8 +35,7 @@ class PureStateSample:
             raise ShapeError("probs and phases must be non-empty and equally long")
         if probs.min() < 0.0:
             raise PositivityError(f"negative probability {float(probs.min())!r}")
-        if abs(probs.sum() - 1.0) > TOL_PROB_SUM:
-            raise NotNormalizedError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
+        require_normalized(float(probs.sum()), TOL_PROB_SUM, "probability sum")
         probs.setflags(write=False)
         phases.setflags(write=False)
         object.__setattr__(self, "probs", probs)

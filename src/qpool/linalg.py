@@ -5,7 +5,7 @@ composite systems: subsystem 0 is the most significant tensor factor,
 i.e. ``tensor(A, B)`` is the row-major Kronecker product ``np.kron(A, B)``.
 
 Every tolerance in qpool is a ``TOL_*`` constant below, and each validity
-rule (PSD, completeness, support cutoff) is one function here.
+rule (PSD, completeness, normalization, support cutoff) is one function here.
 """
 
 from __future__ import annotations
@@ -75,6 +75,16 @@ def require_complete(residual: float, name: str) -> None:
         raise IncompleteMeasurementError(f"{name}: completeness residual {residual:.3e}")
 
 
+def require_normalized(total, tol: float, name: str) -> None:
+    """The normalization rule: raise :class:`NotNormalizedError` unless ``|total - 1| <= tol``.
+
+    ``total`` may be an array, checked entrywise; a NaN total fails.
+    """
+    if not np.all(np.abs(np.subtract(total, 1.0)) <= tol):
+        shown = np.asarray(total).tolist()
+        raise NotNormalizedError(f"{name} = {shown!r}, expected 1 within {tol:g}")
+
+
 def support_cutoff(vals: np.ndarray, vecs: np.ndarray, tol: float):
     """The support cutoff: the descending eigenpairs with eigenvalue above ``tol * lambda_max``."""
     mask = vals > tol * float(vals[0])
@@ -93,9 +103,7 @@ def ensure_hermitian(mat, *, name: str = "matrix") -> np.ndarray:
 def ensure_density_matrix(mat, *, name: str = "rho") -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD, unit trace) and return it symmetrized."""
     arr = ensure_hermitian(mat, name=name)
-    tr = float(np.trace(arr).real)
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise NotNormalizedError(f"{name} has trace {tr!r}, expected 1 within {TOL_TRACE:g}")
+    require_normalized(float(np.trace(arr).real), TOL_TRACE, f"{name} trace")
     vals = np.linalg.eigvalsh(arr)
     require_psd(float(vals[0]), float(vals[-1]), name)
     return arr
@@ -181,7 +189,7 @@ class Subspace:
         if basis.shape[1]:
             gram = dagger(basis) @ basis
             if float(np.abs(gram - np.eye(basis.shape[1])).max()) > TOL_ORTH:
-                raise ValueError("subspace basis is not orthonormal")
+                raise NotNormalizedError("subspace basis is not orthonormal")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 

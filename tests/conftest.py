@@ -7,6 +7,13 @@ import numpy as np
 from qpool.measurement import KrausPovm, MeasurementHistory
 
 
+def assert_same_bytes(actual, expected) -> None:
+    """Stricter than np.array_equal: a signed zero counts as a difference too."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
 def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 

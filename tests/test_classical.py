@@ -17,7 +17,9 @@ from qpool.classical import (
 from qpool.errors import (
     ImpossibleOutcomeError,
     IncompatibleKnowledgeError,
+    InvalidEffectError,
     NoncommutingError,
+    NotNormalizedError,
     ShapeError,
 )
 
@@ -41,6 +43,18 @@ class TestProbDist:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ProbDist([1.2, -0.2])
+
+
+class TestLikelihoodModel:
+    @pytest.mark.parametrize("cond", [[[1.1, 0.4], [-0.1, 0.6]], [[-0.2, 0.4], [1.2, 0.6]]])
+    def test_rejects_entries_outside_unit_interval(self, cond):
+        with pytest.raises(InvalidEffectError):
+            LikelihoodModel(cond)
+
+    @pytest.mark.parametrize("cond", [[[0.8, 0.4], [0.3, 0.6]], [[0.8, np.nan], [0.2, 0.6]]])
+    def test_rejects_columns_not_summing_to_one(self, cond):
+        with pytest.raises(NotNormalizedError):
+            LikelihoodModel(cond)
 
 
 class TestEntropy:
@@ -206,7 +220,7 @@ class TestApplyTransform:
             apply_transform(ProbDist([1.0]), PermutationTransform((1, 0)))
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             PermutationTransform((0, 0))
 
 
@@ -227,7 +241,7 @@ class TestMatrixBayesUpdate:
             matrix_bayes_update(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
     def test_rejects_non_diagonal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NoncommutingError):
             matrix_bayes_update(np.array([[0.5, 0.2], [0.2, 0.5]]), np.diag([0.5, 0.5]))
 
     def test_agrees_with_vector_bayes(self):

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import (
+    assert_same_bytes,
     random_consistent_pair,
     random_density,
     random_intersection_state,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpool.errors import (
     AmbiguityPreconditionError,
@@ -16,6 +21,8 @@ from qpool.errors import (
 )
 from qpool.fusion import (
     HistoryMeasureConfig,
+    TripartiteReport,
+    TripartiteScenario,
     averaged_fusion,
     check_consistency,
     decompose_common,
@@ -25,7 +32,7 @@ from qpool.fusion import (
     realize_tripartite,
     simulate_tripartite,
 )
-from qpool.linalg import is_psd, support
+from qpool.linalg import TOL_RANK, dagger, hermitian_eig, is_psd, support, support_cutoff
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -311,3 +318,128 @@ class TestRealizePair:
             realize_pair(np.outer(KET0, KET0), np.eye(2) / 2, np.outer(KET1, KET1))
         with pytest.raises(AmbiguityPreconditionError):
             realize_pair(np.outer(KET0, KET0), np.eye(2) / 2, np.outer(KET1, KET1), 0.5, 0.5)
+
+
+def reference_realize(dec) -> TripartiteScenario:
+    """The realization by definition: each term a Kronecker product summed into psi."""
+    lam, phi = support_cutoff(*hermitian_eig(dec.sigma), TOL_RANK)
+    n_common = int(lam.size)
+    dim_s = dec.dim
+    dim_a = n_common + len(dec.remainder_b)
+    dim_b = n_common + len(dec.remainder_a)
+    uniform_a = np.zeros(dim_a, dtype=complex)
+    uniform_a[:n_common] = 1.0 / np.sqrt(n_common)
+    uniform_b = np.zeros(dim_b, dtype=complex)
+    uniform_b[:n_common] = 1.0 / np.sqrt(n_common)
+    psi = np.zeros(dim_s * dim_a * dim_b, dtype=complex)
+
+    def add(coeff, sys_vec, a_vec, b_vec):
+        psi[:] += coeff * np.kron(np.kron(sys_vec, a_vec), b_vec)
+
+    basis_a = np.eye(dim_a, dtype=complex)
+    basis_b = np.eye(dim_b, dtype=complex)
+    for n in range(n_common):
+        add(np.sqrt(lam[n]), phi[:, n], basis_a[n], basis_b[n])
+    for k, (p, vec) in enumerate(dec.remainder_a):
+        add(np.sqrt(p / dec.alpha), vec, uniform_a, basis_b[n_common + k])
+    for l, (p, vec) in enumerate(dec.remainder_b):
+        add(np.sqrt(p / dec.beta), vec, basis_a[n_common + l], uniform_b)
+    return TripartiteScenario(dim_s, dim_a, dim_b, n_common, dec.alpha, dec.beta, psi, lam, phi)
+
+
+def reference_simulate(sc: TripartiteScenario) -> TripartiteReport:
+    """The report arrays by definition: one pass per observer over the common outcomes."""
+    psi3 = sc.psi.reshape(sc.dim_s, sc.dim_a, sc.dim_b)
+    norm_sq = sc.norm_sq
+    outcome_probs = np.zeros(sc.n_common)
+    alice_states = []
+    a_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
+    a_weight = 0.0
+    for n in range(sc.n_common):
+        block = psi3[:, n, :]
+        weight = float(np.vdot(block, block).real)
+        outcome_probs[n] = weight / norm_sq
+        term = block @ dagger(block)
+        alice_states.append(term / weight)
+        a_accum += term
+        a_weight += weight
+    b_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
+    b_weight = 0.0
+    for m in range(sc.n_common):
+        block = psi3[:, :, m]
+        b_accum += block @ dagger(block)
+        b_weight += float(np.vdot(block, block).real)
+    c_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
+    c_weight = 0.0
+    for n in range(sc.n_common):
+        vec = psi3[:, n, n]
+        c_accum += np.outer(vec, vec.conj())
+        c_weight += float(np.vdot(vec, vec).real)
+    predicted = (sc.sigma_eigvals + (1.0 - sc.alpha) / (sc.alpha * sc.n_common)) / norm_sq
+    return TripartiteReport(
+        outcome_probs,
+        predicted,
+        tuple(alice_states),
+        a_accum / a_weight,
+        b_accum / b_weight,
+        c_accum / c_weight,
+        norm_sq,
+    )
+
+
+@st.composite
+def consistent_pairs(draw, max_dim: int):
+    """``(rho_a, rho_b, sigma)`` with sigma, pure or mixed, inside the support intersection."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho_a, rho_b, common = random_consistent_pair(rng, int(rng.integers(1, max_dim + 1)))
+    return rho_a, rho_b, random_intersection_state(rng, common, mixed=draw(st.booleans()))
+
+
+@st.composite
+def decompositions(draw):
+    """Decompositions at dims 1-8: full weight (no remainders) or explicit partial weights."""
+    rho_a, rho_b, sigma = draw(consistent_pairs(8))
+    if draw(st.booleans()):
+        return decompose_common(sigma, sigma, sigma, 1.0, 1.0)
+    alpha = draw(st.floats(0.05, 1.0)) * max_common_weight(rho_a, sigma)
+    beta = draw(st.floats(0.05, 1.0)) * max_common_weight(rho_b, sigma)
+    return decompose_common(rho_a, rho_b, sigma, alpha, beta)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(decompositions())
+def test_realization_matches_reference(dec):
+    sc, expected_sc = realize_tripartite(dec), reference_realize(dec)
+    report, expected_report = simulate_tripartite(sc), reference_simulate(expected_sc)
+    for actual, expected in ((sc, expected_sc), (report, expected_report)):
+        for f in dataclasses.fields(actual):
+            assert_same_bytes(getattr(actual, f.name), getattr(expected, f.name))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(6), st.one_of(st.none(), st.floats(0.05, 1.0)))
+def test_realization_round_trip(pair, fraction):
+    rho_a, rho_b, sigma = pair
+    alpha = beta = None
+    if fraction is not None:
+        alpha = fraction * max_common_weight(rho_a, sigma)
+        beta = fraction * max_common_weight(rho_b, sigma)
+    _, _, _, report = realize_pair(rho_a, rho_b, sigma, alpha, beta)
+    np.testing.assert_allclose(report.rho_a_recovered, rho_a, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(report.rho_b_recovered, rho_b, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(report.charlie_state, sigma, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(report.outcome_probs, report.predicted_probs, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(6))
+def test_max_common_weight_is_tight(pair):
+    rho_a, rho_b, sigma = pair
+    for rho in (rho_a, rho_b):
+        weight = max_common_weight(rho, sigma)
+        remainder = rho - weight * sigma
+        assert is_psd(remainder)
+        if weight < 1.0:
+            basis = support(rho).basis
+            compressed = dagger(basis) @ remainder @ basis
+            assert abs(float(np.linalg.eigvalsh(compressed)[0])) <= 1e-9

@@ -7,7 +7,7 @@ from conftest import ginibre, random_density, random_hermitian, random_unitary
 
 import qpool
 
-from qpool.errors import HermiticityError, PositivityError, ShapeError
+from qpool.errors import HermiticityError, NotNormalizedError, PositivityError, ShapeError
 from qpool.linalg import (
     Subspace,
     hermitian_eig,
@@ -191,6 +191,10 @@ class TestSupport:
 
 
 class TestSubspaceIntersection:
+    def test_rejects_basis_that_is_not_orthonormal(self):
+        with pytest.raises(NotNormalizedError):
+            Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
     def test_same_span(self):
         sub = Subspace(2, KET0.reshape(2, 1))
         out = subspace_intersection(sub, sub)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import (
+    assert_same_bytes,
     ginibre,
     random_effects,
     random_history,
@@ -181,12 +182,6 @@ def reference_flatten(history: MeasurementHistory) -> np.ndarray:
             composite[owner] = composite[owner] * count + outcome
         ops[composite["alice"], composite["bob"], composite["eve"]] += product
     return ops
-
-
-def assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
-    # Stricter than np.array_equal: a signed zero counts as a difference too.
-    assert actual.shape == expected.shape
-    assert actual.tobytes() == expected.tobytes()
 
 
 @st.composite
