@@ -3,7 +3,9 @@
 Configs are strict JSON objects ``{"kind": ..., "seed": ..., "payload": ...}``;
 unknown fields anywhere are rejected rather than ignored.  Matrix literals
 are nested row-major arrays of ``[re, im]`` pairs; probability vectors are
-plain arrays of decimals.
+plain arrays of decimals.  The schemas are plain JSON Schema 2020-12 dicts.  An
+accept-only walker checks a config on exact types; only a config it is not sure
+of imports jsonschema, whose ``Draft202012Validator`` gives verdict and message.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import json
 import math
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .fusion import DEFAULT_FAMILY
 
+_TYPES = {"object": (dict,), "array": (list,), "integer": (int,), "number": (int, float)}
 _PAIR = {
     "type": "array",
     "items": {"type": "number"},
@@ -29,49 +31,6 @@ _MATRIX = {
     "minItems": 1,
     "items": {"type": "array", "minItems": 1, "items": _PAIR},
 }
-"""The schema of a matrix literal.
-
-Descending it runs jsonschema's keyword machinery on every row, pair and
-number, tens of microseconds per matrix entry.  So the payload schemas wrap
-it as ``{"matrixLiteral": _MATRIX}``: the keyword accepts a literal in one
-plain-Python pass when it is a non-empty list of non-empty rows of
-``[re, im]`` pairs of ``int`` or ``float`` (never ``bool``), and only a
-literal that pass rejects descends ``_MATRIX``.  The pass accepts nothing
-the schema rejects, so every verdict, and every error path and message, is
-the schema's own.
-"""
-_NUMBER_TYPES = (int, float)
-
-
-def _is_literal(instance) -> bool:
-    """The one-pass check: every ``[re, im]`` pair exactly two ``int``/``float``."""
-    return (
-        type(instance) is list
-        and len(instance) > 0
-        and all(
-            type(row) is list
-            and len(row) > 0
-            and all(
-                type(pair) is list
-                and len(pair) == 2
-                and type(pair[0]) in _NUMBER_TYPES
-                and type(pair[1]) in _NUMBER_TYPES
-                for pair in row
-            )
-            for row in instance
-        )
-    )
-
-
-def _matrix_literal(validator, schema, instance, _):
-    if not _is_literal(instance):
-        yield from validator.descend(instance, schema)
-
-
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, {"matrixLiteral": _matrix_literal}
-)
-_LITERAL = {"matrixLiteral": _MATRIX}
 _PROBS = {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}}
 _EFFECTS = {
     "type": "array",
@@ -81,8 +40,8 @@ _STEP = {
     "type": "object",
     "properties": {
         "owner": {"enum": ["alice", "bob", "eve"]},
-        "povm": {"type": "array", "minItems": 1, "items": _LITERAL},
-        "kraus": {"type": "array", "minItems": 1, "items": _LITERAL},
+        "povm": {"type": "array", "minItems": 1, "items": _MATRIX},
+        "kraus": {"type": "array", "minItems": 1, "items": _MATRIX},
     },
     "required": ["owner"],
     "anyOf": [{"required": ["povm"]}, {"required": ["kraus"]}],
@@ -116,8 +75,8 @@ PAYLOAD_SCHEMAS = {
     "consistency": {
         "type": "object",
         "properties": {
-            "rho_a": _LITERAL,
-            "rho_b": _LITERAL,
+            "rho_a": _MATRIX,
+            "rho_b": _MATRIX,
             "tol": {"type": "number", "exclusiveMinimum": 0},
         },
         "required": ["rho_a", "rho_b"],
@@ -126,9 +85,9 @@ PAYLOAD_SCHEMAS = {
     "realize": {
         "type": "object",
         "properties": {
-            "rho_a": _LITERAL,
-            "rho_b": _LITERAL,
-            "sigma": _LITERAL,
+            "rho_a": _MATRIX,
+            "rho_b": _MATRIX,
+            "sigma": _MATRIX,
             "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             "beta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         },
@@ -138,10 +97,10 @@ PAYLOAD_SCHEMAS = {
     "ambiguity": {
         "type": "object",
         "properties": {
-            "rho_a": _LITERAL,
-            "rho_b": _LITERAL,
-            "sigma_1": _LITERAL,
-            "sigma_2": _LITERAL,
+            "rho_a": _MATRIX,
+            "rho_b": _MATRIX,
+            "sigma_1": _MATRIX,
+            "sigma_2": _MATRIX,
         },
         "required": ["rho_a", "rho_b", "sigma_1", "sigma_2"],
         "additionalProperties": False,
@@ -149,8 +108,8 @@ PAYLOAD_SCHEMAS = {
     "fuse": {
         "type": "object",
         "properties": {
-            "rho_a": _LITERAL,
-            "rho_b": _LITERAL,
+            "rho_a": _MATRIX,
+            "rho_b": _MATRIX,
             "n_samples": {"type": "integer", "minimum": 1},
             "family": {"enum": [DEFAULT_FAMILY]},
             "weight_exponent": {"type": "number"},
@@ -186,9 +145,6 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-_CONFIG_VALIDATOR = _Validator(CONFIG_SCHEMA)
-_PAYLOAD_VALIDATORS = {kind: _Validator(schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
-
 
 def validate_config(cfg: dict) -> dict:
     """Validate a scenario config against the strict schema.
@@ -196,9 +152,9 @@ def validate_config(cfg: dict) -> dict:
     Returns a normalized copy with explicit ``seed`` and ``payload`` fields.
     Raises :class:`ConfigError` carrying a field-path diagnostic.
     """
-    _check_schema(cfg, _CONFIG_VALIDATOR, root="$")
+    _check_schema(cfg, CONFIG_SCHEMA, root="$")
     payload = cfg.get("payload", {})
-    _check_schema(payload, _PAYLOAD_VALIDATORS[cfg["kind"]], root="$.payload")
+    _check_schema(payload, PAYLOAD_SCHEMAS[cfg["kind"]], root="$.payload")
     # The schema cannot demand a finite tol: NaN fails every comparison, so
     # exclusiveMinimum lets it through, and Infinity satisfies it.
     if "tol" in payload and not math.isfinite(payload["tol"]):
@@ -206,7 +162,50 @@ def validate_config(cfg: dict) -> dict:
     return {"kind": cfg["kind"], "seed": int(cfg.get("seed", 0)), "payload": payload}
 
 
-def _check_schema(instance, validator, *, root: str) -> None:
+def _surely_valid(instance, schema: dict) -> bool:
+    """True if ``instance`` surely meets ``schema``; False means "not sure", never "invalid"."""
+    kind = type(instance)
+    for key, rule in schema.items():
+        if key == "type":
+            ok = kind in _TYPES.get(rule, ())
+        elif key == "items":
+            bare = len(rule) == 1 and _TYPES.get(rule.get("type"))  # no call per element
+            ok = kind is list
+            for item in instance if ok else ():
+                if not (type(item) in bare if bare else _surely_valid(item, rule)):
+                    return False
+        elif key == "minItems":
+            ok = kind is list and len(instance) >= rule
+        elif key == "maxItems":
+            ok = kind is list and len(instance) <= rule
+        elif key == "minimum":
+            ok = kind in _TYPES["number"] and instance >= rule
+        elif key == "maximum":
+            ok = kind in _TYPES["number"] and instance <= rule
+        elif key == "exclusiveMinimum":
+            ok = kind in _TYPES["number"] and instance > rule
+        elif key == "enum":
+            ok = any(type(value) is kind and value == instance for value in rule)
+        elif key == "anyOf":
+            ok = any(_surely_valid(instance, option) for option in rule)
+        elif key == "required":
+            ok = kind is dict and all(name in instance for name in rule)
+        elif key == "properties":
+            ok = kind is dict and all(_surely_valid(v, rule[k]) for k, v in instance.items() if k in rule)
+        elif key == "additionalProperties":
+            ok = rule is False and kind is dict and instance.keys() <= schema.get("properties", {}).keys()
+        else:
+            ok = False
+        if not ok:
+            return False
+    return True
+
+
+def _check_schema(instance, schema: dict, *, root: str) -> None:
+    if _surely_valid(instance, schema):
+        return
+    import jsonschema
+    validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
     if errors:
         err = jsonschema.exceptions.best_match(errors)
@@ -231,14 +230,11 @@ def load_config(path) -> dict:
 
 def literal_to_matrix(literal) -> np.ndarray:
     """Nested [re, im] rows -> complex matrix."""
-    rows = []
-    width = None
-    for r, row in enumerate(literal):
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ShapeError(f"matrix literal row {r} has {len(row)} entries, expected {width}")
-        rows.append([complex(float(re), float(im)) for re, im in row])
+    widths = [len(row) for row in literal]
+    for r, width in enumerate(widths):
+        if width != widths[0]:
+            raise ShapeError(f"matrix literal row {r} has {width} entries, expected {widths[0]}")
+    rows = [[complex(float(re), float(im)) for re, im in row] for row in literal]
     return np.asarray(rows, dtype=complex)
 
 

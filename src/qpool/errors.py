@@ -26,7 +26,7 @@ class IncompleteMeasurementError(QpoolError, ValueError):
 
 
 class NonFiniteError(QpoolError, ValueError):
-    """A matrix has a NaN or infinite entry."""
+    """A matrix, subspace basis or state phase has a NaN or infinite entry."""
 
 
 class ImpossibleOutcomeError(QpoolError, ValueError):

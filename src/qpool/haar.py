@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityError, ShapeError
+from .errors import NonFiniteError, PositivityError, ShapeError
 from .linalg import TOL_PROB_SUM, require_normalized
 
 _CHUNK = 200_000  # samples per batch in average_projector
@@ -33,6 +33,8 @@ class PureStateSample:
         phases = np.asarray(self.phases, dtype=float).reshape(-1)
         if probs.size == 0 or probs.size != phases.size:
             raise ShapeError("probs and phases must be non-empty and equally long")
+        if not np.isfinite(phases).all():
+            raise NonFiniteError("phases contain non-finite entries")
         if probs.min() < 0.0:
             raise PositivityError(f"negative probability {float(probs.min())!r}")
         require_normalized(float(probs.sum()), TOL_PROB_SUM, "probability sum")

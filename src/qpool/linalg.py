@@ -183,7 +183,7 @@ class Subspace:
     basis: np.ndarray  # shape (ambient_dim, dimension); may have zero columns
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex).reshape(self.ambient_dim, -1)
+        basis = as_matrix(np.reshape(self.basis, (self.ambient_dim, -1)), name="subspace basis")
         if basis.shape[1] > self.ambient_dim:
             raise ShapeError("subspace dimension exceeds ambient dimension")
         if basis.shape[1]:

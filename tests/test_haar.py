@@ -3,7 +3,7 @@ import pytest
 from conftest import random_unitary
 from scipy import stats
 
-from qpool.errors import ShapeError
+from qpool.errors import NonFiniteError, ShapeError
 from qpool.haar import (
     PureStateSample,
     average_projector,
@@ -100,3 +100,9 @@ def test_pure_state_sample_validation():
         PureStateSample(np.array([0.5, 0.6]), np.zeros(2))
     with pytest.raises(ShapeError):
         PureStateSample(np.array([1.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pure_state_sample_rejects_non_finite_phase(bad):
+    with pytest.raises(NonFiniteError):
+        PureStateSample(np.array([0.5, 0.5]), np.array([0.0, bad]))

@@ -7,7 +7,13 @@ from conftest import ginibre, random_density, random_hermitian, random_unitary
 
 import qpool
 
-from qpool.errors import HermiticityError, NotNormalizedError, PositivityError, ShapeError
+from qpool.errors import (
+    HermiticityError,
+    NonFiniteError,
+    NotNormalizedError,
+    PositivityError,
+    ShapeError,
+)
 from qpool.linalg import (
     Subspace,
     hermitian_eig,
@@ -194,6 +200,12 @@ class TestSubspaceIntersection:
     def test_rejects_basis_that_is_not_orthonormal(self):
         with pytest.raises(NotNormalizedError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_basis_that_is_not_finite(self, bad):
+        # NaN fails every comparison, so the orthonormality check alone lets it through.
+        with pytest.raises(NonFiniteError):
+            Subspace(2, [[bad], [0.0]])
 
     def test_same_span(self):
         sub = Subspace(2, KET0.reshape(2, 1))
