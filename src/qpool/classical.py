@@ -77,6 +77,8 @@ class LikelihoodModel:
         arr = np.asarray(self.cond, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ShapeError(f"likelihood table must be a non-empty 2-D array, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("likelihood table contains non-finite entries")
         if arr.min() < 0.0 or arr.max() > 1.0 + TOL_PROB_SUM:
             raise InvalidEffectError("conditional probabilities must lie in [0, 1]")
         require_normalized(arr.sum(axis=0), TOL_PROB_SUM, "column sums of P(m|n)")

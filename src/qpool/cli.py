@@ -7,8 +7,8 @@ random stream of a scenario uses ``numpy.random.SeedSequence([seed, k])``
 ``outputs`` section of the report bit-for-bit in canonical JSON.
 
 Exit codes: 0 success, 1 configuration/validation problems, 2 numerical
-failures and invalid physics that passes the schema (the error name is
-embedded in the emitted report).
+failures, invalid physics that passes the schema and reports that cannot be
+serialized (the error name is embedded in the emitted failure report).
 
 ``QPOOL_OUT_DIR`` sets the directory against which relative ``--out`` paths
 are resolved.
@@ -273,14 +273,13 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         try:
-            report = run_scenario(cfg)
+            _deliver(emit_report(run_scenario(cfg), args.format), args.out)
         except ConfigError:
             raise
         except QpoolError as exc:
             _deliver(emit_report(_failure_report(cfg, exc), args.format), args.out)
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-        _deliver(emit_report(report, args.format), args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ distinguish genuine discrepancies from round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -306,16 +306,7 @@ class AuditEntry:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "parameters": self.parameters,
-            "computed_exact": self.computed_exact,
-            "computed": list(self.computed),
-            "published": self.published,
-            "symmetry_prediction": self.symmetry_prediction,
-            "matches_published": self.matches_published,
-            "note": self.note,
-        }
+        return {**asdict(self), "computed": list(self.computed)}
 
 
 @dataclass(frozen=True)
@@ -340,28 +331,6 @@ class EstimationAudit:
         raise KeyError(f"no audit entry for {quantity!r}")
 
 
-def _diag_str(populations) -> str:
-    return f"diag({populations[0]}, {populations[1]})"
-
-
-def _state_entry(quantity, params_label, populations, published=None, prediction=None, note=""):
-    matches = None
-    if published is not None:
-        matches = _diag_str(populations) == published or (
-            published == "I/2" and populations[0] == Fraction(1, 2)
-        )
-    return AuditEntry(
-        quantity=quantity,
-        parameters=params_label,
-        computed_exact=_diag_str(populations),
-        computed=(float(populations[0]), float(populations[1])),
-        published=published,
-        symmetry_prediction=prediction,
-        matches_published=matches,
-        note=note,
-    )
-
-
 _SYMMETRY_NOTE = (
     "With alpha = 1/2 the matching constraint forces beta = 1 - gamma, which "
     "makes the two-effect likelihood invariant under r -> 1 - r.  The squared "
@@ -369,6 +338,69 @@ _SYMMETRY_NOTE = (
     "predictive state integrate to exactly 1/2: the pooled state is I/2, and "
     "the published diag(299, 107)/406 cannot follow from these parameters."
 )
+
+# The audited quantities of each parameter set (alpha, gamma), in report order,
+# with the fields their entries carry besides the computed values.
+_AUDIT_TABLE = {
+    (Fraction(1, 2), Fraction(1, 4)): {
+        "beta": {"published": "3/4"},
+        "rho_a": {"published": "I/2"},
+        "rho_a_prime": {"published": "I/2"},
+        "sigma": {"published": "I/2"},
+        "sigma_prime": {
+            "published": "diag(299/406, 107/406)",
+            "symmetry_prediction": "I/2",
+            "note": _SYMMETRY_NOTE,
+        },
+    },
+    # Derived substitute parameters preserving the example's conclusion.
+    (Fraction(3, 4), Fraction(3, 10)): {
+        "beta": {"note": "derived parameters; no published counterpart"},
+        "rho_a": {},
+        "rho_a_prime": {},
+        "sigma": {},
+        "sigma_prime": {},
+        "population_gap": {
+            "note": "top populations of sigma and sigma_prime differ while the marginals agree"
+        },
+    },
+}
+
+
+def _audit_entry(quantity, parameters, values, published=None, **fields) -> AuditEntry:
+    """One entry; a state's ``values`` are its two populations, a scalar's a 1-tuple."""
+    exact = str(values[0]) if len(values) == 1 else f"diag({values[0]}, {values[1]})"
+    matches = None
+    if published is not None:
+        matches = exact == published or (published == "I/2" and values[0] == Fraction(1, 2))
+    return AuditEntry(
+        quantity=quantity,
+        parameters=parameters,
+        computed_exact=exact,
+        computed=tuple(float(v) for v in values),
+        published=published,
+        matches_published=matches,
+        **fields,
+    )
+
+
+def _audit_parameter_set(alpha, gamma, quantities: dict) -> list:
+    """Audit entries of one parameter set, for the quantities listed in ``_AUDIT_TABLE``."""
+    beta = matching_beta(alpha, gamma)
+    one = qubit_diagonal_posterior([DiagonalEffect(alpha)])
+    two = qubit_diagonal_posterior([DiagonalEffect(beta), DiagonalEffect(gamma)])
+    sigma = predictive_populations(one.multiply(one))
+    sigma_prime = predictive_populations(two.multiply(two))
+    values = {
+        "beta": (beta,),
+        "rho_a": predictive_populations(one),
+        "rho_a_prime": predictive_populations(two),
+        "sigma": sigma,
+        "sigma_prime": sigma_prime,
+        "population_gap": (abs(sigma[0] - sigma_prime[0]),),
+    }
+    label = f"alpha={alpha}, gamma={gamma}"
+    return [_audit_entry(q, label, values[q], **fields) for q, fields in quantities.items()]
 
 
 def audit_published_example() -> EstimationAudit:
@@ -382,82 +414,12 @@ def audit_published_example() -> EstimationAudit:
     point: equal marginals with genuinely different pooled states.
     """
     entries = []
-
-    # Primary parameters: alpha = 1/2, gamma = 1/4.
-    alpha, gamma = Fraction(1, 2), Fraction(1, 4)
-    beta = matching_beta(alpha, gamma)
-    label = f"alpha={alpha}, gamma={gamma}"
-    entries.append(
-        AuditEntry(
-            quantity="beta",
-            parameters=label,
-            computed_exact=str(beta),
-            computed=(float(beta),),
-            published="3/4",
-            matches_published=beta == Fraction(3, 4),
-        )
-    )
-    q_one = qubit_diagonal_posterior([DiagonalEffect(alpha)])
-    q_two = qubit_diagonal_posterior([DiagonalEffect(beta), DiagonalEffect(gamma)])
-    entries.append(
-        _state_entry("rho_a", label, predictive_populations(q_one), published="I/2")
-    )
-    entries.append(
-        _state_entry("rho_a_prime", label, predictive_populations(q_two), published="I/2")
-    )
-    entries.append(
-        _state_entry(
-            "sigma", label, predictive_populations(q_one.multiply(q_one)), published="I/2"
-        )
-    )
-    entries.append(
-        _state_entry(
-            "sigma_prime",
-            label,
-            predictive_populations(q_two.multiply(q_two)),
-            published="diag(299/406, 107/406)",
-            prediction="I/2",
-            note=_SYMMETRY_NOTE,
-        )
-    )
-
-    # Derived substitute parameters preserving the example's conclusion.
-    alt_alpha, alt_gamma = Fraction(3, 4), Fraction(3, 10)
-    alt_beta = matching_beta(alt_alpha, alt_gamma)
-    alt_label = f"alpha={alt_alpha}, gamma={alt_gamma}"
-    entries.append(
-        AuditEntry(
-            quantity="beta",
-            parameters=alt_label,
-            computed_exact=str(alt_beta),
-            computed=(float(alt_beta),),
-            note="derived parameters; no published counterpart",
-        )
-    )
-    alt_one = qubit_diagonal_posterior([DiagonalEffect(alt_alpha)])
-    alt_two = qubit_diagonal_posterior([DiagonalEffect(alt_beta), DiagonalEffect(alt_gamma)])
-    alt_rho = predictive_populations(alt_one)
-    alt_rho_prime = predictive_populations(alt_two)
-    alt_sigma = predictive_populations(alt_one.multiply(alt_one))
-    alt_sigma_prime = predictive_populations(alt_two.multiply(alt_two))
-    entries.append(_state_entry("rho_a", alt_label, alt_rho))
-    entries.append(_state_entry("rho_a_prime", alt_label, alt_rho_prime))
-    entries.append(_state_entry("sigma", alt_label, alt_sigma))
-    entries.append(_state_entry("sigma_prime", alt_label, alt_sigma_prime))
-    gap = abs(alt_sigma[0] - alt_sigma_prime[0])
-    entries.append(
-        AuditEntry(
-            quantity="population_gap",
-            parameters=alt_label,
-            computed_exact=str(gap),
-            computed=(float(gap),),
-            note="top populations of sigma and sigma_prime differ while the marginals agree",
-        )
-    )
-
+    for (alpha, gamma), quantities in _AUDIT_TABLE.items():
+        entries += _audit_parameter_set(alpha, gamma, quantities)
+    gap = next(e.computed[0] for e in entries if e.quantity == "population_gap")
     conclusion = (
         "Equal marginal states with different measurement records can yield "
-        f"different pooled states (population gap {float(gap):.6f} at the derived "
+        f"different pooled states (population gap {gap:.6f} at the derived "
         "parameters): the pooled state is not determined by the two density "
         "matrices alone."
     )

@@ -200,6 +200,10 @@ def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
     * ``psi[:, n, n] = sqrt(lam_n) |phi_n>`` for each eigenpair of sigma,
     * ``psi[:, :N, N+k] = sqrt(p_k / alpha) |phi_k^A>|u^A>`` for A-remainders,
     * ``psi[:, N+l, :N] = sqrt(p_l / beta) |phi_l^B>|u^B>`` for B-remainders.
+
+    Raises ``DegenerateConstructionError`` for a weight that is not strictly
+    positive, an empty support of sigma, or a realized state whose squared
+    norm is not finite (a weight so small that ``sqrt(p / weight)`` overflows).
     """
     if dec.alpha <= 0.0 or dec.beta <= 0.0:
         raise DegenerateConstructionError("common-term weights must be strictly positive")
@@ -216,12 +220,13 @@ def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
     psi = np.zeros((dim_s, dim_a, dim_b), dtype=complex)
     diag = np.arange(n_common)
     psi[:, diag, diag] = phi * np.sqrt(lam)
-    for k, (p, vec) in enumerate(dec.remainder_a):
-        psi[:, :n_common, n_common + k] = (np.sqrt(p / dec.alpha) * (vec * uniform))[:, None]
-    for l, (p, vec) in enumerate(dec.remainder_b):
-        psi[:, n_common + l, :n_common] = (np.sqrt(p / dec.beta) * (vec * uniform))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        for k, (p, vec) in enumerate(dec.remainder_a):
+            psi[:, :n_common, n_common + k] = (np.sqrt(p / dec.alpha) * (vec * uniform))[:, None]
+        for l, (p, vec) in enumerate(dec.remainder_b):
+            psi[:, n_common + l, :n_common] = (np.sqrt(p / dec.beta) * (vec * uniform))[:, None]
 
-    return TripartiteScenario(
+    scenario = TripartiteScenario(
         dim_s=dim_s,
         dim_a=dim_a,
         dim_b=dim_b,
@@ -232,6 +237,9 @@ def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
         sigma_eigvals=lam,
         sigma_eigvecs=phi,
     )
+    if not np.isfinite(scenario.norm_sq):
+        raise DegenerateConstructionError("the realized state's squared norm is not finite")
+    return scenario
 
 
 @dataclass(frozen=True)

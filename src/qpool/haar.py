@@ -33,8 +33,8 @@ class PureStateSample:
         phases = np.asarray(self.phases, dtype=float).reshape(-1)
         if probs.size == 0 or probs.size != phases.size:
             raise ShapeError("probs and phases must be non-empty and equally long")
-        if not np.isfinite(phases).all():
-            raise NonFiniteError("phases contain non-finite entries")
+        if not (np.isfinite(probs).all() and np.isfinite(phases).all()):
+            raise NonFiniteError("probabilities or phases contain non-finite entries")
         if probs.min() < 0.0:
             raise PositivityError(f"negative probability {float(probs.min())!r}")
         require_normalized(float(probs.sum()), TOL_PROB_SUM, "probability sum")

@@ -6,56 +6,38 @@ digits, so equal report objects always serialize to identical bytes.
 
 from __future__ import annotations
 
-import io
 import json
+import math
+
+from .errors import NonFiniteError
 
 
 def _format_float(value: float) -> str:
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value {value!r} cannot be serialized")
-    text = format(value, ".17g")
-    # Normalize negative zero so equal values serialize identically.
-    return "0" if text == "-0" else text
+    if not math.isfinite(value):
+        raise NonFiniteError(f"non-finite value {value!r} cannot be serialized")
+    # Adding +0.0 turns -0.0 into 0.0, so equal values serialize identically.
+    return format(value + 0.0, ".17g")
 
 
 def canonical_json(obj) -> str:
-    """Serialize to canonical JSON (sorted keys, fixed float formatting)."""
-    out = io.StringIO()
-    _write(obj, out)
-    return out.getvalue()
+    """Serialize to canonical JSON (sorted keys, fixed float formatting).
 
-
-def _write(obj, out) -> None:
-    if obj is None:
-        out.write("null")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(_format_float(obj))
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.write(",")
-            _write(item, out)
-        out.write("]")
-    elif isinstance(obj, dict):
-        out.write("{")
-        for k, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            if k:
-                out.write(",")
-            out.write(json.dumps(key))
-            out.write(":")
-            _write(obj[key], out)
-        out.write("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+    Floats go through ``_format_float``; ``None``, bools, ints, strings and
+    keys through ``json.dumps``.  A non-string key or any other type raises
+    ``TypeError``.
+    """
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(canonical_json, obj)) + "]"
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        if not all(isinstance(key, str) for key in keys):
+            raise TypeError(f"report keys must be strings, got {keys!r}")
+        return "{" + ",".join([json.dumps(k) + ":" + canonical_json(obj[k]) for k in keys]) + "}"
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
 def _is_matrix_literal(value) -> bool:

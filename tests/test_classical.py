@@ -19,6 +19,7 @@ from qpool.errors import (
     IncompatibleKnowledgeError,
     InvalidEffectError,
     NoncommutingError,
+    NonFiniteError,
     NotNormalizedError,
     ShapeError,
 )
@@ -51,9 +52,19 @@ class TestLikelihoodModel:
         with pytest.raises(InvalidEffectError):
             LikelihoodModel(cond)
 
-    @pytest.mark.parametrize("cond", [[[0.8, 0.4], [0.3, 0.6]], [[0.8, np.nan], [0.2, 0.6]]])
+    @pytest.mark.parametrize("cond", [[[0.8, 0.4], [0.3, 0.6]]])
     def test_rejects_columns_not_summing_to_one(self, cond):
         with pytest.raises(NotNormalizedError):
+            LikelihoodModel(cond)
+
+    # Non-finite entries get the same error name as in ProbDist.
+    @pytest.mark.parametrize(
+        "cond",
+        [[[0.8, np.nan], [0.2, 0.6]], [[np.nan, 1], [1, 0]], [[np.inf, 1], [1, 0]]],
+        ids=["nan_column", "nan", "inf"],
+    )
+    def test_rejects_non_finite_entries(self, cond):
+        with pytest.raises(NonFiniteError):
             LikelihoodModel(cond)
 
 

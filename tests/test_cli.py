@@ -7,7 +7,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from qpool.cli import main, run_scenario
+from qpool.cli import _HANDLERS, main, run_scenario
 from qpool.config import (
     _MATRIX,
     literal_to_matrix,
@@ -287,6 +287,18 @@ class TestMainExitCodes:
         report = json.loads(out_file.read_text())
         assert report["error"]["name"] == "IncompatibleKnowledgeError"
 
+    def test_unserializable_report_exits_two_naming_the_error(self, tmp_path, capsys, monkeypatch):
+        def nan_outputs(payload, seed):
+            return {"result": [float("nan")]}, []
+
+        monkeypatch.setitem(_HANDLERS, "pool-classical", nan_outputs)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "pool-classical", "payload": {"p": [1.0], "q": [1.0]}}))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["name"] == "NonFiniteError"
+        assert captured.err.startswith("error: NonFiniteError:")
+
     def test_reproduce_paper_command(self, tmp_path, capsys):
         out_file = tmp_path / "audit.json"
         assert main(["reproduce-paper", "--out", str(out_file)]) == 0
@@ -379,6 +391,19 @@ INVALID_INPUTS = {
         1,
         "$.payload.tol",
     ),
+    **{
+        f"realize_{weight}_{value!r}": (
+            {
+                "kind": "realize",
+                "payload": {"rho_a": EYE2, "rho_b": EYE2, "sigma": PROJ0, weight: value},
+            },
+            2,
+            "DegenerateConstructionError",
+        )
+        # sqrt(p / weight) overflows: the schema's exclusiveMinimum admits subnormals.
+        for weight in ("alpha", "beta")
+        for value in (1e-310, 5e-324)
+    },
     "fuse_weights_underflow": (
         {
             "kind": "fuse",
@@ -403,3 +428,60 @@ def test_invalid_input_exits_with_named_error(case, tmp_path, capsys):
     else:
         assert json.loads(out_file.read_text())["error"]["name"] == error
         assert err.startswith(f"error: {error}:")
+
+
+# Every scalar field of every shipped config, set to each extreme value, must
+# end in exit 0, 1 or 2, never a traceback.  Sample counts are capped at 1000
+# so the sweep stays fast, and skip 1e308: an integer-valued float that large
+# passes the schema's "integer" and asks for more memory than a host has.
+EXTREME_SCALARS = [0, -0.0, 5e-324, 1e-310, 1e-300, 1, 2, 1e308, -1, float("nan"), float("inf")]
+SAMPLE_COUNTS = ("n_samples", "mc_samples")
+
+
+def _scalar_paths(cfg: dict) -> list:
+    payload = cfg.get("payload", {})
+    paths = [("seed",)]
+    paths += [
+        ("payload", key)
+        for key in ("alpha", "beta", "tol", "weight_exponent", *SAMPLE_COUNTS)
+        if key in payload
+    ]
+    paths += [("payload", "known", key) for key in payload.get("known", {})]
+    paths += [
+        ("payload", key, i)
+        for key in ("p", "q", "effects_a", "effects_b")
+        for i in range(len(payload.get(key, [])))
+    ]
+    return paths
+
+
+def _reject_constant(name):
+    raise ValueError(f"report contains {name}")
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_extreme_scalars_exit_cleanly(path, tmp_path, capsys):
+    base = json.loads(path.read_text())
+    for key in SAMPLE_COUNTS:
+        if key in base.get("payload", {}):
+            base["payload"][key] = min(base["payload"][key], 1000)
+    cfg_path = tmp_path / "cfg.json"
+    for site in _scalar_paths(base):
+        for value in EXTREME_SCALARS:
+            if site[-1] in SAMPLE_COUNTS and value == 1e308:
+                continue
+            cfg = copy.deepcopy(base)
+            target = cfg
+            for key in site[:-1]:
+                target = target[key]
+            target[site[-1]] = value
+            cfg_path.write_text(json.dumps(cfg))
+            case = f"{path.stem}: {'.'.join(map(str, site))} = {value!r}"
+            try:
+                code = main(["run", str(cfg_path)])
+            except Exception as exc:
+                pytest.fail(f"{case} raised {type(exc).__name__}: {exc}")
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2), case
+            if code != 1:
+                json.loads(out, parse_constant=_reject_constant)

@@ -106,3 +106,9 @@ def test_pure_state_sample_validation():
 def test_pure_state_sample_rejects_non_finite_phase(bad):
     with pytest.raises(NonFiniteError):
         PureStateSample(np.array([0.5, 0.5]), np.array([0.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_sample_rejects_non_finite_probability(bad):
+    with pytest.raises(NonFiniteError):
+        PureStateSample([bad, 1.0], [0, 0])

@@ -1,0 +1,126 @@
+"""Canonical JSON: the recursive writer against the StringIO walker it replaced."""
+
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpool.cli import run_scenario
+from qpool.config import load_config
+from qpool.errors import NonFiniteError
+from qpool.reporting import canonical_json, render_csv
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+# The previous writer, kept verbatim as the byte reference.
+def _format_float(value: float) -> str:
+    if value != value or value in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite value {value!r} cannot be serialized")
+    text = format(value, ".17g")
+    # Normalize negative zero so equal values serialize identically.
+    return "0" if text == "-0" else text
+
+
+def reference_canonical_json(obj) -> str:
+    """Serialize to canonical JSON (sorted keys, fixed float formatting)."""
+    out = io.StringIO()
+    _write(obj, out)
+    return out.getvalue()
+
+
+def _write(obj, out) -> None:
+    if obj is None:
+        out.write("null")
+    elif isinstance(obj, bool):
+        out.write("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.write(str(obj))
+    elif isinstance(obj, float):
+        out.write(_format_float(obj))
+    elif isinstance(obj, str):
+        out.write(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.write("[")
+        for k, item in enumerate(obj):
+            if k:
+                out.write(",")
+            _write(item, out)
+        out.write("]")
+    elif isinstance(obj, dict):
+        out.write("{")
+        for k, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            if k:
+                out.write(",")
+            out.write(json.dumps(key))
+            out.write(":")
+            _write(obj[key], out)
+        out.write("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_TEXT = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\r aZé €\ud800\U0001f600')
+    | st.characters(),
+    max_size=8,
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**100) + 1, max_value=10**100 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_EDGE_FLOATS)
+    | _TEXT
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_TREES)
+def test_writer_matches_reference(tree):
+    assert canonical_json(tree) == reference_canonical_json(tree)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_report_matches_reference(path):
+    report = run_scenario(load_config(path))
+    assert canonical_json(report) == reference_canonical_json(report)
+
+
+def test_negative_zero_is_written_as_zero():
+    assert canonical_json([-0.0, np.float64(-0.0), {"x": -0.0}]) == '[0,0,{"x":0}]'
+    assert render_csv({"outputs": {"x": -0.0}}) == "key,i,j,re,im\nx,,,0,0\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+def test_non_finite_float_raises_named_error(bad):
+    with pytest.raises(NonFiniteError):
+        canonical_json({"outputs": [1.0, {"x": bad}]})
+    with pytest.raises(NonFiniteError):
+        render_csv({"outputs": {"x": bad}})
+
+
+@pytest.mark.parametrize("obj", [{1: 0.5}, {"a": {2: None}}, {None: 1}, {1.5: 0}])
+def test_non_string_key_raises_type_error(obj):
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, np.int64(3), np.array([1.0]), b"x", 1j, object()])
+def test_other_types_raise_type_error(obj):
+    with pytest.raises(TypeError):
+        canonical_json([obj])
