@@ -28,7 +28,7 @@ import numpy as np
 from . import classical, estimation, fusion, measurement
 from .config import literal_to_matrix, load_config, matrix_to_literal, validate_config
 from .errors import ConfigError, QpoolError
-from .linalg import TOL_RANK
+from .linalg import TOL_RANK, require_complete
 from .reporting import emit_report, render_text
 
 _EXPLORATORY_NOTE = (
@@ -62,15 +62,17 @@ def _build_history(steps: list) -> measurement.MeasurementHistory:
 
 
 def _run_history(payload: dict, seed: int):
-    flat = measurement.flatten_history(_build_history(payload["steps"]))
+    history = _build_history(payload["steps"])
+    residual = history.completeness_residual()
+    require_complete(residual, "flattened operators")
     known = payload.get("known", {})
     outputs = {
-        "i_max": flat.i_max,
-        "j_max": flat.j_max,
-        "e_max": flat.e_max,
-        "completeness_residual": flat.completeness_residual(),
-        "probability": measurement.outcome_probability(flat, known),
-        "state": matrix_to_literal(measurement.conditional_state(flat, known)),
+        "i_max": history.i_max,
+        "j_max": history.j_max,
+        "e_max": history.e_max,
+        "completeness_residual": residual,
+        "probability": measurement.outcome_probability(history, known),
+        "state": matrix_to_literal(measurement.conditional_state(history, known)),
     }
     return outputs, []
 

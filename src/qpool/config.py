@@ -110,7 +110,7 @@ PAYLOAD_SCHEMAS = {
         "properties": {
             "rho_a": _MATRIX,
             "rho_b": _MATRIX,
-            "n_samples": {"type": "integer", "minimum": 1},
+            "n_samples": {"type": "integer", "minimum": 1, "maximum": 1000000},
             "family": {"enum": [DEFAULT_FAMILY]},
             "weight_exponent": {"type": "number"},
         },
@@ -122,7 +122,7 @@ PAYLOAD_SCHEMAS = {
         "properties": {
             "effects_a": _EFFECTS,
             "effects_b": _EFFECTS,
-            "mc_samples": {"type": "integer", "minimum": 1},
+            "mc_samples": {"type": "integer", "minimum": 1, "maximum": 1000000},
         },
         "required": ["effects_a"],
         "additionalProperties": False,

@@ -1,25 +1,26 @@
 """Generalized measurements and multi-observer measurement histories.
 
 A history is a chronological list of measurement steps, each owned by one
-observer (``alice``, ``bob``, or ``eve``).  Flattening collapses the whole
-history into a single operator family indexed by one composite outcome per
-owner, after which any observer's conditional state is a sum over the
-composite indices that observer cannot see.
+observer (``alice``, ``bob``, or ``eve``).  Each owner's outcome record is
+one composite index (``i``, ``j``, ``e``), packed mixed-radix with the
+owner's earliest step as the most significant digit; operators compose
+newest-on-the-left, ``M_last @ ... @ M_first``.
 
-Ordering conventions (fixed so results are reproducible bit-exactly):
+An observer's conditional state fixes the indices that observer knows and
+averages over the rest.  ``conditional_state`` and ``outcome_probability``
+propagate rho_0 through the steps in time order (instruments compose as
+channels): a step whose digit is known applies that one operator, any
+other step its channel ``sum_k M_k rho M_k^dag``.  That is one stacked
+``np.matmul`` per step, O(sum_k n_k x d^3) for ``n_k`` outcomes at step k.
 
-* the step list is chronological, and flattening multiplies the chosen
-  operators newest-on-the-left: ``op = M_last @ ... @ M_first``;
-* composite outcome indices pack mixed-radix with the owner's earliest
-  step as the most significant digit.
-
-Flattening walks the steps, not the joint outcomes: each step extends every
-running product at once with one stacked ``np.matmul``, so a history costs
-O(joint outcomes x d^3) arithmetic and one ``matmul`` call per step.
+``flatten_history`` builds the paper's explicit family instead, one
+operator per joint outcome in O(prod_k n_k x d^3) time and memory; it is
+the reference the propagation is tested against, not the run path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -155,6 +156,22 @@ class MeasurementHistory:
     def dim(self) -> int:
         return self.steps[0][1].dim
 
+    def _size(self, owner: str) -> int:
+        """The owner's composite outcome count: the product of its steps' counts."""
+        return math.prod(p.n_outcomes for o, p in self.steps if o == owner)
+
+    i_max = property(lambda self: self._size("alice"))
+    j_max = property(lambda self: self._size("bob"))
+    e_max = property(lambda self: self._size("eve"))
+
+    def completeness_residual(self) -> float:
+        """The flat family's residual: dual channels applied to I, last step first."""
+        total = np.eye(self.dim, dtype=complex)
+        for _, povm in reversed(self.steps):
+            ops = np.stack(povm.ops)
+            total = (ops.conj().transpose(0, 2, 1) @ total @ ops).sum(axis=0)
+        return completeness_residual(total)
+
 
 @dataclass(frozen=True)
 class FlatPovm:
@@ -210,17 +227,9 @@ def measurement_update(rho, op: KrausPovm, outcome: int):
 def flatten_history(history: MeasurementHistory) -> FlatPovm:
     """Collapse a history into the two-index (plus Eve) operator family.
 
-    For each joint choice of per-step outcomes the flattened operator is the
-    chronological product with the latest step leftmost.  Each owner's
-    composite index runs over the mixed-radix product of that owner's
-    per-step outcome counts, earliest step most significant, so
-    ``i_max = prod_k i_k_max`` and likewise for ``j`` and ``e``.
-
-    The products are built step by step in time order: one stacked
-    ``np.matmul`` left-multiplies every running product by every operator of
-    the step, and the new outcome axis becomes the least significant digit of
-    its owner's index.  The cost is O(joint outcomes x d^3) in one ``matmul``
-    per step, with no Python loop over outcomes.
+    One stacked ``np.matmul`` per step left-multiplies every running product
+    by every operator of the step; the new outcome axis becomes the least
+    significant digit of its owner's index.
     """
     dim = history.dim
     ops = np.eye(dim, dtype=complex).reshape(1, 1, 1, dim, dim)
@@ -235,39 +244,45 @@ def flatten_history(history: MeasurementHistory) -> FlatPovm:
     return FlatPovm(dim, ops + 0.0)
 
 
-_INDEX_AXES = {"i": 0, "j": 1, "e": 2}
+_INDEX_OWNERS = {"i": "alice", "j": "bob", "e": "eve"}
 
 
-def _select_known(flat: FlatPovm, known: Mapping[str, int]) -> np.ndarray:
-    ops = flat.ops
-    for key in known:
-        if key not in _INDEX_AXES:
-            raise ShapeError(f"unknown index name {key!r} (expected 'i', 'j', 'e')")
-    index = [slice(None)] * 3
-    for key, axis in _INDEX_AXES.items():
-        if key in known and known[key] is not None:
-            val = int(known[key])
-            if not 0 <= val < ops.shape[axis]:
-                raise ImpossibleOutcomeError(f"index {key}={val} out of range 0..{ops.shape[axis] - 1}")
-            index[axis] = slice(val, val + 1)
-    return ops[tuple(index)]
+def _propagate(history: MeasurementHistory, known: Mapping[str, int], initial_state) -> np.ndarray:
+    """Unnormalized state after the history; its trace is the assignment's probability.
 
-
-def outcome_probability(flat: FlatPovm, known: Mapping[str, int], initial_state=None) -> float:
-    """Total probability of a partial assignment of the composite indices."""
-    rho0 = _initial_state(flat, initial_state)
-    sel = _select_known(flat, known)
-    return float(np.einsum("ijeab,bc,ijeac->", sel.conj(), rho0, sel).real)
-
-
-def _initial_state(flat: FlatPovm, initial_state) -> np.ndarray:
+    Each known index splits into its owner's per-step digits; a step with a
+    known digit applies ``M rho M^dag``, any other ``sum_k M_k rho M_k^dag``.
+    """
     if initial_state is None:
-        return np.eye(flat.dim, dtype=complex) / flat.dim
-    return ensure_density_matrix(initial_state, name="initial_state")
+        rho = np.eye(history.dim, dtype=complex) / history.dim
+    else:
+        rho = ensure_density_matrix(initial_state, name="initial_state")
+    for key in known:
+        if key not in _INDEX_OWNERS:
+            raise ShapeError(f"unknown index name {key!r} (expected 'i', 'j', 'e')")
+    digits = {}
+    for key, owner in _INDEX_OWNERS.items():
+        if known.get(key) is None:
+            continue
+        val = int(known[key])
+        size = history._size(owner)
+        if not 0 <= val < size:
+            raise ImpossibleOutcomeError(f"index {key}={val} out of range 0..{size - 1}")
+        for k in reversed([k for k, (o, _) in enumerate(history.steps) if o == owner]):
+            val, digits[k] = divmod(val, history.steps[k][1].n_outcomes)
+    for k, (_, povm) in enumerate(history.steps):
+        ops = np.stack(povm.ops if k not in digits else povm.ops[digits[k] : digits[k] + 1])
+        rho = (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    return rho
+
+
+def outcome_probability(history: MeasurementHistory, known: Mapping[str, int], initial_state=None) -> float:
+    """Total probability of a partial assignment of the composite indices."""
+    return float(np.trace(_propagate(history, known, initial_state)).real)
 
 
 def conditional_state(
-    flat: FlatPovm,
+    history: MeasurementHistory,
     known: Mapping[str, int] | None = None,
     *,
     initial_state=None,
@@ -282,9 +297,7 @@ def conditional_state(
     this setting.
     """
     known = dict(known or {})
-    rho0 = _initial_state(flat, initial_state)
-    sel = _select_known(flat, known)
-    unnorm = np.einsum("ijeab,bc,ijedc->ad", sel, rho0, sel.conj())
+    unnorm = _propagate(history, known, initial_state)
     total = float(np.trace(unnorm).real)
     if total <= 0.0:
         raise ImpossibleOutcomeError(f"assignment {known} has zero probability")

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -333,12 +334,62 @@ class TestMainExitCodes:
         assert report["seed"] == 9
 
 
+def test_thirty_step_qubit_history_runs_in_bounded_memory(tmp_path, capsys):
+    # 2**30 joint outcomes: the flattened family would need 64 GiB, while
+    # propagating the state step by step needs a few qubit matrices.
+    rng = np.random.default_rng(30)
+    owners = [("alice", "bob", "eve")[k % 3] for k in range(30)]
+    families = []
+    for _ in owners:
+        g = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        vals, vecs = np.linalg.eigh(sum(m.conj().T @ m for m in g))
+        families.append([m @ (vecs / np.sqrt(vals)) @ vecs.conj().T for m in g])
+    known = {"i": int(rng.integers(2**10)), "j": int(rng.integers(2**10))}
+    steps = [
+        {"owner": owner, "kraus": [matrix_to_literal(m) for m in family]}
+        for owner, family in zip(owners, families)
+    ]
+    path = tmp_path / "history30.json"
+    path.write_text(json.dumps({"kind": "history", "payload": {"steps": steps, "known": known}}))
+
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
+
+    # Replay the Kraus steps by hand: Alice's and Bob's known indices give one
+    # binary digit per step of theirs, earliest step most significant.
+    digits = {}
+    for key, owner in (("i", "alice"), ("j", "bob")):
+        mine = [k for k, o in enumerate(owners) if o == owner]
+        for place, k in enumerate(reversed(mine)):
+            digits[k] = (known[key] >> place) & 1
+    rho = np.eye(2, dtype=complex) / 2
+    for k, family in enumerate(families):
+        chosen = [family[digits[k]]] if k in digits else family
+        rho = sum(m @ rho @ m.conj().T for m in chosen)
+    prob = float(np.trace(rho).real)
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert (out["i_max"], out["j_max"], out["e_max"]) == (2**10, 2**10, 2**10)
+    assert out["probability"] == pytest.approx(prob, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(literal_to_matrix(out["state"]), rho / prob, rtol=0.0, atol=1e-12)
+
+
 def _history(step, known=None):
     payload = {"steps": [dict(owner="alice", **step)]}
     if known is not None:
         payload["known"] = known
     return {"kind": "history", "payload": payload}
 
+
+SAMPLE_COUNT_SITES = (
+    ("fuse", "n_samples", {"rho_a": EYE2, "rho_b": EYE2}),
+    ("estimate", "mc_samples", {"effects_a": [0.75]}),
+)
 
 # Invalid inputs.  Config validation rejects the unknown family and a non-finite
 # tol (exit 1, naming the field); the others pass it and must leave through a
@@ -404,6 +455,17 @@ INVALID_INPUTS = {
         for weight in ("alpha", "beta")
         for value in (1e-310, 5e-324)
     },
+    # Sample counts are capped, so an integer-valued float such as 1e15 cannot
+    # ask for more memory than a host has.
+    **{
+        f"{field}_{value!r}": (
+            {"kind": kind, "payload": {**payload, field: value}},
+            1,
+            f"$.payload.{field}",
+        )
+        for kind, field, payload in SAMPLE_COUNT_SITES
+        for value in (1e15, 10**15, 1_000_001)
+    },
     "fuse_weights_underflow": (
         {
             "kind": "fuse",
@@ -430,10 +492,14 @@ def test_invalid_input_exits_with_named_error(case, tmp_path, capsys):
         assert err.startswith(f"error: {error}:")
 
 
+@pytest.mark.parametrize("kind, field, payload", SAMPLE_COUNT_SITES)
+def test_largest_sample_count_validates(kind, field, payload):
+    validate_config({"kind": kind, "payload": {**payload, field: 1_000_000}})
+
+
 # Every scalar field of every shipped config, set to each extreme value, must
 # end in exit 0, 1 or 2, never a traceback.  Sample counts are capped at 1000
-# so the sweep stays fast, and skip 1e308: an integer-valued float that large
-# passes the schema's "integer" and asks for more memory than a host has.
+# so the sweep stays fast.
 EXTREME_SCALARS = [0, -0.0, 5e-324, 1e-310, 1e-300, 1, 2, 1e308, -1, float("nan"), float("inf")]
 SAMPLE_COUNTS = ("n_samples", "mc_samples")
 
@@ -468,8 +534,6 @@ def test_extreme_scalars_exit_cleanly(path, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     for site in _scalar_paths(base):
         for value in EXTREME_SCALARS:
-            if site[-1] in SAMPLE_COUNTS and value == 1e308:
-                continue
             cfg = copy.deepcopy(base)
             target = cfg
             for key in site[:-1]:

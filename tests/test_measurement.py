@@ -1,4 +1,5 @@
 import itertools
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpool.errors import ImpossibleOutcomeError, IncompleteMeasurementError, QpoolError, ShapeError
-from qpool.linalg import is_psd, trace_distance
+from qpool.linalg import dagger, ensure_density_matrix, is_psd, trace_distance
 from qpool.measurement import (
     OWNERS,
+    FlatPovm,
     KrausPovm,
     MeasurementHistory,
     Povm,
@@ -222,16 +224,16 @@ class TestConditionalState:
         history = MeasurementHistory(
             (("alice", KrausPovm.projective(Z_BASIS)), ("bob", KrausPovm((np.eye(2),))))
         )
-        state = conditional_state(flatten_history(history), {"i": 0})
+        state = conditional_state(history, {"i": 0})
         np.testing.assert_allclose(state, proj(KET0), atol=1e-12)
 
     def test_alice_marginal_averages_bob(self):
         # Alice sees Z outcome 0; averaging Bob's X branches gives I/2.
-        state = conditional_state(flatten_history(z_then_x_history()), {"i": 0})
+        state = conditional_state(z_then_x_history(), {"i": 0})
         np.testing.assert_allclose(state, np.eye(2) / 2, atol=1e-12)
 
     def test_both_indices_known(self):
-        state = conditional_state(flatten_history(z_then_x_history()), {"i": 0, "j": 0})
+        state = conditional_state(z_then_x_history(), {"i": 0, "j": 0})
         np.testing.assert_allclose(state, proj(KET_PLUS), atol=1e-12)
 
     def test_no_information_recovers_maximally_mixed(self):
@@ -239,15 +241,15 @@ class TestConditionalState:
         # where every step preserves the maximally mixed state.
         rng = np.random.default_rng(5)
         for dim in (2, 3, 4):
-            flat = flatten_history(random_history(rng, dim, 3))
-            np.testing.assert_allclose(conditional_state(flat, {}), np.eye(dim) / dim, atol=1e-10)
+            history = random_history(rng, dim, 3)
+            np.testing.assert_allclose(conditional_state(history, {}), np.eye(dim) / dim, atol=1e-10)
 
     def test_total_probability_is_one(self):
         rng = np.random.default_rng(6)
         for dim in (2, 3, 4):
             for hermitian in (True, False):
-                flat = flatten_history(random_history(rng, dim, 3, hermitian=hermitian))
-                assert outcome_probability(flat, {}) == pytest.approx(1.0, abs=1e-10)
+                history = random_history(rng, dim, 3, hermitian=hermitian)
+                assert outcome_probability(history, {}) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_probability_assignment(self):
         # Two successive Z measurements: outcome pair (0, 1) is impossible.
@@ -255,25 +257,25 @@ class TestConditionalState:
             (("alice", KrausPovm.projective(Z_BASIS)), ("alice", KrausPovm.projective(Z_BASIS)))
         )
         with pytest.raises(ImpossibleOutcomeError):
-            conditional_state(flatten_history(history), {"i": 1})
+            conditional_state(history, {"i": 1})
 
     def test_marginal_consistency(self):
         # Summing the joint-record states over Bob's index with their joint
         # probabilities must reproduce Alice's marginal state.
         rng = np.random.default_rng(7)
         for dim in (2, 3, 4):
-            flat = flatten_history(random_history(rng, dim, 3, hermitian=False))
-            for i in range(flat.i_max):
-                p_i = outcome_probability(flat, {"i": i})
+            history = random_history(rng, dim, 3, hermitian=False)
+            for i in range(history.i_max):
+                p_i = outcome_probability(history, {"i": i})
                 if p_i <= 1e-12:
                     continue
                 accum = np.zeros((dim, dim), dtype=complex)
-                for j in range(flat.j_max):
-                    p_ij = outcome_probability(flat, {"i": i, "j": j})
+                for j in range(history.j_max):
+                    p_ij = outcome_probability(history, {"i": i, "j": j})
                     if p_ij > 0:
-                        accum += p_ij * conditional_state(flat, {"i": i, "j": j})
+                        accum += p_ij * conditional_state(history, {"i": i, "j": j})
                 np.testing.assert_allclose(
-                    accum / p_i, conditional_state(flat, {"i": i}), atol=1e-10
+                    accum / p_i, conditional_state(history, {"i": i}), atol=1e-10
                 )
 
     def test_shared_terms_bound_both_marginals(self):
@@ -281,7 +283,8 @@ class TestConditionalState:
         # it with its weight leaves a PSD remainder on either side.
         rng = np.random.default_rng(8)
         for dim in (2, 3):
-            flat = flatten_history(random_history(rng, dim, 2, owners=("alice", "bob")))
+            history = random_history(rng, dim, 2, owners=("alice", "bob"))
+            flat = flatten_history(history)
             rho0 = np.eye(dim) / dim
             for i, j in itertools.product(range(flat.i_max), range(flat.j_max)):
                 op = flat.ops[i, j, 0]
@@ -291,8 +294,8 @@ class TestConditionalState:
                     continue
                 sigma = term / weight
                 for known, total_key in (({"i": i}, {"i": i}), ({"j": j}, {"j": j})):
-                    marginal = conditional_state(flat, known)
-                    share = weight / outcome_probability(flat, total_key)
+                    marginal = conditional_state(history, known)
+                    share = weight / outcome_probability(history, total_key)
                     assert is_psd(marginal - share * sigma, tol=1e-10)
 
     def test_eve_step_changes_alice_state(self):
@@ -302,22 +305,116 @@ class TestConditionalState:
         with_eve = MeasurementHistory(
             (("alice", KrausPovm.projective(Z_BASIS)), ("eve", KrausPovm.projective(X_BASIS)))
         )
-        before = conditional_state(flatten_history(without), {"i": 0})
-        after = conditional_state(flatten_history(with_eve), {"i": 0})
+        before = conditional_state(without, {"i": 0})
+        after = conditional_state(with_eve, {"i": 0})
         assert trace_distance(before, after) > 0.01
 
     def test_unknown_index_name(self):
-        flat = flatten_history(z_then_x_history())
         with pytest.raises(ShapeError, match="unknown index name 'k'"):
-            conditional_state(flat, {"k": 0})
+            conditional_state(z_then_x_history(), {"k": 0})
 
     def test_general_initial_state_variant(self):
         history = MeasurementHistory((("alice", KrausPovm.projective(Z_BASIS)),))
-        flat = flatten_history(history)
         rho0 = np.diag([0.9, 0.1])
-        state = conditional_state(flat, {"i": 0}, initial_state=rho0)
+        state = conditional_state(history, {"i": 0}, initial_state=rho0)
         np.testing.assert_allclose(state, proj(KET0), atol=1e-12)
-        assert outcome_probability(flat, {"i": 0}, initial_state=rho0) == pytest.approx(0.9)
+        assert outcome_probability(history, {"i": 0}, initial_state=rho0) == pytest.approx(0.9)
+
+    def test_complex_initial_state_probability(self):
+        # rho0 = |v><v| with v = (1, i)/sqrt(2) is the first basis vector, so
+        # outcome 0 is certain; reading rho0 transposed would give 0.
+        basis = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2)
+        history = MeasurementHistory((("alice", KrausPovm.projective(basis)),))
+        rho0 = proj(basis[:, 0])
+        assert outcome_probability(history, {"i": 0}, initial_state=rho0) == pytest.approx(1.0)
+        assert outcome_probability(history, {"i": 1}, initial_state=rho0) == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(conditional_state(history, {"i": 0}, initial_state=rho0), rho0, atol=1e-12)
+
+
+_INDEX_AXES = {"i": 0, "j": 1, "e": 2}
+
+
+def _select_known(flat: FlatPovm, known: Mapping[str, int]) -> np.ndarray:
+    ops = flat.ops
+    for key in known:
+        if key not in _INDEX_AXES:
+            raise ShapeError(f"unknown index name {key!r} (expected 'i', 'j', 'e')")
+    index = [slice(None)] * 3
+    for key, axis in _INDEX_AXES.items():
+        if key in known and known[key] is not None:
+            val = int(known[key])
+            if not 0 <= val < ops.shape[axis]:
+                raise ImpossibleOutcomeError(f"index {key}={val} out of range 0..{ops.shape[axis] - 1}")
+            index[axis] = slice(val, val + 1)
+    return ops[tuple(index)]
+
+
+def _initial_state(flat: FlatPovm, initial_state) -> np.ndarray:
+    if initial_state is None:
+        return np.eye(flat.dim, dtype=complex) / flat.dim
+    return ensure_density_matrix(initial_state, name="initial_state")
+
+
+# The flat-family sums over joint outcomes, kept as the reference for the
+# propagation.  The probability's einsum reads rho0 transposed, so it is
+# compared only from the maximally mixed rho0.
+def reference_outcome_probability(flat: FlatPovm, known: Mapping[str, int], initial_state=None) -> float:
+    """Total probability of a partial assignment of the composite indices."""
+    rho0 = _initial_state(flat, initial_state)
+    sel = _select_known(flat, known)
+    return float(np.einsum("ijeab,bc,ijeac->", sel.conj(), rho0, sel).real)
+
+
+def reference_conditional_state(
+    flat: FlatPovm,
+    known: Mapping[str, int] | None = None,
+    *,
+    initial_state=None,
+) -> np.ndarray:
+    """State of knowledge of an observer who knows the indices in ``known``."""
+    known = dict(known or {})
+    rho0 = _initial_state(flat, initial_state)
+    sel = _select_known(flat, known)
+    unnorm = np.einsum("ijeab,bc,ijedc->ad", sel, rho0, sel.conj())
+    total = float(np.trace(unnorm).real)
+    if total <= 0.0:
+        raise ImpossibleOutcomeError(f"assignment {known} has zero probability")
+    out = unnorm / total
+    return (out + dagger(out)) / 2
+
+
+def _outcome(call):
+    """``call()``'s value, or the type and message of the qpool error it raised."""
+    try:
+        return call()
+    except QpoolError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(histories(), st.data())
+def test_propagation_matches_flat_family(history, data):
+    flat = flatten_history(history)
+    assert (history.i_max, history.j_max, history.e_max) == (flat.i_max, flat.j_max, flat.e_max)
+    assert history.completeness_residual() == pytest.approx(flat.completeness_residual(), abs=1e-13)
+    sizes = {"i": flat.i_max, "j": flat.j_max, "e": flat.e_max}
+    values = {key: data.draw(st.integers(0, size - 1), label=key) for key, size in sizes.items()}
+    for n in range(4):
+        for keys in itertools.combinations("ije", n):
+            known = {key: values[key] for key in keys}
+            want_p = reference_outcome_probability(flat, known)
+            assert outcome_probability(history, known) == pytest.approx(want_p, rel=1e-12, abs=0.0)
+            want = _outcome(lambda: reference_conditional_state(flat, known))
+            got = _outcome(lambda: conditional_state(history, known))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    for key, size in sizes.items():
+        out_of_range = {key: size}
+        assert _outcome(lambda: conditional_state(history, out_of_range)) == _outcome(
+            lambda: reference_conditional_state(flat, out_of_range)
+        )
 
 
 class TestValidatePovm:
