@@ -29,6 +29,7 @@ from .linalg import (
     dagger,
     ensure_density_matrix,
     ensure_hermitian,
+    ensure_states,
     matrix_sqrt_psd,
     require_normalized,
 )
@@ -194,10 +195,7 @@ def matrix_bayes_update(rho, effect):
 
 def pool_commuting_density(rho_a, rho_b) -> np.ndarray:
     """Pool two commuting density matrices: rho_a rho_b / Tr[rho_a rho_b]."""
-    a = ensure_density_matrix(rho_a, name="rho_a")
-    b = ensure_density_matrix(rho_b, name="rho_b")
-    if a.shape != b.shape:
-        raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
+    a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
     comm = a @ b - b @ a
     if float(np.linalg.norm(comm)) > TOL_COMMUTE:
         raise NoncommutingError(

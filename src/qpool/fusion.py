@@ -6,7 +6,8 @@ system measurement scenario realizes the pair with sigma as the state held
 by an observer who sees both outcome records.  Because sigma may be any
 state supported inside the intersection, the pooled state is not fixed by
 the two marginals alone; ``averaged_fusion`` explores one pluggable choice
-of measure over the realizations.
+of measure over the realizations.  Each public function validates its raw
+matrices once (``linalg.ensure_states``) and passes them down to private cores.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     ImpossibleOutcomeError,
     InconsistentStatesError,
     PositivityError,
-    ShapeError,
 )
 from .haar import sample_amplitudes
 from .linalg import (
@@ -31,16 +31,25 @@ from .linalg import (
     TOL_RECON,
     TOL_REMAINDER,
     TOL_TRACE,
+    Subspace,
     dagger,
     ensure_density_matrix,
+    ensure_states,
     hermitian_eig,
     psd_ok,
     require_normalized,
     subspace_intersection,
-    support,
+    support,  # unused here; a module attribute so tracers can look it up
     support_cutoff,
     trace_distance,
 )
+
+
+def _intersection(a: np.ndarray, b: np.ndarray, tol: float):
+    """The support intersection of two validated states, and both states' support eigenpairs."""
+    eigs = [support_cutoff(*hermitian_eig(s), tol) for s in (a, b)]
+    u, v = (Subspace(a.shape[0], basis) for _, basis in eigs)
+    return subspace_intersection(u, v, tol), eigs
 
 
 def check_consistency(rho_a, rho_b, tol: float = TOL_RANK):
@@ -49,12 +58,20 @@ def check_consistency(rho_a, rho_b, tol: float = TOL_RANK):
     Returns ``(verdict, intersection)`` where the verdict is true iff the
     intersection of the two supports has dimension at least 1.
     """
-    a = ensure_density_matrix(rho_a, name="rho_a")
-    b = ensure_density_matrix(rho_b, name="rho_b")
-    if a.shape != b.shape:
-        raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
-    intersection = subspace_intersection(support(a, tol), support(b, tol), tol)
+    intersection = _intersection(*ensure_states(rho_a=rho_a, rho_b=rho_b), tol)[0]
     return intersection.dimension >= 1, intersection
+
+
+def _max_weight(lam: np.ndarray, basis: np.ndarray, sigma: np.ndarray) -> float:
+    """``max_common_weight`` from a state's support eigenpairs and a validated sigma."""
+    projected = dagger(basis) @ sigma @ basis
+    leak = float(np.trace(sigma).real - np.trace(projected).real)
+    if leak > TOL_RANK:
+        return 0.0
+    inv_root = 1.0 / np.sqrt(lam)
+    scaled = inv_root[:, None] * projected * inv_root[None, :]
+    top = float(np.linalg.eigvalsh(scaled)[-1])
+    return min(1.0, 1.0 / top)
 
 
 def max_common_weight(rho, sigma) -> float:
@@ -64,19 +81,8 @@ def max_common_weight(rho, sigma) -> float:
     Computed from the largest eigenvalue of sigma congruence-transformed by
     the inverse square root of rho on its support.
     """
-    rho = ensure_density_matrix(rho, name="rho")
-    sigma = ensure_density_matrix(sigma, name="sigma")
-    if rho.shape != sigma.shape:
-        raise ShapeError(f"shapes differ: {rho.shape} vs {sigma.shape}")
-    lam, basis = support_cutoff(*hermitian_eig(rho), TOL_RANK)
-    projected = dagger(basis) @ sigma @ basis
-    leak = float(np.trace(sigma).real - np.trace(projected).real)
-    if leak > TOL_RANK:
-        return 0.0
-    inv_root = 1.0 / np.sqrt(lam)
-    scaled = inv_root[:, None] * projected * inv_root[None, :]
-    top = float(np.linalg.eigvalsh(scaled)[-1])
-    return min(1.0, 1.0 / top)
+    rho, sigma = ensure_states(rho=rho, sigma=sigma)
+    return _max_weight(*support_cutoff(*hermitian_eig(rho), TOL_RANK), sigma)
 
 
 def _remainder_terms(rho: np.ndarray, sigma: np.ndarray, weight: float, *, name: str):
@@ -141,13 +147,8 @@ class CommonTermDecomposition:
         return self._reconstruct(self.beta, self.remainder_b)
 
 
-def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTermDecomposition:
-    """Decompose both states around the common term ``alpha/beta * sigma``."""
-    a = ensure_density_matrix(rho_a, name="rho_a")
-    b = ensure_density_matrix(rho_b, name="rho_b")
-    sig = ensure_density_matrix(sigma, name="sigma")
-    if not (a.shape == b.shape == sig.shape):
-        raise ShapeError("rho_a, rho_b and sigma must share one dimension")
+def _decompose(a: np.ndarray, b: np.ndarray, sig: np.ndarray, alpha: float, beta: float):
+    """``decompose_common`` on validated states."""
     dec = CommonTermDecomposition(
         sigma=sig,
         alpha=float(alpha),
@@ -162,6 +163,11 @@ def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTe
         if float(np.abs(original - rebuilt).max()) > TOL_RECON:
             raise PositivityError(f"{label} reconstruction drifted beyond {TOL_RECON:g}")
     return dec
+
+
+def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTermDecomposition:
+    """Decompose both states around the common term ``alpha/beta * sigma``."""
+    return _decompose(*ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma), alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -312,14 +318,9 @@ class AmbiguityReport:
     distance: float  # trace distance between the two Charlie states
 
 
-def realize_pair(rho_a, rho_b, sigma, alpha=None, beta=None):
-    """Decompose both states around ``sigma``, then realize and simulate the scenario.
-
-    ``alpha`` and ``beta`` default to half of ``max_common_weight``; returns
-    ``(decomposition, alpha_max, beta_max, report)``.
-    """
-    a_max = max_common_weight(rho_a, sigma)
-    b_max = max_common_weight(rho_b, sigma)
+def _realize(a, b, sig, eigs, alpha=None, beta=None):
+    """``realize_pair`` on validated states, given both states' support eigenpairs."""
+    a_max, b_max = (_max_weight(lam, basis, sig) for lam, basis in eigs)
     if a_max <= 0.0 or b_max <= 0.0:
         raise AmbiguityPreconditionError(
             "sigma is not absorbable into both states (zero admissible weight)"
@@ -327,8 +328,19 @@ def realize_pair(rho_a, rho_b, sigma, alpha=None, beta=None):
     # Half the admissible maximum keeps the remainders well conditioned.
     alpha = a_max / 2.0 if alpha is None else alpha
     beta = b_max / 2.0 if beta is None else beta
-    dec = decompose_common(rho_a, rho_b, sigma, alpha, beta)
+    dec = _decompose(a, b, sig, alpha, beta)
     return dec, a_max, b_max, simulate_tripartite(realize_tripartite(dec))
+
+
+def realize_pair(rho_a, rho_b, sigma, alpha=None, beta=None):
+    """Decompose both states around ``sigma``, then realize and simulate the scenario.
+
+    ``alpha`` and ``beta`` default to half of ``max_common_weight``; returns
+    ``(decomposition, alpha_max, beta_max, report)``.
+    """
+    a, b, sig = ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma)
+    eigs = [support_cutoff(*hermitian_eig(s), TOL_RANK) for s in (a, b)]
+    return _realize(a, b, sig, eigs, alpha, beta)
 
 
 def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
@@ -338,25 +350,21 @@ def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
     two supports; the report carries the trace distance between the two
     resulting pooled states.
     """
-    consistent, intersection = check_consistency(rho_a, rho_b)
-    if not consistent:
+    a, b, *sigmas = ensure_states(rho_a=rho_a, rho_b=rho_b, sigma_1=sigma_1, sigma_2=sigma_2)
+    intersection, eigs = _intersection(a, b, TOL_RANK)
+    if intersection.dimension < 1:
         raise AmbiguityPreconditionError("the states' supports do not intersect")
     proj = intersection.projector()
-    reports = []
-    deviations = []
-    for label, sigma in (("sigma_1", sigma_1), ("sigma_2", sigma_2)):
-        sig = ensure_density_matrix(sigma, name=label)
+    for label, sig in zip(("sigma_1", "sigma_2"), sigmas):
         leak = float(np.trace(sig).real - np.trace(proj @ sig @ proj).real)
         if leak > TOL_RANK:
             raise AmbiguityPreconditionError(
                 f"{label} has weight {leak:.3e} outside the support intersection"
             )
-        report = realize_pair(rho_a, rho_b, sig)[-1]
-        reports.append(report)
-        deviations.append(trace_distance(report.charlie_state, sig))
+    reports = [_realize(a, b, sig, eigs)[-1] for sig in sigmas]
     return AmbiguityReport(
         reports=tuple(reports),
-        charlie_deviations=tuple(deviations),
+        charlie_deviations=tuple(trace_distance(r.charlie_state, s) for r, s in zip(reports, sigmas)),
         distance=trace_distance(reports[0].charlie_state, reports[1].charlie_state),
     )
 
@@ -387,27 +395,21 @@ class HistoryMeasureConfig:
             raise ConfigError(f"unknown measure family {self.family!r}; known: {DEFAULT_FAMILY!r}")
 
 
-def _support_pinv(rho: np.ndarray) -> np.ndarray:
-    lam, basis = support_cutoff(*hermitian_eig(rho), TOL_RANK)
-    return (basis / lam) @ dagger(basis)
-
-
 def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     """Monte-Carlo average of pooled states over the configured measure family.
 
     Deterministic for a fixed seed (single stream, fixed reduction order).
     The support of the result lies inside the intersection of the supports.
     """
-    consistent, intersection = check_consistency(rho_a, rho_b)
-    if not consistent:
+    intersection, eigs = _intersection(*ensure_states(rho_a=rho_a, rho_b=rho_b), TOL_RANK)
+    if intersection.dimension < 1:
         raise InconsistentStatesError("cannot fuse states with disjoint supports")
 
     rng = np.random.default_rng(cfg.seed)
     local = sample_amplitudes(intersection.dimension, int(cfg.n_samples), rng)
     states = local @ intersection.basis.T  # rows are ambient pure states
 
-    pinv_a = _support_pinv(rho_a)
-    pinv_b = _support_pinv(rho_b)
+    pinv_a, pinv_b = ((basis / lam) @ dagger(basis) for lam, basis in eigs)
     # For a pure common state, the admissible maximum weight is the inverse
     # of the quadratic form of the support pseudo-inverse.
     alpha = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), pinv_a, states).real

@@ -109,6 +109,15 @@ def ensure_density_matrix(mat, *, name: str = "rho") -> np.ndarray:
     return arr
 
 
+def ensure_states(**named) -> list:
+    """Validate each named density matrix in argument order; all shapes must match."""
+    states = [ensure_density_matrix(mat, name=name) for name, mat in named.items()]
+    if len({s.shape for s in states}) > 1:
+        shapes = ", ".join(f"{name} {s.shape}" for name, s in zip(named, states))
+        raise ShapeError(f"shapes differ: {shapes}")
+    return states
+
+
 def hermitian_eig(mat, *, name: str = "matrix"):
     """Eigendecomposition of a Hermitian matrix.
 

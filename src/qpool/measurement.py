@@ -208,22 +208,6 @@ class FlatPovm:
         return completeness_residual(np.einsum("ijeab,ijeac->bc", self.ops.conj(), self.ops))
 
 
-def measurement_update(rho, op: KrausPovm, outcome: int):
-    """Post-measurement state and probability for one outcome of ``op``.
-
-    Returns ``(M rho M^dag / p, p)`` with ``p = Tr[M^dag M rho]``.
-    """
-    rho = ensure_density_matrix(rho)
-    m = op.ops[int(outcome)]
-    if m.shape[0] != rho.shape[0]:
-        raise ShapeError(f"operator dim {m.shape[0]} != state dim {rho.shape[0]}")
-    prob = float(np.trace(dagger(m) @ m @ rho).real)
-    if prob <= 0.0:
-        raise ImpossibleOutcomeError(f"outcome {outcome} has zero probability")
-    post = m @ rho @ dagger(m) / prob
-    return (post + dagger(post)) / 2, prob
-
-
 def flatten_history(history: MeasurementHistory) -> FlatPovm:
     """Collapse a history into the two-index (plus Eve) operator family.
 
@@ -257,6 +241,8 @@ def _propagate(history: MeasurementHistory, known: Mapping[str, int], initial_st
         rho = np.eye(history.dim, dtype=complex) / history.dim
     else:
         rho = ensure_density_matrix(initial_state, name="initial_state")
+        if rho.shape[0] != history.dim:
+            raise ShapeError(f"initial_state dim {rho.shape[0]} != history dim {history.dim}")
     for key in known:
         if key not in _INDEX_OWNERS:
             raise ShapeError(f"unknown index name {key!r} (expected 'i', 'j', 'e')")
@@ -296,13 +282,26 @@ def conditional_state(
     prior information); ``initial_state`` overrides that for uses outside
     this setting.
     """
-    known = dict(known or {})
+    return _conditional(history, dict(known or {}), initial_state)[0]
+
+
+def _conditional(history: MeasurementHistory, known: Mapping[str, int], initial_state):
+    """The normalized conditional state and the probability of the assignment."""
     unnorm = _propagate(history, known, initial_state)
     total = float(np.trace(unnorm).real)
     if total <= 0.0:
         raise ImpossibleOutcomeError(f"assignment {known} has zero probability")
     out = unnorm / total
-    return (out + dagger(out)) / 2
+    return (out + dagger(out)) / 2, total
+
+
+def measurement_update(rho, op: KrausPovm, outcome: int):
+    """Post-measurement state and probability for one outcome of ``op``.
+
+    The one-step history ``op`` propagated from ``rho`` with ``i = outcome``:
+    returns ``(M rho M^dag / p, p)`` with ``p = Tr[M rho M^dag]``.
+    """
+    return _conditional(MeasurementHistory((("alice", op),)), {"i": outcome}, rho)
 
 
 @dataclass(frozen=True)

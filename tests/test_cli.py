@@ -288,6 +288,16 @@ class TestMainExitCodes:
         report = json.loads(out_file.read_text())
         assert report["error"]["name"] == "IncompatibleKnowledgeError"
 
+    def test_candidate_of_another_dimension_exits_two_naming_shape_error(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "ambiguity.json").read_text())
+        cfg["payload"]["sigma_1"] = [[[1 / 3 if r == c else 0, 0] for c in range(3)] for r in range(3)]
+        path = tmp_path / "ambiguity-3x3.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["name"] == "ShapeError"
+        assert "error: ShapeError: shapes differ" in captured.err
+
     def test_unserializable_report_exits_two_naming_the_error(self, tmp_path, capsys, monkeypatch):
         def nan_outputs(payload, seed):
             return {"result": [float("nan")]}, []

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpool import cli
 from qpool.errors import (
     AmbiguityPreconditionError,
     DegenerateConstructionError,
@@ -32,7 +35,16 @@ from qpool.fusion import (
     realize_tripartite,
     simulate_tripartite,
 )
-from qpool.linalg import TOL_RANK, dagger, hermitian_eig, is_psd, support, support_cutoff
+from qpool.haar import sample_amplitudes
+from qpool.linalg import (
+    TOL_RANK,
+    dagger,
+    hermitian_eig,
+    is_psd,
+    support,
+    support_cutoff,
+    trace_distance,
+)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -240,6 +252,10 @@ class TestDemonstrateAmbiguity:
         with pytest.raises(AmbiguityPreconditionError):
             demonstrate_ambiguity(proj(KET0), proj(KET1), proj(KET0), proj(KET0))
 
+    def test_candidate_of_another_dimension(self):
+        with pytest.raises(ShapeError):
+            demonstrate_ambiguity(np.eye(2) / 2, np.eye(2) / 2, np.eye(3) / 3, np.eye(2) / 2)
+
     def test_one_dimensional_intersection_pins_the_pooled_state(self):
         # d=3: supports span{e0,e1} and span{e0,e2} meet only along e0, so
         # every admissible candidate collapses to the same pure state.
@@ -388,11 +404,14 @@ def reference_simulate(sc: TripartiteScenario) -> TripartiteReport:
 
 
 @st.composite
-def consistent_pairs(draw, max_dim: int):
-    """``(rho_a, rho_b, sigma)`` with sigma, pure or mixed, inside the support intersection."""
+def consistent_pairs(draw, max_dim: int, candidates: int = 1):
+    """``(rho_a, rho_b, sigma, ...)``: each sigma, pure or mixed, inside the support intersection."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rho_a, rho_b, common = random_consistent_pair(rng, int(rng.integers(1, max_dim + 1)))
-    return rho_a, rho_b, random_intersection_state(rng, common, mixed=draw(st.booleans()))
+    sigmas = [
+        random_intersection_state(rng, common, mixed=draw(st.booleans())) for _ in range(candidates)
+    ]
+    return (rho_a, rho_b, *sigmas)
 
 
 @st.composite
@@ -443,3 +462,91 @@ def test_max_common_weight_is_tight(pair):
             basis = support(rho).basis
             compressed = dagger(basis) @ remainder @ basis
             assert abs(float(np.linalg.eigvalsh(compressed)[0])) <= 1e-9
+
+
+FUSION_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "kind, max_eigvalsh, max_eigh",
+    [("realize", 6, 5), ("ambiguity", 13, 8), ("fuse", 2, 2), ("consistency", 2, 2)],
+)
+def test_each_state_is_eigendecomposed_once_per_entry_point(kind, max_eigvalsh, max_eigh, monkeypatch):
+    """Eigen-solves per shipped fusion config: one validation per input, support eigenpairs reused."""
+    counts = dict.fromkeys(("eigvalsh", "eigh"), 0)
+    for name in counts:
+        solve = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solve=solve, **kwargs):
+            counts[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    cli.run_scenario(json.loads((FUSION_CONFIGS / f"{kind}.json").read_text()))
+    assert counts["eigvalsh"] <= max_eigvalsh and counts["eigh"] <= max_eigh, counts
+
+
+def assert_same_tree(actual, expected) -> None:
+    """``assert_same_bytes`` on every leaf of nested dataclasses and tuples."""
+    if dataclasses.is_dataclass(actual):
+        for f in dataclasses.fields(actual):
+            assert_same_tree(getattr(actual, f.name), getattr(expected, f.name))
+    elif isinstance(actual, tuple):
+        assert isinstance(expected, tuple) and len(actual) == len(expected)
+        for got, ref in zip(actual, expected):
+            assert_same_tree(got, ref)
+    else:
+        assert_same_bytes(actual, expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(6), st.one_of(st.none(), st.floats(0.05, 1.0)))
+def test_realize_pair_matches_the_public_composition(pair, fraction):
+    rho_a, rho_b, sigma = pair
+    a_max, b_max = max_common_weight(rho_a, sigma), max_common_weight(rho_b, sigma)
+    alpha = a_max / 2.0 if fraction is None else fraction * a_max
+    beta = b_max / 2.0 if fraction is None else fraction * b_max
+    dec = decompose_common(rho_a, rho_b, sigma, alpha, beta)
+    report = simulate_tripartite(realize_tripartite(dec))
+    weights = (None, None) if fraction is None else (alpha, beta)
+    assert_same_tree(realize_pair(rho_a, rho_b, sigma, *weights), (dec, a_max, b_max, report))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(5, candidates=2))
+def test_each_ambiguity_report_is_realize_pair_for_its_sigma(case):
+    rho_a, rho_b, *sigmas = case
+    ambiguity = demonstrate_ambiguity(rho_a, rho_b, *sigmas)
+    expected = tuple(realize_pair(rho_a, rho_b, sigma)[-1] for sigma in sigmas)
+    assert_same_tree(ambiguity.reports, expected)
+    deviations = tuple(trace_distance(r.charlie_state, sigma) for r, sigma in zip(expected, sigmas))
+    assert_same_tree(ambiguity.charlie_deviations, deviations)
+    assert_same_bytes(
+        ambiguity.distance, trace_distance(expected[0].charlie_state, expected[1].charlie_state)
+    )
+
+
+def reference_averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
+    """The route through ``check_consistency`` and a support pseudo-inverse per state."""
+
+    def support_pinv(rho):
+        lam, basis = support_cutoff(*hermitian_eig(rho), TOL_RANK)
+        return (basis / lam) @ dagger(basis)
+
+    consistent, intersection = check_consistency(rho_a, rho_b)
+    assert consistent
+    local = sample_amplitudes(intersection.dimension, int(cfg.n_samples), np.random.default_rng(cfg.seed))
+    states = local @ intersection.basis.T
+    alpha = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), support_pinv(rho_a), states).real
+    beta = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), support_pinv(rho_b), states).real
+    weights = (1.0 / (1.0 + (1.0 - alpha) / alpha + (1.0 - beta) / beta)) ** cfg.weight_exponent
+    fused = (states.T * weights) @ states.conj() / weights.sum()
+    return (fused + dagger(fused)) / 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(6), st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+def test_averaged_fusion_matches_the_check_consistency_route(pair, n_samples, seed, exponent):
+    rho_a, rho_b, _ = pair
+    cfg = HistoryMeasureConfig(n_samples=n_samples, seed=seed, weight_exponent=exponent)
+    assert_same_bytes(averaged_fusion(rho_a, rho_b, cfg), reference_averaged_fusion(rho_a, rho_b, cfg))

@@ -16,6 +16,7 @@ from qpool.errors import (
 )
 from qpool.linalg import (
     Subspace,
+    ensure_states,
     hermitian_eig,
     is_psd,
     matrix_sqrt_psd,
@@ -246,6 +247,22 @@ class TestSubspaceIntersection:
     def test_ambient_mismatch(self):
         with pytest.raises(ShapeError):
             subspace_intersection(Subspace.empty(2), Subspace.empty(3))
+
+
+class TestEnsureStates:
+    def test_returns_validated_states_in_argument_order(self):
+        skew = np.array([[0.5, 0.25 + 1e-12j], [0.25, 0.5]])
+        a, b = ensure_states(rho_a=skew, rho_b=proj(KET0))
+        np.testing.assert_array_equal(a, (skew + skew.conj().T) / 2)
+        np.testing.assert_array_equal(b, proj(KET0))
+
+    def test_names_the_failing_state(self):
+        with pytest.raises(NotNormalizedError, match="rho_b trace"):
+            ensure_states(rho_a=proj(KET0), rho_b=0.9 * proj(KET1))
+
+    def test_names_every_shape(self):
+        with pytest.raises(ShapeError, match=r"rho \(2, 2\), sigma \(3, 3\), tau \(2, 2\)"):
+            ensure_states(rho=np.eye(2) / 2, sigma=np.eye(3) / 3, tau=proj(KET0))
 
 
 def test_trace_distance_pure_states():

@@ -80,6 +80,25 @@ class TestMeasurementUpdate:
         with pytest.raises(ImpossibleOutcomeError):
             measurement_update(proj(KET0), KrausPovm.projective(Z_BASIS), 1)
 
+    @pytest.mark.parametrize("outcome", [-1, 2])
+    def test_outcome_out_of_range_is_named(self, outcome):
+        with pytest.raises(ImpossibleOutcomeError, match=f"index i={outcome} out of range 0..1"):
+            measurement_update(np.eye(2) / 2, KrausPovm.projective(Z_BASIS), outcome)
+
+    def test_matches_the_one_step_history(self):
+        rng = np.random.default_rng(21)
+        rho = ginibre(rng, 3, 3)
+        rho = rho @ dagger(rho) / np.trace(rho @ dagger(rho)).real
+        kp = random_kraus_povm(rng, 3, 4)
+        history = MeasurementHistory((("alice", kp),))
+        for outcome in range(4):
+            post, prob = measurement_update(rho, kp, outcome)
+            m = kp.ops[outcome]
+            np.testing.assert_allclose(post, m @ rho @ dagger(m) / prob, rtol=0, atol=1e-13)
+            assert prob == pytest.approx(float(np.trace(dagger(m) @ m @ rho).real), rel=1e-13)
+            assert_same_bytes(post, conditional_state(history, {"i": outcome}, initial_state=rho))
+            assert prob == outcome_probability(history, {"i": outcome}, rho)
+
 
 class TestFlattenHistory:
     def test_trivial_bob_reproduces_alice(self):
@@ -329,6 +348,17 @@ class TestConditionalState:
         assert outcome_probability(history, {"i": 0}, initial_state=rho0) == pytest.approx(1.0)
         assert outcome_probability(history, {"i": 1}, initial_state=rho0) == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(conditional_state(history, {"i": 0}, initial_state=rho0), rho0, atol=1e-12)
+
+    def test_initial_state_of_another_dimension(self):
+        history = MeasurementHistory((("alice", KrausPovm.projective(Z_BASIS)),))
+        rho0 = np.eye(3) / 3
+        match = r"initial_state dim 3 != history dim 2"
+        with pytest.raises(ShapeError, match=match):
+            conditional_state(history, {"i": 0}, initial_state=rho0)
+        with pytest.raises(ShapeError, match=match):
+            outcome_probability(history, {"i": 0}, initial_state=rho0)
+        with pytest.raises(ShapeError, match=match):
+            measurement_update(rho0, KrausPovm.projective(Z_BASIS), 0)
 
 
 _INDEX_AXES = {"i": 0, "j": 1, "e": 2}
