@@ -65,14 +65,15 @@ def _run_history(payload: dict, seed: int):
     history = _build_history(payload["steps"])
     residual = history.completeness_residual()
     require_complete(residual, "flattened operators")
-    known = payload.get("known", {})
+    # One propagation gives both the conditional state and its probability.
+    state, probability = measurement._conditional(history, payload.get("known", {}), None)
     outputs = {
         "i_max": history.i_max,
         "j_max": history.j_max,
         "e_max": history.e_max,
         "completeness_residual": residual,
-        "probability": measurement.outcome_probability(history, known),
-        "state": matrix_to_literal(measurement.conditional_state(history, known)),
+        "probability": probability,
+        "state": matrix_to_literal(state),
     }
     return outputs, []
 
@@ -163,8 +164,8 @@ def _run_estimate(payload: dict, seed: int):
         ens = estimation.WeightedStateEnsemble.from_prior(
             2, payload["mc_samples"], _stream_seed(seed, 0)
         )
-        for x in payload["effects_a"]:
-            ens = estimation.posterior_update(ens, estimation.DiagonalEffect(x))
+        effects = [estimation.DiagonalEffect(x) for x in payload["effects_a"]]
+        ens = estimation.posterior_update(ens, *effects)
         outputs["mc_predictive_a"] = matrix_to_literal(estimation.predictive_state(ens))
         provenance.append("mc_predictive_a: Monte-Carlo cross-check of the exact path")
     return outputs, provenance

@@ -8,7 +8,12 @@ density-weighted average of tensor powers.
 Two evaluation paths are provided and cross-checked against each other:
 
 * a Monte-Carlo path over weighted samples from the invariant measure,
-  valid for any effects, and
+  valid for any effects.  ``posterior_update`` folds any number of effects
+  into one pass over the samples: each likelihood is one real
+  matrix-vector product with a per-sample table of populations and
+  coherences, and the weights stay the unnormalized product of the
+  likelihoods.  Readout normalizes the weights as reals before any complex
+  sum, so a subnormal or huge total weight still gives a density matrix; and
 * an exact path for diagonal qubit effects, where the posterior reduces to
   a polynomial in the excited-state population r (the population is
   uniformly distributed under the invariant measure, and the phase average
@@ -230,24 +235,81 @@ class WeightedStateEnsemble:
         return self.amplitudes.shape[0]
 
 
-def posterior_update(ens: WeightedStateEnsemble, effect) -> WeightedStateEnsemble:
-    """Multiply every sample weight by its outcome likelihood Tr[E rho_sample]."""
-    if isinstance(effect, DiagonalEffect):
-        effect = effect.matrix()
-    effect = ensure_effect(effect)
-    if effect.shape[0] != ens.dim:
-        raise ShapeError(f"effect dim {effect.shape[0]} != ensemble dim {ens.dim}")
-    likelihood = np.einsum(
-        "ni,ij,nj->n", ens.amplitudes.conj(), effect, ens.amplitudes
-    ).real
-    weights = ens.weights * np.clip(likelihood, 0.0, None)
+def _likelihood_coefficients(effect: np.ndarray) -> np.ndarray:
+    """Real coefficients (E_ii, 2 Re E_ij, -2 Im E_ij for i < j) that dot ``_sample_features``."""
+    upper = effect[np.triu_indices(effect.shape[0], 1)]
+    return np.concatenate([effect.diagonal().real, 2.0 * upper.real, -2.0 * upper.imag])
+
+
+def _sample_features(amps: np.ndarray) -> np.ndarray:
+    """Real (d^2, n) table, one column per sample: |a_i|^2, then Re and Im of conj(a_i) a_j for i < j.
+
+    Re<a|E|a> = sum_i E_ii |a_i|^2 + sum_{i<j} 2 Re(E_ij conj(a_i) a_j), so
+    ``_likelihood_coefficients(E)`` times the table gives every sample's
+    likelihood.  Each row is written in place from strided views of the
+    amplitudes' real and imaginary parts; one row ``temp`` is the only other
+    allocation.
+    """
+    dim = amps.shape[1]
+    temp = np.empty(amps.shape[0])
+    parts = np.ascontiguousarray(amps).view(np.float64)
+    re, im = parts[:, 0::2].T, parts[:, 1::2].T
+    out = np.empty((dim * dim, amps.shape[0]))
+    for k in range(dim):
+        np.multiply(re[k], re[k], out=out[k])
+        out[k] += np.multiply(im[k], im[k], out=temp)
+    rows, cols = np.triu_indices(dim, 1)
+    for p, (i, j) in enumerate(zip(rows, cols), start=dim):
+        np.multiply(re[i], re[j], out=out[p])
+        out[p] += np.multiply(im[i], im[j], out=temp)
+        q = p + rows.size
+        np.multiply(re[i], im[j], out=out[q])
+        out[q] -= np.multiply(im[i], re[j], out=temp)
+    return out
+
+
+def posterior_update(ens: WeightedStateEnsemble, *effects) -> WeightedStateEnsemble:
+    """Multiply every sample weight by its outcome likelihood Tr[E rho_sample] for each effect.
+
+    The effects are validated in argument order and applied in one pass: each
+    likelihood is one real matrix-vector product with the per-sample features,
+    clipped at 0 and multiplied into one copy of the weights.  With no effects
+    the weights are unchanged.
+    """
+    coeffs = []
+    for effect in effects:
+        if isinstance(effect, DiagonalEffect):
+            effect = effect.matrix()
+        effect = ensure_effect(effect)
+        if effect.shape[0] != ens.dim:
+            raise ShapeError(f"effect dim {effect.shape[0]} != ensemble dim {ens.dim}")
+        coeffs.append(_likelihood_coefficients(effect))
+    weights = np.array(ens.weights)
+    if coeffs:
+        features = _sample_features(ens.amplitudes)
+        likelihood = np.empty(ens.n_samples)
+        for c in coeffs:
+            np.matmul(c, features, out=likelihood)
+            weights *= np.maximum(likelihood, 0.0, out=likelihood)
     return WeightedStateEnsemble(ens.dim, ens.amplitudes, weights)
 
 
+def _normalized_weights(ens: WeightedStateEnsemble) -> np.ndarray:
+    """The weights scaled to sum to 1, in reals, so a subnormal or huge total divides nothing complex."""
+    w = ens.weights / ens.weights.max()
+    return w / w.sum()
+
+
 def predictive_state(ens: WeightedStateEnsemble) -> np.ndarray:
-    """Weight-normalized mean projector of the ensemble."""
-    total = float(ens.weights.sum())
-    out = (ens.amplitudes.T * ens.weights) @ ens.amplitudes.conj() / total
+    """Weight-normalized mean projector sum_n w_n a_n a_n^dag of the ensemble.
+
+    With Re a_i and Im a_i as interleaved real columns, one real Gram matrix
+    holds every product: Re(a_i conj(a_j)) = G[re_i, re_j] + G[im_i, im_j] and
+    Im(a_i conj(a_j)) = G[im_i, re_j] - G[re_i, im_j].
+    """
+    cols = np.ascontiguousarray(ens.amplitudes).view(np.float64)
+    gram = (cols.T * _normalized_weights(ens)) @ cols
+    out = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     return (out + dagger(out)) / 2
 
 
@@ -278,17 +340,16 @@ def definetti_state(
     if posterior is None:
         posterior = WeightedStateEnsemble.from_prior(dim, n_samples, seed)
 
-    total_weight = float(posterior.weights.sum())
+    normalized = _normalized_weights(posterior)
     out = np.zeros((full_dim, full_dim), dtype=complex)
     chunk = max(1, int(_CHUNK * 4 // max(1, full_dim)))
     for start in range(0, posterior.n_samples, chunk):
         amps = posterior.amplitudes[start : start + chunk]
-        weights = posterior.weights[start : start + chunk]
+        weights = normalized[start : start + chunk]
         power = amps
         for _ in range(n_copies - 1):
             power = np.einsum("ni,nj->nij", power, amps).reshape(amps.shape[0], -1)
         out += (power.T * weights) @ power.conj()
-    out /= total_weight
     return (out + dagger(out)) / 2
 
 

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_kraus_povm
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from qpool.cli import _HANDLERS, main, run_scenario
+from qpool import measurement
+from qpool.cli import _HANDLERS, _build_history, main, run_scenario
 from qpool.config import (
     _MATRIX,
     literal_to_matrix,
@@ -342,6 +344,49 @@ class TestMainExitCodes:
         assert out_a.read_bytes()[:200] == out_b.read_bytes()[:200]
         report = json.loads(out_a.read_text())
         assert report["seed"] == 9
+
+
+def _two_propagation_outputs(payload: dict) -> dict:
+    """History outputs with the probability and the state each from a propagation of its own."""
+    history = _build_history(payload["steps"])
+    known = payload.get("known", {})
+    return {
+        "i_max": history.i_max,
+        "j_max": history.j_max,
+        "e_max": history.e_max,
+        "completeness_residual": history.completeness_residual(),
+        "probability": measurement.outcome_probability(history, known),
+        "state": matrix_to_literal(measurement.conditional_state(history, known)),
+    }
+
+
+def _random_history_payload(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    owners = [("alice", "bob", "eve")[int(k)] for k in rng.integers(0, 3, rng.integers(1, 5))]
+    steps = []
+    for owner in owners:
+        ops = random_kraus_povm(rng, dim, 2, hermitian=False).ops
+        steps.append({"owner": owner, "kraus": [matrix_to_literal(m) for m in ops]})
+    i = int(rng.integers(2 ** owners.count("alice")))
+    j = int(rng.integers(2 ** owners.count("bob")))
+    return {"steps": steps, "known": {"i": i, "j": j}}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+def test_history_propagates_once(monkeypatch, seed):
+    # None is the shipped history config; the others are random Kraus histories.
+    if seed is None:
+        payload = load_config(CONFIG_DIR / "history.json")["payload"]
+    else:
+        payload = _random_history_payload(seed)
+    want = canonical_json(_two_propagation_outputs(payload))
+    calls = []
+    propagate = measurement._propagate
+    monkeypatch.setattr(measurement, "_propagate", lambda *args: calls.append(args) or propagate(*args))
+    outputs = run_scenario({"kind": "history", "payload": payload})["outputs"]
+    assert len(calls) == 1
+    assert canonical_json(outputs) == want
 
 
 def test_thirty_step_qubit_history_runs_in_bounded_memory(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import assert_same_bytes, random_effects, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Poly, Rational, symbols
@@ -16,6 +18,7 @@ from qpool.errors import (
     NonFiniteError,
     NotNormalizedError,
     PositivityError,
+    QpoolError,
     ShapeError,
     SingularConstraintError,
 )
@@ -33,7 +36,8 @@ from qpool.estimation import (
     predictive_state,
     qubit_diagonal_posterior,
 )
-from qpool.haar import PureStateSample, average_projector
+from qpool.haar import PureStateSample, average_projector, sample_amplitudes
+from qpool.measurement import ensure_effect
 
 
 def gauss_moment(q: PolynomialDensity, k: int) -> float:
@@ -331,6 +335,133 @@ class TestEnsemblePath:
                 updated = posterior_update(updated, DiagonalEffect(x))
             exact = polynomial_predictive(qubit_diagonal_posterior(xs))
             np.testing.assert_allclose(predictive_state(updated), exact, atol=1e-2)
+
+
+# The per-effect update before effects were folded into one pass, kept as
+# the reference for the fold.
+def reference_posterior_update(ens: WeightedStateEnsemble, effect) -> WeightedStateEnsemble:
+    """Multiply every sample weight by its outcome likelihood Tr[E rho_sample]."""
+    if isinstance(effect, DiagonalEffect):
+        effect = effect.matrix()
+    effect = ensure_effect(effect)
+    if effect.shape[0] != ens.dim:
+        raise ShapeError(f"effect dim {effect.shape[0]} != ensemble dim {ens.dim}")
+    likelihood = np.einsum(
+        "ni,ij,nj->n", ens.amplitudes.conj(), effect, ens.amplitudes
+    ).real
+    weights = ens.weights * np.clip(likelihood, 0.0, None)
+    return WeightedStateEnsemble(ens.dim, ens.amplitudes, weights)
+
+
+def _outcome(call):
+    """``call()``'s value, or the type and message of the qpool error it raised."""
+    try:
+        return call()
+    except QpoolError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def updates(draw):
+    """A weighted ensemble and 0-12 effects of its dimension, a few of them invalid.
+
+    The effects are random ones with off-diagonal entries, rank-1 projectors,
+    diagonal ones with zero entries (which give the basis-state samples mixed
+    into the ensemble zero likelihood) and, for qubits, ``DiagonalEffect``s.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    amps = sample_amplitudes(dim, n, rng)
+    basis = draw(st.integers(0, min(3, n)))
+    amps[:basis] = np.eye(dim)[rng.integers(0, dim, basis)]
+    ens = WeightedStateEnsemble(dim, amps, rng.uniform(0.5, 2.0, n))
+    kinds = ["random", "projector", "diagonal"] + ["qubit"] * (dim == 2)
+    invalid = draw(st.sampled_from([None, None, None, "too large", "negative", "wrong dim"]))
+    effects = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            effects.append(random_effects(rng, dim, 2)[0])
+        elif kind == "projector":
+            v = random_unitary(rng, dim)[:, 0]
+            effects.append(np.outer(v, v.conj()))
+        elif kind == "diagonal":
+            effects.append(np.diag(rng.uniform(0.0, 1.0, dim) * (rng.uniform(size=dim) < 0.7)))
+        else:
+            effects.append(DiagonalEffect(float(rng.uniform())))
+    if invalid is not None and effects:
+        bad = {"too large": 1.5 * np.eye(dim), "negative": -0.5 * np.eye(dim), "wrong dim": np.eye(dim + 1)}
+        effects.insert(int(rng.integers(len(effects))), bad[invalid])
+    return ens, effects
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(updates())
+def test_folded_update_matches_per_effect_reference(case):
+    ens, effects = case
+    # Every effect is validated before any is applied, in argument order; the
+    # per-effect reference meets an invalid effect only after its predecessors.
+    singles = [_outcome(lambda: reference_posterior_update(ens, e)) for e in effects]
+    invalid = [r for r in singles if isinstance(r, tuple) and r[0] is not ImpossibleOutcomeError]
+    want = invalid[0] if invalid else _outcome(lambda: reduce(reference_posterior_update, effects, ens))
+    got = _outcome(lambda: posterior_update(ens, *effects))
+    if isinstance(want, tuple):
+        assert want[0] in (ShapeError, InvalidEffectError, PositivityError, ImpossibleOutcomeError)
+        assert got == want
+    else:
+        # A likelihood near zero loses its relative accuracy to cancellation in
+        # either form, so the weights are compared relative to the largest one.
+        assert got.amplitudes is ens.amplitudes
+        np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-13 * want.weights.max())
+        assert np.all(got.weights[want.weights == 0.0] == 0.0)
+
+
+class TestFoldedUpdate:
+    def test_no_effects_keeps_weights(self):
+        ens = WeightedStateEnsemble.from_prior(3, 100, seed=9)
+        assert_same_bytes(posterior_update(ens).weights, ens.weights)
+
+    def test_fold_equals_sequential_calls(self):
+        ens = WeightedStateEnsemble.from_prior(2, 1000, seed=10)
+        effects = [DiagonalEffect(x) for x in (0.2, 0.9, 0.5, 0.35)]
+        effects.append(random_effects(np.random.default_rng(11), 2, 3)[1])
+        assert_same_bytes(
+            posterior_update(ens, *effects).weights,
+            reduce(posterior_update, effects, ens).weights,
+        )
+
+    def test_first_invalid_effect_is_reported(self):
+        ens = WeightedStateEnsemble.from_prior(2, 100, seed=12)
+        with pytest.raises(ShapeError):
+            posterior_update(ens, np.diag([1.0, 0.0]), np.eye(3), 2 * np.eye(2))
+        with pytest.raises(InvalidEffectError):
+            posterior_update(ens, np.diag([0.0, 0.0]), 2 * np.eye(2), np.eye(3))
+
+
+class TestTinyAndHugeWeights:
+    """Readout normalizes the weights as reals first, so no complex product divides by their sum."""
+
+    @pytest.mark.parametrize("weight", [1e-320, 5e-324, 1e308])
+    def test_equal_weights_give_the_sample_projector(self, weight):
+        sample = PureStateSample(np.array([0.3, 0.7]), np.array([0.0, 1.1]))
+        ens = WeightedStateEnsemble.from_samples([sample, sample], [weight, weight])
+        np.testing.assert_allclose(predictive_state(ens), sample.projector(), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            definetti_state(1, posterior=ens), sample.projector(), rtol=0.0, atol=1e-15
+        )
+
+    def test_subnormal_total_after_many_updates(self):
+        ens = WeightedStateEnsemble.from_prior(2, 2000, seed=13)
+        for _ in range(1060):
+            ens = posterior_update(ens, DiagonalEffect(0.5))
+        assert 0.0 < ens.weights.sum() < np.finfo(float).tiny
+        # Scaling by 2**1074 is exact, and brings the weights into the normal range.
+        w = np.ldexp(ens.weights, 1074)
+        amps = ens.amplitudes
+        want = (amps.T * w) @ amps.conj() / w.sum()
+        np.testing.assert_allclose(predictive_state(ens), want, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(definetti_state(1, posterior=ens), want, rtol=0.0, atol=1e-15)
 
 
 class TestDefinettiState:
