@@ -181,7 +181,7 @@ def matrix_bayes_update(rho, effect):
     Returns ``(sqrt(E) rho sqrt(E) / Tr[E rho], Tr[E rho])``.  The diagonal of
     the updated matrix equals the vector Bayes posterior of the diagonals.
     """
-    rho = _ensure_diagonal(ensure_density_matrix(rho, name="rho"), name="rho")
+    rho = _ensure_diagonal(ensure_density_matrix(rho, name="rho")[0], name="rho")
     effect = _ensure_diagonal(ensure_hermitian(effect, name="effect"), name="effect")
     if effect.shape != rho.shape:
         raise ShapeError(f"effect shape {effect.shape} != rho shape {rho.shape}")
@@ -195,7 +195,7 @@ def matrix_bayes_update(rho, effect):
 
 def pool_commuting_density(rho_a, rho_b) -> np.ndarray:
     """Pool two commuting density matrices: rho_a rho_b / Tr[rho_a rho_b]."""
-    a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
+    (a, _, _), (b, _, _) = ensure_states(rho_a=rho_a, rho_b=rho_b)
     comm = a @ b - b @ a
     if float(np.linalg.norm(comm)) > TOL_COMMUTE:
         raise NoncommutingError(

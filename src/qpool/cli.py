@@ -6,9 +6,10 @@ random stream of a scenario uses ``numpy.random.SeedSequence([seed, k])``
 ``estimate``).  Re-running a config with the same seed reproduces the
 ``outputs`` section of the report bit-for-bit in canonical JSON.
 
-Exit codes: 0 success, 1 configuration/validation problems, 2 numerical
-failures, invalid physics that passes the schema and reports that cannot be
-serialized (the error name is embedded in the emitted failure report).
+Exit codes: 0 success, 1 configuration/validation problems and an
+unwritable ``--out`` path, 2 numerical failures, invalid physics that passes
+the schema and reports that cannot be serialized (the error name is embedded
+in the emitted failure report).
 
 ``QPOOL_OUT_DIR`` sets the directory against which relative ``--out`` paths
 are resolved.
@@ -218,10 +219,13 @@ def _resolve_out(path: str) -> Path:
 def _deliver(data: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(data.decode())
-    else:
-        target = _resolve_out(out)
+        return
+    target = _resolve_out(out)
+    try:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {target}: {exc}") from exc
 
 
 def _failure_report(cfg: dict, exc: QpoolError) -> dict:

@@ -66,4 +66,4 @@ class DimensionGuardError(QpoolError, ValueError):
 
 
 class ConfigError(QpoolError, ValueError):
-    """A scenario configuration failed validation."""
+    """A scenario configuration failed validation, or a report cannot be written to ``--out``."""

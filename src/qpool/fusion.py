@@ -7,7 +7,8 @@ by an observer who sees both outcome records.  Because sigma may be any
 state supported inside the intersection, the pooled state is not fixed by
 the two marginals alone; ``averaged_fusion`` explores one pluggable choice
 of measure over the realizations.  Each public function validates its raw
-matrices once (``linalg.ensure_states``) and passes them down to private cores.
+matrices once (``linalg.ensure_states``), which also returns each state's
+eigenpairs, and passes both down to private cores, so no state is solved twice.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .linalg import (
     TOL_TRACE,
     Subspace,
     dagger,
-    ensure_density_matrix,
     ensure_states,
     hermitian_eig,
     psd_ok,
@@ -45,10 +45,10 @@ from .linalg import (
 )
 
 
-def _intersection(a: np.ndarray, b: np.ndarray, tol: float):
-    """The support intersection of two validated states, and both states' support eigenpairs."""
-    eigs = [support_cutoff(*hermitian_eig(s), tol) for s in (a, b)]
-    u, v = (Subspace(a.shape[0], basis) for _, basis in eigs)
+def _intersection(a, b, tol: float):
+    """The support intersection of two ``ensure_states`` entries, and both states' support eigenpairs."""
+    eigs = [support_cutoff(vals, vecs, tol) for _, vals, vecs in (a, b)]
+    u, v = (Subspace(a[0].shape[0], basis) for _, basis in eigs)
     return subspace_intersection(u, v, tol), eigs
 
 
@@ -81,8 +81,8 @@ def max_common_weight(rho, sigma) -> float:
     Computed from the largest eigenvalue of sigma congruence-transformed by
     the inverse square root of rho on its support.
     """
-    rho, sigma = ensure_states(rho=rho, sigma=sigma)
-    return _max_weight(*support_cutoff(*hermitian_eig(rho), TOL_RANK), sigma)
+    (_, vals, vecs), (sigma, _, _) = ensure_states(rho=rho, sigma=sigma)
+    return _max_weight(*support_cutoff(vals, vecs, TOL_RANK), sigma)
 
 
 def _remainder_terms(rho: np.ndarray, sigma: np.ndarray, weight: float, *, name: str):
@@ -107,18 +107,18 @@ class CommonTermDecomposition:
 
     ``rho_a = alpha * sigma + sum_k p_k |phi_k><phi_k|`` and likewise for B;
     the remainders are the eigendecompositions of ``rho - weight * sigma``.
+    ``sigma`` is validated and ``sigma_support`` holds its support eigenpairs.
     """
 
     sigma: np.ndarray = field(repr=False)
+    sigma_support: tuple = field(repr=False)  # (lam, phi), descending
     alpha: float
     beta: float
     remainder_a: tuple = field(repr=False)  # of (weight, unit vector)
     remainder_b: tuple = field(repr=False)
 
     def __post_init__(self):
-        sigma = ensure_density_matrix(self.sigma, name="sigma")
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
+        self.sigma.setflags(write=False)
         for label, weight, terms in (
             ("alpha", self.alpha, self.remainder_a),
             ("beta", self.beta, self.remainder_b),
@@ -147,10 +147,12 @@ class CommonTermDecomposition:
         return self._reconstruct(self.beta, self.remainder_b)
 
 
-def _decompose(a: np.ndarray, b: np.ndarray, sig: np.ndarray, alpha: float, beta: float):
-    """``decompose_common`` on validated states."""
+def _decompose(a, b, sig, alpha: float, beta: float):
+    """``decompose_common`` on ``ensure_states`` entries."""
+    (a, _, _), (b, _, _), (sig, *sig_eig) = a, b, sig
     dec = CommonTermDecomposition(
         sigma=sig,
+        sigma_support=support_cutoff(*sig_eig, TOL_RANK),
         alpha=float(alpha),
         beta=float(beta),
         remainder_a=_remainder_terms(a, sig, float(alpha), name="rho_a"),
@@ -213,7 +215,7 @@ def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
     """
     if dec.alpha <= 0.0 or dec.beta <= 0.0:
         raise DegenerateConstructionError("common-term weights must be strictly positive")
-    lam, phi = support_cutoff(*hermitian_eig(dec.sigma, name="sigma"), TOL_RANK)
+    lam, phi = dec.sigma_support
     n_common = int(lam.size)
     if n_common < 1:
         raise DegenerateConstructionError("sigma has empty support")
@@ -318,9 +320,9 @@ class AmbiguityReport:
     distance: float  # trace distance between the two Charlie states
 
 
-def _realize(a, b, sig, eigs, alpha=None, beta=None):
-    """``realize_pair`` on validated states, given both states' support eigenpairs."""
-    a_max, b_max = (_max_weight(lam, basis, sig) for lam, basis in eigs)
+def _realize(a, b, sig, alpha=None, beta=None):
+    """``realize_pair`` on ``ensure_states`` entries."""
+    a_max, b_max = (_max_weight(*support_cutoff(*eig, TOL_RANK), sig[0]) for _, *eig in (a, b))
     if a_max <= 0.0 or b_max <= 0.0:
         raise AmbiguityPreconditionError(
             "sigma is not absorbable into both states (zero admissible weight)"
@@ -338,9 +340,7 @@ def realize_pair(rho_a, rho_b, sigma, alpha=None, beta=None):
     ``alpha`` and ``beta`` default to half of ``max_common_weight``; returns
     ``(decomposition, alpha_max, beta_max, report)``.
     """
-    a, b, sig = ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma)
-    eigs = [support_cutoff(*hermitian_eig(s), TOL_RANK) for s in (a, b)]
-    return _realize(a, b, sig, eigs, alpha, beta)
+    return _realize(*ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma), alpha, beta)
 
 
 def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
@@ -351,20 +351,20 @@ def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
     resulting pooled states.
     """
     a, b, *sigmas = ensure_states(rho_a=rho_a, rho_b=rho_b, sigma_1=sigma_1, sigma_2=sigma_2)
-    intersection, eigs = _intersection(a, b, TOL_RANK)
+    intersection = _intersection(a, b, TOL_RANK)[0]
     if intersection.dimension < 1:
         raise AmbiguityPreconditionError("the states' supports do not intersect")
     proj = intersection.projector()
-    for label, sig in zip(("sigma_1", "sigma_2"), sigmas):
+    for label, (sig, _, _) in zip(("sigma_1", "sigma_2"), sigmas):
         leak = float(np.trace(sig).real - np.trace(proj @ sig @ proj).real)
         if leak > TOL_RANK:
             raise AmbiguityPreconditionError(
                 f"{label} has weight {leak:.3e} outside the support intersection"
             )
-    reports = [_realize(a, b, sig, eigs)[-1] for sig in sigmas]
+    reports = [_realize(a, b, sig)[-1] for sig in sigmas]
     return AmbiguityReport(
         reports=tuple(reports),
-        charlie_deviations=tuple(trace_distance(r.charlie_state, s) for r, s in zip(reports, sigmas)),
+        charlie_deviations=tuple(trace_distance(r.charlie_state, s[0]) for r, s in zip(reports, sigmas)),
         distance=trace_distance(reports[0].charlie_state, reports[1].charlie_state),
     )
 

@@ -100,20 +100,20 @@ def ensure_hermitian(mat, *, name: str = "matrix") -> np.ndarray:
     return (arr + dagger(arr)) / 2
 
 
-def ensure_density_matrix(mat, *, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix (Hermitian, PSD, unit trace) and return it symmetrized."""
+def ensure_density_matrix(mat, *, name: str = "rho"):
+    """Validate a density matrix (Hermitian, PSD, unit trace); return ``(rho, *hermitian_eig(rho))``."""
     arr = ensure_hermitian(mat, name=name)
     require_normalized(float(np.trace(arr).real), TOL_TRACE, f"{name} trace")
-    vals = np.linalg.eigvalsh(arr)
-    require_psd(float(vals[0]), float(vals[-1]), name)
-    return arr
+    vals, vecs = hermitian_eig(arr, name=name)
+    require_psd(float(vals[-1]), float(vals[0]), name)
+    return arr, vals, vecs
 
 
 def ensure_states(**named) -> list:
-    """Validate each named density matrix in argument order; all shapes must match."""
+    """Validate each named state in argument order into ``(rho, vals, vecs)``; shapes must match."""
     states = [ensure_density_matrix(mat, name=name) for name, mat in named.items()]
-    if len({s.shape for s in states}) > 1:
-        shapes = ", ".join(f"{name} {s.shape}" for name, s in zip(named, states))
+    if len({s.shape for s, _, _ in states}) > 1:
+        shapes = ", ".join(f"{name} {s.shape}" for name, (s, _, _) in zip(named, states))
         raise ShapeError(f"shapes differ: {shapes}")
     return states
 
@@ -224,9 +224,8 @@ class Subspace:
 
 def support(rho, tol: float = TOL_RANK) -> Subspace:
     """Span of the eigenvectors of ``rho`` with eigenvalue above ``tol * lambda_max``."""
-    arr = ensure_density_matrix(rho)
-    _, basis = support_cutoff(*hermitian_eig(arr), tol)
-    return Subspace(arr.shape[0], basis)
+    arr, vals, vecs = ensure_density_matrix(rho)
+    return Subspace(arr.shape[0], support_cutoff(vals, vecs, tol)[1])
 
 
 def subspace_intersection(u: Subspace, v: Subspace, tol: float = TOL_RANK) -> Subspace:

@@ -240,7 +240,7 @@ def _propagate(history: MeasurementHistory, known: Mapping[str, int], initial_st
     if initial_state is None:
         rho = np.eye(history.dim, dtype=complex) / history.dim
     else:
-        rho = ensure_density_matrix(initial_state, name="initial_state")
+        rho = ensure_density_matrix(initial_state, name="initial_state")[0]
         if rho.shape[0] != history.dim:
             raise ShapeError(f"initial_state dim {rho.shape[0]} != history dim {history.dim}")
     for key in known:

@@ -319,6 +319,13 @@ class TestMainExitCodes:
         audit = json.loads(out_file.read_text())
         assert any(e["matches_published"] is False for e in audit["outputs"]["entries"])
 
+    @pytest.mark.parametrize("command", [["run", str(CONFIG_DIR / "consistency.json")], ["reproduce-paper"]])
+    def test_unwritable_out_exits_one_naming_the_path(self, command, tmp_path, capsys):
+        target = tmp_path / "regular-file" / "report.json"
+        target.parent.write_text("")
+        assert main([*command, "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {target}: ")
+
     def test_out_dir_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QPOOL_OUT_DIR", str(tmp_path))
         cfg = tmp_path / "cfg.json"

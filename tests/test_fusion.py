@@ -39,6 +39,7 @@ from qpool.haar import sample_amplitudes
 from qpool.linalg import (
     TOL_RANK,
     dagger,
+    ensure_density_matrix,
     hermitian_eig,
     is_psd,
     support,
@@ -469,7 +470,7 @@ FUSION_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.mark.parametrize(
     "kind, max_eigvalsh, max_eigh",
-    [("realize", 6, 5), ("ambiguity", 13, 8), ("fuse", 2, 2), ("consistency", 2, 2)],
+    [("realize", 2, 5), ("ambiguity", 7, 8), ("fuse", 0, 2), ("consistency", 0, 2)],
 )
 def test_each_state_is_eigendecomposed_once_per_entry_point(kind, max_eigvalsh, max_eigh, monkeypatch):
     """Eigen-solves per shipped fusion config: one validation per input, support eigenpairs reused."""
@@ -524,6 +525,46 @@ def test_each_ambiguity_report_is_realize_pair_for_its_sigma(case):
     assert_same_bytes(
         ambiguity.distance, trace_distance(expected[0].charlie_state, expected[1].charlie_state)
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(8))
+def test_fusion_reuses_the_validation_eigenpairs_bit_for_bit(pair):
+    for state in pair:
+        rho, *eig = ensure_density_matrix(state)
+        assert_same_tree(tuple(eig), hermitian_eig(rho))
+    dec = realize_pair(*pair)[0]
+    assert_same_tree(dec.sigma_support, support_cutoff(*hermitian_eig(dec.sigma), TOL_RANK))
+
+
+def psd_edge_state(lam_min: float) -> np.ndarray:
+    """A qutrit state with spectrum (1/2, 1/2 - lam_min, lam_min) in a fixed non-diagonal basis."""
+    rot = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + 1j * np.eye(3))[0]
+    return rot @ np.diag([0.5, 0.5 - lam_min, lam_min]) @ dagger(rot)
+
+
+MIXED3 = np.eye(3) / 3
+PSD_EDGE_ENTRY_POINTS = {
+    "support": support,
+    "check_consistency": lambda s: check_consistency(s, MIXED3),
+    "max_common_weight": lambda s: max_common_weight(MIXED3, s),
+    "decompose_common": lambda s: decompose_common(MIXED3, MIXED3, s, 0.5, 0.5),
+    "realize_pair": lambda s: realize_pair(MIXED3, MIXED3, s),
+    "demonstrate_ambiguity": lambda s: demonstrate_ambiguity(MIXED3, MIXED3, s, MIXED3),
+    "averaged_fusion": lambda s: averaged_fusion(s, MIXED3, HistoryMeasureConfig(n_samples=4)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PSD_EDGE_ENTRY_POINTS))
+@pytest.mark.parametrize("lam_min, accepted", [(-2e-9, False), (-5e-10, True)])
+def test_psd_edge_is_decided_by_the_validation_eigen_solve(entry, lam_min, accepted):
+    """TOL_PSD is 1e-9 and lambda_max is 1/2, so -2e-9 is rejected and -5e-10 accepted."""
+    call = PSD_EDGE_ENTRY_POINTS[entry]
+    if accepted:
+        call(psd_edge_state(lam_min))
+    else:
+        with pytest.raises(PositivityError, match="has negative eigenvalue"):
+            call(psd_edge_state(lam_min))
 
 
 def reference_averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:

@@ -252,9 +252,12 @@ class TestSubspaceIntersection:
 class TestEnsureStates:
     def test_returns_validated_states_in_argument_order(self):
         skew = np.array([[0.5, 0.25 + 1e-12j], [0.25, 0.5]])
-        a, b = ensure_states(rho_a=skew, rho_b=proj(KET0))
+        (a, *a_eig), (b, *b_eig) = ensure_states(rho_a=skew, rho_b=proj(KET0))
         np.testing.assert_array_equal(a, (skew + skew.conj().T) / 2)
         np.testing.assert_array_equal(b, proj(KET0))
+        for state, eig in ((a, a_eig), (b, b_eig)):
+            for got, expected in zip(eig, hermitian_eig(state), strict=True):
+                np.testing.assert_array_equal(got, expected)
 
     def test_names_the_failing_state(self):
         with pytest.raises(NotNormalizedError, match="rho_b trace"):

@@ -382,7 +382,7 @@ def _select_known(flat: FlatPovm, known: Mapping[str, int]) -> np.ndarray:
 def _initial_state(flat: FlatPovm, initial_state) -> np.ndarray:
     if initial_state is None:
         return np.eye(flat.dim, dtype=complex) / flat.dim
-    return ensure_density_matrix(initial_state, name="initial_state")
+    return ensure_density_matrix(initial_state, name="initial_state")[0]
 
 
 # The flat-family sums over joint outcomes, kept as the reference for the
