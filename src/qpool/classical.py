@@ -28,7 +28,7 @@ from .linalg import (
     TOL_PROB_SUM,
     dagger,
     ensure_density_matrix,
-    ensure_hermitian,
+    ensure_effect,
     ensure_states,
     matrix_sqrt_psd,
     require_normalized,
@@ -42,7 +42,10 @@ class ProbDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float).reshape(-1)
+        try:
+            arr = np.asarray(self.probs, dtype=float).reshape(-1)
+        except OverflowError as exc:
+            raise NonFiniteError("distribution has an entry beyond the float range") from exc
         if arr.size == 0:
             raise ShapeError("distribution must have at least one entry")
         if not np.all(np.isfinite(arr)):
@@ -95,6 +98,9 @@ class LikelihoodModel:
         return self.cond.shape[1]
 
     def row(self, outcome: int) -> np.ndarray:
+        """The likelihoods ``P(outcome|n)``; an outcome outside 0..n_outcomes-1 is impossible."""
+        if not 0 <= int(outcome) < self.n_outcomes:
+            raise ImpossibleOutcomeError(f"no outcome {outcome} among 0..{self.n_outcomes - 1}")
         return self.cond[int(outcome), :]
 
 
@@ -117,17 +123,17 @@ def shannon_entropy(dist: ProbDist) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def bayes_update(prior: ProbDist, model: LikelihoodModel, outcome: int) -> ProbDist:
-    """Posterior over hypotheses after observing ``outcome`` under ``model``."""
-    if model.n_hypotheses != prior.n:
-        raise ShapeError(
-            f"likelihood has {model.n_hypotheses} hypotheses, prior has {prior.n}"
-        )
-    unnorm = model.row(outcome) * prior.probs
+def _renormalize(unnorm: np.ndarray, error: type, message: str) -> ProbDist:
+    """The second half of multiply-and-renormalize; a zero total raises ``error(message)``."""
     total = unnorm.sum()
     if total <= 0.0:
-        raise ImpossibleOutcomeError(f"outcome {outcome} has zero prior probability")
+        raise error(message)
     return ProbDist(unnorm / total)
+
+
+def bayes_update(prior: ProbDist, model: LikelihoodModel, outcome: int) -> ProbDist:
+    """Posterior over hypotheses after observing ``outcome`` under ``model``."""
+    return sequential_update(prior, [(model, outcome)])
 
 
 def sequential_update(prior: ProbDist, evidence: Sequence[tuple]) -> ProbDist:
@@ -139,12 +145,9 @@ def sequential_update(prior: ProbDist, evidence: Sequence[tuple]) -> ProbDist:
     unnorm = prior.probs.copy()
     for model, outcome in evidence:
         if model.n_hypotheses != prior.n:
-            raise ShapeError("evidence model size does not match prior")
+            raise ShapeError(f"likelihood has {model.n_hypotheses} hypotheses, prior has {prior.n}")
         unnorm *= model.row(outcome)
-    total = unnorm.sum()
-    if total <= 0.0:
-        raise ImpossibleOutcomeError("evidence sequence has zero joint probability")
-    return ProbDist(unnorm / total)
+    return _renormalize(unnorm, ImpossibleOutcomeError, "evidence has zero joint probability")
 
 
 def pool_classical(p: ProbDist, q: ProbDist) -> ProbDist:
@@ -152,10 +155,7 @@ def pool_classical(p: ProbDist, q: ProbDist) -> ProbDist:
     if p.n != q.n:
         raise ShapeError(f"distribution sizes differ: {p.n} vs {q.n}")
     unnorm = p.probs * q.probs
-    total = unnorm.sum()
-    if total <= 0.0:
-        raise IncompatibleKnowledgeError("distributions have disjoint supports")
-    return ProbDist(unnorm / total)
+    return _renormalize(unnorm, IncompatibleKnowledgeError, "distributions have disjoint supports")
 
 
 def apply_transform(dist: ProbDist, transform: PermutationTransform) -> ProbDist:
@@ -182,7 +182,7 @@ def matrix_bayes_update(rho, effect):
     the updated matrix equals the vector Bayes posterior of the diagonals.
     """
     rho = _ensure_diagonal(ensure_density_matrix(rho, name="rho")[0], name="rho")
-    effect = _ensure_diagonal(ensure_hermitian(effect, name="effect"), name="effect")
+    effect = _ensure_diagonal(ensure_effect(effect, name="effect"), name="effect")
     if effect.shape != rho.shape:
         raise ShapeError(f"effect shape {effect.shape} != rho shape {rho.shape}")
     prob = float(np.trace(effect @ rho).real)

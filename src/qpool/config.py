@@ -11,12 +11,12 @@ of imports jsonschema, whose ``Draft202012Validator`` gives verdict and message.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .fusion import DEFAULT_FAMILY
 
 _TYPES = {"object": (dict,), "array": (list,), "integer": (int,), "number": (int, float)}
@@ -156,9 +156,10 @@ def validate_config(cfg: dict) -> dict:
     payload = cfg.get("payload", {})
     _check_schema(payload, PAYLOAD_SCHEMAS[cfg["kind"]], root="$.payload")
     # The schema cannot demand a finite tol: NaN fails every comparison, so
-    # exclusiveMinimum lets it through, and Infinity satisfies it.
-    if "tol" in payload and not math.isfinite(payload["tol"]):
-        raise ConfigError(f"$.payload.tol: {payload['tol']!r} is not a finite number")
+    # exclusiveMinimum lets it through, and Infinity and integers beyond the
+    # float range satisfy it.  All three fail this comparison.
+    if "tol" in payload and not payload["tol"] <= sys.float_info.max:
+        raise ConfigError(f"$.payload.tol: {payload['tol']!r} is not a finite float")
     return {"kind": cfg["kind"], "seed": int(cfg.get("seed", 0)), "payload": payload}
 
 
@@ -223,6 +224,8 @@ def load_config(path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # too deeply nested, or an over-long integer
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return validate_config(cfg)
@@ -234,7 +237,10 @@ def literal_to_matrix(literal) -> np.ndarray:
     for r, width in enumerate(widths):
         if width != widths[0]:
             raise ShapeError(f"matrix literal row {r} has {width} entries, expected {widths[0]}")
-    rows = [[complex(float(re), float(im)) for re, im in row] for row in literal]
+    try:
+        rows = [[complex(float(re), float(im)) for re, im in row] for row in literal]
+    except OverflowError as exc:
+        raise NonFiniteError("matrix literal has an entry beyond the float range") from exc
     return np.asarray(rows, dtype=complex)
 
 

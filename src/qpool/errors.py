@@ -26,7 +26,7 @@ class IncompleteMeasurementError(QpoolError, ValueError):
 
 
 class NonFiniteError(QpoolError, ValueError):
-    """A matrix, subspace basis or state phase has a NaN or infinite entry."""
+    """A matrix, distribution, subspace basis or state phase has an entry that is not a finite float."""
 
 
 class ImpossibleOutcomeError(QpoolError, ValueError):

@@ -45,8 +45,7 @@ from .errors import (
     SingularConstraintError,
 )
 from .haar import PureStateSample, sample_amplitudes
-from .linalg import TOL_SINGULAR, dagger
-from .measurement import ensure_effect
+from .linalg import TOL_SINGULAR, dagger, ensure_effect
 
 _DIM_GUARD = 4096
 _CHUNK = 65_536  # samples per tensor-power batch, scaled down by dim^N / 4

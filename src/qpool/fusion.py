@@ -13,6 +13,7 @@ eigenpairs, and passes both down to private cores, so no state is solved twice.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -393,6 +394,9 @@ class HistoryMeasureConfig:
             raise ConfigError("n_samples must be at least 1")
         if self.family != DEFAULT_FAMILY:
             raise ConfigError(f"unknown measure family {self.family!r}; known: {DEFAULT_FAMILY!r}")
+        # An integer exponent beyond the float range acts as the infinity it rounds to.
+        if abs(self.weight_exponent) > sys.float_info.max:
+            object.__setattr__(self, "weight_exponent", np.inf if self.weight_exponent > 0 else -np.inf)
 
 
 def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:

@@ -5,7 +5,7 @@ composite systems: subsystem 0 is the most significant tensor factor,
 i.e. ``tensor(A, B)`` is the row-major Kronecker product ``np.kron(A, B)``.
 
 Every tolerance in qpool is a ``TOL_*`` constant below, and each validity
-rule (PSD, completeness, normalization, support cutoff) is one function here.
+rule (PSD, effect, completeness, normalization, support cutoff) is one function here.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HermiticityError, IncompleteMeasurementError, NonFiniteError
-from .errors import NotNormalizedError, PositivityError, ShapeError
+from .errors import HermiticityError, IncompleteMeasurementError, InvalidEffectError
+from .errors import NonFiniteError, NotNormalizedError, PositivityError, ShapeError
 
 # Tolerances, relative to the largest magnitude involved unless marked absolute.
 TOL_HERM = 1e-9  # max|A - A^dag| <= TOL_HERM * max(1, max|A|)
@@ -64,6 +64,13 @@ def require_psd(lam_min: float, lam_max: float, name: str) -> None:
         raise PositivityError(f"{name} has negative eigenvalue {lam_min:.3e}")
 
 
+def require_effect(lam_min: float, lam_max: float, name: str) -> None:
+    """The effect rule on a spectrum: PSD, and no eigenvalue above ``1 + TOL_PSD``."""
+    require_psd(lam_min, lam_max, name)
+    if lam_max > 1.0 + TOL_PSD:
+        raise InvalidEffectError(f"{name} has eigenvalue {lam_max:.6f} > 1")
+
+
 def completeness_residual(total: np.ndarray) -> float:
     """max|total - I| for ``total = sum_k M_k^dag M_k`` (or the sum of the effects)."""
     return float(np.abs(total - np.eye(total.shape[0])).max())
@@ -98,6 +105,14 @@ def ensure_hermitian(mat, *, name: str = "matrix") -> np.ndarray:
     if arr.size and float(np.abs(arr - dagger(arr)).max()) > TOL_HERM * scale:
         raise HermiticityError(f"{name} is not Hermitian within relative tolerance {TOL_HERM:g}")
     return (arr + dagger(arr)) / 2
+
+
+def ensure_effect(mat, *, name: str = "effect") -> np.ndarray:
+    """Validate an effect (Hermitian, 0 <= E <= I) and return the symmetrized matrix."""
+    arr = ensure_hermitian(mat, name=name)
+    vals = np.linalg.eigvalsh(arr)
+    require_effect(float(vals[0]), float(vals[-1]), name)
+    return arr
 
 
 def ensure_density_matrix(mat, *, name: str = "rho"):

@@ -26,34 +26,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, InvalidEffectError, QpoolError, ShapeError
+from .errors import ImpossibleOutcomeError, QpoolError, ShapeError
 from .linalg import (
-    TOL_PSD,
     as_square_matrix,
     completeness_residual,
     dagger,
     ensure_density_matrix,
-    ensure_hermitian,
+    ensure_effect,
     matrix_sqrt_psd,
     require_complete,
-    require_psd,
 )
 
 OWNERS = ("alice", "bob", "eve")
-
-
-def _check_effect_spectrum(vals: np.ndarray, name: str) -> None:
-    """The effect rules on an ascending spectrum: PSD, and no eigenvalue above 1 + TOL_PSD."""
-    require_psd(float(vals[0]), float(vals[-1]), name)
-    if float(vals[-1]) > 1.0 + TOL_PSD:
-        raise InvalidEffectError(f"{name} has eigenvalue {vals[-1]:.6f} > 1")
-
-
-def ensure_effect(mat, *, name: str = "effect") -> np.ndarray:
-    """Validate an effect: Hermitian, PSD, eigenvalues at most 1 + TOL_PSD."""
-    arr = ensure_hermitian(mat, name=name)
-    _check_effect_spectrum(np.linalg.eigvalsh(arr), name)
-    return arr
 
 
 def _require_complete_family(effects, what: str) -> None:
@@ -330,6 +314,8 @@ def validate_povm(povm) -> PovmReport:
         effects = list(povm.effects)
     else:
         effects = [as_square_matrix(e, name=f"effect {k}") for k, e in enumerate(povm)]
+    if not effects:
+        _require_complete_family(effects, "effects")  # raises the ShapeError of Povm(())
     dim = effects[0].shape[0]
     failures = []
     margins = []
@@ -350,8 +336,7 @@ def validate_povm(povm) -> PovmReport:
         vals = np.linalg.eigvalsh(sym)
         margins.append(float(vals[0]) / max(1.0, float(vals[-1])))
         if not kraus:
-            record(ensure_hermitian, e, name=name)
-            record(_check_effect_spectrum, vals, name)
+            record(ensure_effect, e, name=name)
             e = sym
         total += e
     residual = completeness_residual(total)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import assert_same_bytes, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpool.classical import (
     LikelihoodModel,
@@ -21,6 +23,8 @@ from qpool.errors import (
     NoncommutingError,
     NonFiniteError,
     NotNormalizedError,
+    PositivityError,
+    QpoolError,
     ShapeError,
 )
 
@@ -110,6 +114,12 @@ class TestBayesUpdate:
         model = LikelihoodModel([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ImpossibleOutcomeError):
             bayes_update(ProbDist.flat(2), model, 0)
+
+    @pytest.mark.parametrize("outcome", [-1, 2])
+    def test_outcome_outside_the_model(self, outcome):
+        # MODEL_84 has outcomes 0 and 1: -1 must not wrap around to the last row.
+        with pytest.raises(ImpossibleOutcomeError):
+            bayes_update(ProbDist.flat(2), MODEL_84, outcome)
 
 
 class TestSequentialUpdate:
@@ -255,6 +265,16 @@ class TestMatrixBayesUpdate:
         with pytest.raises(NoncommutingError):
             matrix_bayes_update(np.array([[0.5, 0.2], [0.2, 0.5]]), np.diag([0.5, 0.5]))
 
+    def test_rejects_effect_above_identity(self):
+        # Tr[E rho] would be 1.5.
+        with pytest.raises(InvalidEffectError):
+            matrix_bayes_update(np.eye(2) / 2, np.diag([3.0, 0.0]))
+
+    def test_rejects_negative_effect_before_the_probability(self):
+        # Tr[E rho] = -0.5 would read as an impossible outcome.
+        with pytest.raises(PositivityError):
+            matrix_bayes_update(np.diag([1.0, 0.0]), np.diag([-0.5, 1.0]))
+
     def test_agrees_with_vector_bayes(self):
         rng = np.random.default_rng(6)
         for _ in range(1000):
@@ -298,3 +318,96 @@ class TestPoolCommutingDensity:
     def test_disjoint_supports(self):
         with pytest.raises(IncompatibleKnowledgeError):
             pool_commuting_density(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+# The multiply-and-renormalize bodies as they were before the three functions
+# shared one renormalization; the property below holds the current ones to
+# them bit for bit.
+def reference_bayes_update(prior: ProbDist, model: LikelihoodModel, outcome: int) -> ProbDist:
+    """Posterior over hypotheses after observing ``outcome`` under ``model``."""
+    if model.n_hypotheses != prior.n:
+        raise ShapeError(
+            f"likelihood has {model.n_hypotheses} hypotheses, prior has {prior.n}"
+        )
+    unnorm = model.row(outcome) * prior.probs
+    total = unnorm.sum()
+    if total <= 0.0:
+        raise ImpossibleOutcomeError(f"outcome {outcome} has zero prior probability")
+    return ProbDist(unnorm / total)
+
+
+def reference_sequential_update(prior: ProbDist, evidence) -> ProbDist:
+    """Left fold of Bayes updates over ``(model, outcome)`` pairs.
+
+    The result is order-independent because the per-outcome likelihood rows
+    multiply entrywise.
+    """
+    unnorm = prior.probs.copy()
+    for model, outcome in evidence:
+        if model.n_hypotheses != prior.n:
+            raise ShapeError("evidence model size does not match prior")
+        unnorm *= model.row(outcome)
+    total = unnorm.sum()
+    if total <= 0.0:
+        raise ImpossibleOutcomeError("evidence sequence has zero joint probability")
+    return ProbDist(unnorm / total)
+
+
+def reference_pool_classical(p: ProbDist, q: ProbDist) -> ProbDist:
+    """Combine two independently obtained distributions: multiply and renormalize."""
+    if p.n != q.n:
+        raise ShapeError(f"distribution sizes differ: {p.n} vs {q.n}")
+    unnorm = p.probs * q.probs
+    total = unnorm.sum()
+    if total <= 0.0:
+        raise IncompatibleKnowledgeError("distributions have disjoint supports")
+    return ProbDist(unnorm / total)
+
+
+def _unit_sum(rng, n: int) -> np.ndarray:
+    """A random probability vector with zeros and tiny entries, so products can vanish or underflow."""
+    raw = rng.uniform(0.0, 1.0, n) * rng.choice([0.0, 1e-300, 1e-160, 1.0], n, p=[0.3, 0.1, 0.1, 0.5])
+    raw[rng.integers(n)] += rng.uniform(0.01, 1.0)  # never all zero
+    return raw / raw.sum()
+
+
+@st.composite
+def evidence_cases(draw):
+    """``(prior, evidence, other)`` on n <= 5 hypotheses; one draw in ten is a size mismatch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+
+    def size():
+        return n + 1 if draw(st.integers(0, 9)) == 0 else n
+
+    evidence = []
+    for _ in range(draw(st.integers(0, 4))):
+        n_outcomes = draw(st.integers(1, 4))
+        cond = np.column_stack([_unit_sum(rng, n_outcomes) for _ in range(size())])
+        evidence.append((LikelihoodModel(cond), draw(st.integers(0, n_outcomes - 1))))
+    return ProbDist(_unit_sum(rng, n)), evidence, ProbDist(_unit_sum(rng, size()))
+
+
+def _result(update, *args):
+    """The posterior's probabilities, or the class of the qpool error raised."""
+    try:
+        return update(*args).probs
+    except QpoolError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(evidence_cases())
+def test_updates_match_reference(case):
+    prior, evidence, other = case
+    calls = [
+        (sequential_update, reference_sequential_update, (prior, evidence)),
+        (pool_classical, reference_pool_classical, (prior, other)),
+    ]
+    calls += [(bayes_update, reference_bayes_update, (prior, *item)) for item in evidence]
+    for update, reference, args in calls:
+        got, want = _result(update, *args), _result(reference, *args)
+        if isinstance(want, type):
+            assert got is want, (update.__name__, got, want)
+        else:
+            assert_same_bytes(got, want)

@@ -536,6 +536,30 @@ INVALID_INPUTS = {
         2,
         "ImpossibleOutcomeError",
     ),
+    # A JSON integer beyond the float range gets what its infinite counterpart gets.
+    "entry_beyond_float_range": (
+        {"kind": "consistency", "payload": {"rho_a": _with_entry([10**400, 0]), "rho_b": EYE2}},
+        2,
+        "NonFiniteError",
+    ),
+    "probability_beyond_float_range": (
+        {"kind": "pool-classical", "payload": {"p": [10**400, 1.0], "q": [0.5, 0.5]}},
+        2,
+        "NonFiniteError",
+    ),
+    "consistency_tol_beyond_float_range": (
+        {"kind": "consistency", "payload": {"rho_a": EYE2, "rho_b": EYE2, "tol": 10**400}},
+        1,
+        "$.payload.tol",
+    ),
+    "fuse_weight_exponent_beyond_float_range": (
+        {
+            "kind": "fuse",
+            "payload": {"rho_a": EYE2, "rho_b": EYE2, "n_samples": 10, "weight_exponent": 10**400},
+        },
+        2,
+        "ImpossibleOutcomeError",
+    ),
 }
 
 
@@ -554,6 +578,21 @@ def test_invalid_input_exits_with_named_error(case, tmp_path, capsys):
         assert err.startswith(f"error: {error}:")
 
 
+# JSON text that json.loads rejects without a JSONDecodeError.
+UNDECODABLE = {
+    "nested_too_deep": '{"kind": "reproduce-paper", "payload": ' + "[" * 1000 + "]" * 1000 + "}",
+    "integer_too_long": '{"kind": "reproduce-paper", "seed": ' + "7" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_config_exits_with_config_error(case, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(UNDECODABLE[case])
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 @pytest.mark.parametrize("kind, field, payload", SAMPLE_COUNT_SITES)
 def test_largest_sample_count_validates(kind, field, payload):
     validate_config({"kind": kind, "payload": {**payload, field: 1_000_000}})
@@ -562,7 +601,9 @@ def test_largest_sample_count_validates(kind, field, payload):
 # Every scalar field of every shipped config, set to each extreme value, must
 # end in exit 0, 1 or 2, never a traceback.  Sample counts are capped at 1000
 # so the sweep stays fast.
-EXTREME_SCALARS = [0, -0.0, 5e-324, 1e-310, 1e-300, 1, 2, 1e308, -1, float("nan"), float("inf")]
+EXTREME_SCALARS = [
+    0, -0.0, 5e-324, 1e-310, 1e-300, 1, 2, 1e308, -1, float("nan"), float("inf"), 10**400, -(10**400)
+]
 SAMPLE_COUNTS = ("n_samples", "mc_samples")
 
 

@@ -468,12 +468,15 @@ def test_max_common_weight_is_tight(pair):
 FUSION_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-@pytest.mark.parametrize(
-    "kind, max_eigvalsh, max_eigh",
-    [("realize", 2, 5), ("ambiguity", 7, 8), ("fuse", 0, 2), ("consistency", 0, 2)],
-)
-def test_each_state_is_eigendecomposed_once_per_entry_point(kind, max_eigvalsh, max_eigh, monkeypatch):
+# Upper bounds (eigvalsh, eigh) per shipped fusion config.  They stay out of the
+# test ids, so tightening a bound renames no test.
+EIGEN_SOLVE_BOUNDS = {"realize": (2, 5), "ambiguity": (7, 8), "fuse": (0, 2), "consistency": (0, 2)}
+
+
+@pytest.mark.parametrize("kind", EIGEN_SOLVE_BOUNDS)
+def test_each_state_is_eigendecomposed_once_per_entry_point(kind, monkeypatch):
     """Eigen-solves per shipped fusion config: one validation per input, support eigenpairs reused."""
+    max_eigvalsh, max_eigh = EIGEN_SOLVE_BOUNDS[kind]
     counts = dict.fromkeys(("eigvalsh", "eigh"), 0)
     for name in counts:
         solve = getattr(np.linalg, name)

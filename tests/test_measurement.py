@@ -471,6 +471,13 @@ class TestValidatePovm:
         assert not report.passed
         assert any("negative" in f for f in report.failures)
 
+    def test_empty_family_raises_the_constructor_error(self):
+        with pytest.raises(ShapeError) as built:
+            Povm(())
+        with pytest.raises(ShapeError) as checked:
+            validate_povm([])
+        assert str(checked.value) == str(built.value)
+
 
 @st.composite
 def near_complete_family(draw):
