@@ -98,7 +98,6 @@ class LikelihoodModel:
         return self.cond.shape[1]
 
     def row(self, outcome: int) -> np.ndarray:
-        """The likelihoods ``P(outcome|n)``; an outcome outside 0..n_outcomes-1 is impossible."""
         if not 0 <= int(outcome) < self.n_outcomes:
             raise ImpossibleOutcomeError(f"no outcome {outcome} among 0..{self.n_outcomes - 1}")
         return self.cond[int(outcome), :]

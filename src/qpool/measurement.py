@@ -33,8 +33,10 @@ from .linalg import (
     dagger,
     ensure_density_matrix,
     ensure_effect,
+    ensure_hermitian,
     matrix_sqrt_psd,
     require_complete,
+    require_effect,
 )
 
 OWNERS = ("alice", "bob", "eve")
@@ -336,9 +338,9 @@ def validate_povm(povm) -> PovmReport:
         vals = np.linalg.eigvalsh(sym)
         margins.append(float(vals[0]) / max(1.0, float(vals[-1])))
         if not kraus:
-            record(ensure_effect, e, name=name)
-            e = sym
-        total += e
+            record(ensure_hermitian, e, name=name)
+            record(require_effect, float(vals[0]), float(vals[-1]), name)
+        total += e if kraus else sym
     residual = completeness_residual(total)
     record(require_complete, residual, "effects")
     return PovmReport(residual, tuple(margins), tuple(failures))

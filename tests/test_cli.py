@@ -580,7 +580,7 @@ def test_invalid_input_exits_with_named_error(case, tmp_path, capsys):
 
 # JSON text that json.loads rejects without a JSONDecodeError.
 UNDECODABLE = {
-    "nested_too_deep": '{"kind": "reproduce-paper", "payload": ' + "[" * 1000 + "]" * 1000 + "}",
+    "nested_too_deep": '{"kind": "reproduce-paper", "payload": ' + "[" * 100000 + "]" * 100000 + "}",
     "integer_too_long": '{"kind": "reproduce-paper", "seed": ' + "7" * 5000 + "}",
 }
 

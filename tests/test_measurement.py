@@ -471,6 +471,10 @@ class TestValidatePovm:
         assert not report.passed
         assert any("negative" in f for f in report.failures)
 
+    def test_non_hermitian_effect_above_identity_gets_both_failures(self):
+        report = validate_povm([np.array([[1.5, 0.1], [0.0, 1.0]])])
+        assert "not Hermitian" in report.failures[0] and "> 1" in report.failures[1]
+
     def test_empty_family_raises_the_constructor_error(self):
         with pytest.raises(ShapeError) as built:
             Povm(())
