@@ -30,7 +30,7 @@ from .linalg import (
     ensure_density_matrix,
     ensure_effect,
     ensure_states,
-    matrix_sqrt_psd,
+    psd_root,
     require_normalized,
 )
 
@@ -181,13 +181,14 @@ def matrix_bayes_update(rho, effect):
     the updated matrix equals the vector Bayes posterior of the diagonals.
     """
     rho = _ensure_diagonal(ensure_density_matrix(rho, name="rho")[0], name="rho")
-    effect = _ensure_diagonal(ensure_effect(effect, name="effect"), name="effect")
+    effect, *eig = ensure_effect(effect, name="effect")
+    _ensure_diagonal(effect, name="effect")
     if effect.shape != rho.shape:
         raise ShapeError(f"effect shape {effect.shape} != rho shape {rho.shape}")
     prob = float(np.trace(effect @ rho).real)
     if prob <= 0.0:
         raise ImpossibleOutcomeError("effect has zero probability on this state")
-    root = matrix_sqrt_psd(effect, name="effect")
+    root = psd_root(*eig)
     post = root @ rho @ root / prob
     return (post + dagger(post)) / 2, prob
 

@@ -67,7 +67,7 @@ def _run_history(payload: dict, seed: int):
     residual = history.completeness_residual()
     require_complete(residual, "flattened operators")
     # One propagation gives both the conditional state and its probability.
-    state, probability = measurement._conditional(history, payload.get("known", {}), None)
+    state, probability = measurement.condition(history, payload.get("known"))
     outputs = {
         "i_max": history.i_max,
         "j_max": history.j_max,

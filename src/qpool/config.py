@@ -160,6 +160,9 @@ def validate_config(cfg: dict) -> dict:
     # float range satisfy it.  All three fail this comparison.
     if "tol" in payload and not payload["tol"] <= sys.float_info.max:
         raise ConfigError(f"$.payload.tol: {payload['tol']!r} is not a finite float")
+    for k, step in enumerate(payload.get("steps", ())):  # the schema's anyOf admits both lists
+        if "povm" in step and "kraus" in step:
+            raise ConfigError(f"$.payload.steps[{k}]: names both 'povm' and 'kraus'")
     return {"kind": cfg["kind"], "seed": int(cfg.get("seed", 0)), "payload": payload}
 
 
@@ -217,8 +220,8 @@ def _check_schema(instance, schema: dict, *, root: str) -> None:
 def load_config(path) -> dict:
     """Read and validate a config file, with line/column diagnostics on bad JSON."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         cfg = json.loads(text)

@@ -165,17 +165,12 @@ def matching_beta(alpha, gamma):
     the solution is not a valid effect parameter.
     """
     exact = _is_exact(alpha) and _is_exact(gamma)
-    if exact:
-        alpha, gamma = Fraction(alpha), Fraction(gamma)
-        half, third = Fraction(1, 2), Fraction(1, 3)
-    else:
-        alpha, gamma = float(alpha), float(gamma)
-        half, third = 0.5, 1.0 / 3.0
-    target = third * (alpha + 1)
+    alpha, gamma = (Fraction(alpha), Fraction(gamma)) if exact else (float(alpha), float(gamma))
+    target = Fraction(1, 3) * (alpha + 1)
     denom = (2 * gamma - 1) * target - gamma
     if denom == 0 or (not exact and abs(denom) < TOL_SINGULAR):
         raise SingularConstraintError(f"constraint singular at alpha={alpha}, gamma={gamma}")
-    beta = (target * (gamma - 2) + half) / denom
+    beta = (target * (gamma - 2) + Fraction(1, 2)) / denom
     if not 0 <= beta <= 1:
         raise InvalidEffectError(f"matching beta {beta!r} outside [0, 1]")
     return beta
@@ -279,7 +274,7 @@ def posterior_update(ens: WeightedStateEnsemble, *effects) -> WeightedStateEnsem
     for effect in effects:
         if isinstance(effect, DiagonalEffect):
             effect = effect.matrix()
-        effect = ensure_effect(effect)
+        effect = ensure_effect(effect)[0]
         if effect.shape[0] != ens.dim:
             raise ShapeError(f"effect dim {effect.shape[0]} != ensemble dim {ens.dim}")
         coeffs.append(_likelihood_coefficients(effect))

@@ -6,6 +6,7 @@ i.e. ``tensor(A, B)`` is the row-major Kronecker product ``np.kron(A, B)``.
 
 Every tolerance in qpool is a ``TOL_*`` constant below, and each validity
 rule (PSD, effect, completeness, normalization, support cutoff) is one function here.
+A state or effect comes back with the eigenpairs of the one ``eigh`` that decides it.
 """
 
 from __future__ import annotations
@@ -107,19 +108,19 @@ def ensure_hermitian(mat, *, name: str = "matrix") -> np.ndarray:
     return (arr + dagger(arr)) / 2
 
 
-def ensure_effect(mat, *, name: str = "effect") -> np.ndarray:
-    """Validate an effect (Hermitian, 0 <= E <= I) and return the symmetrized matrix."""
+def ensure_effect(mat, *, name: str = "effect"):
+    """Validate an effect (Hermitian, 0 <= E <= I); return ``(E, vals, vecs)`` like a state."""
     arr = ensure_hermitian(mat, name=name)
-    vals = np.linalg.eigvalsh(arr)
-    require_effect(float(vals[0]), float(vals[-1]), name)
-    return arr
+    vals, vecs = _descending_eigh(arr)
+    require_effect(float(vals[-1]), float(vals[0]), name)
+    return arr, vals, vecs
 
 
 def ensure_density_matrix(mat, *, name: str = "rho"):
     """Validate a density matrix (Hermitian, PSD, unit trace); return ``(rho, *hermitian_eig(rho))``."""
     arr = ensure_hermitian(mat, name=name)
     require_normalized(float(np.trace(arr).real), TOL_TRACE, f"{name} trace")
-    vals, vecs = hermitian_eig(arr, name=name)
+    vals, vecs = _descending_eigh(arr)
     require_psd(float(vals[-1]), float(vals[0]), name)
     return arr, vals, vecs
 
@@ -141,24 +142,33 @@ def hermitian_eig(mat, *, name: str = "matrix"):
     columns.  The choice of basis inside a degenerate eigenspace is
     arbitrary but the returned column matrix is always unitary.
     """
-    arr = ensure_hermitian(mat, name=name)
+    return _descending_eigh(ensure_hermitian(mat, name=name))
+
+
+def _descending_eigh(arr: np.ndarray):
+    """``hermitian_eig`` of a matrix already symmetrized by ``ensure_hermitian``."""
     vals, vecs = np.linalg.eigh(arr)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def is_psd(mat, tol: float = TOL_PSD, *, name: str = "matrix") -> bool:
     """True iff the minimum eigenvalue is >= -tol * max(1, largest eigenvalue)."""
-    vals = np.linalg.eigvalsh(ensure_hermitian(mat, name=name))
-    return psd_ok(float(vals[0]), float(vals[-1]), tol)
+    vals = hermitian_eig(mat, name=name)[0]
+    return psd_ok(float(vals[-1]), float(vals[0]), tol)
 
 
-def matrix_sqrt_psd(mat, *, name: str = "matrix") -> np.ndarray:
-    """Hermitian PSD square root, via eigendecomposition."""
-    vals, vecs = hermitian_eig(mat, name=name)
-    require_psd(float(vals[-1]), float(vals[0]), name)
+def psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Hermitian square root from eigenpairs, with negative eigenvalues clipped to 0."""
     root = np.sqrt(np.clip(vals, 0.0, None))
     out = (vecs * root) @ dagger(vecs)
     return (out + dagger(out)) / 2
+
+
+def matrix_sqrt_psd(mat, *, name: str = "matrix") -> np.ndarray:
+    """Hermitian PSD square root: the PSD rule, then ``psd_root`` of the same eigenpairs."""
+    vals, vecs = hermitian_eig(mat, name=name)
+    require_psd(float(vals[-1]), float(vals[0]), name)
+    return psd_root(vals, vecs)
 
 
 def tensor(*mats) -> np.ndarray:

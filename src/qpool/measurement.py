@@ -34,7 +34,8 @@ from .linalg import (
     ensure_density_matrix,
     ensure_effect,
     ensure_hermitian,
-    matrix_sqrt_psd,
+    hermitian_eig,
+    psd_root,
     require_complete,
     require_effect,
 )
@@ -62,7 +63,7 @@ class Povm:
     effects: tuple
 
     def __post_init__(self):
-        effects = tuple(ensure_effect(e, name=f"effect {k}") for k, e in enumerate(self.effects))
+        effects = tuple(ensure_effect(e, name=f"effect {k}")[0] for k, e in enumerate(self.effects))
         _require_complete_family(effects, "effects")
         object.__setattr__(self, "effects", effects)
 
@@ -93,8 +94,7 @@ class KrausPovm:
 
     @classmethod
     def from_effects(cls, effects: Sequence, unitaries: Sequence | None = None) -> "KrausPovm":
-        mats = [ensure_effect(e, name=f"effect {k}") for k, e in enumerate(effects)]
-        roots = [matrix_sqrt_psd(e) for e in mats]
+        roots = [psd_root(*ensure_effect(e, name=f"effect {k}")[1:]) for k, e in enumerate(effects)]
         if unitaries is not None:
             if len(unitaries) != len(roots):
                 raise ShapeError("one unitary per outcome is required")
@@ -268,11 +268,12 @@ def conditional_state(
     prior information); ``initial_state`` overrides that for uses outside
     this setting.
     """
-    return _conditional(history, dict(known or {}), initial_state)[0]
+    return condition(history, known, initial_state=initial_state)[0]
 
 
-def _conditional(history: MeasurementHistory, known: Mapping[str, int], initial_state):
-    """The normalized conditional state and the probability of the assignment."""
+def condition(history: MeasurementHistory, known: Mapping[str, int] | None = None, *, initial_state=None):
+    """``(conditional_state, probability)`` of the assignment ``known``, from one propagation."""
+    known = dict(known or {})
     unnorm = _propagate(history, known, initial_state)
     total = float(np.trace(unnorm).real)
     if total <= 0.0:
@@ -287,7 +288,7 @@ def measurement_update(rho, op: KrausPovm, outcome: int):
     The one-step history ``op`` propagated from ``rho`` with ``i = outcome``:
     returns ``(M rho M^dag / p, p)`` with ``p = Tr[M rho M^dag]``.
     """
-    return _conditional(MeasurementHistory((("alice", op),)), {"i": outcome}, rho)
+    return condition(MeasurementHistory((("alice", op),)), {"i": outcome}, initial_state=rho)
 
 
 @dataclass(frozen=True)
@@ -335,11 +336,11 @@ def validate_povm(povm) -> PovmReport:
             failures.append(f"{name}: shape {e.shape} != ({dim}, {dim})")
             continue
         sym = (e + dagger(e)) / 2
-        vals = np.linalg.eigvalsh(sym)
-        margins.append(float(vals[0]) / max(1.0, float(vals[-1])))
+        vals = hermitian_eig(sym)[0]
+        margins.append(float(vals[-1]) / max(1.0, float(vals[0])))
         if not kraus:
             record(ensure_hermitian, e, name=name)
-            record(require_effect, float(vals[0]), float(vals[-1]), name)
+            record(require_effect, float(vals[-1]), float(vals[0]), name)
         total += e if kraus else sym
     residual = completeness_residual(total)
     record(require_complete, residual, "effects")

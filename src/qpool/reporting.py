@@ -134,7 +134,7 @@ def render_text(report: dict) -> str:
 
 
 def render_csv(report: dict) -> str:
-    """Flatten every numeric leaf of the outputs to key,i,j,re,im rows."""
+    """Flatten every numeric leaf of the outputs to key,i,j,re,im rows; a failure adds ``error.<name>``."""
     rows = ["key,i,j,re,im"]
 
     def emit(key: str, value) -> None:
@@ -161,6 +161,8 @@ def render_csv(report: dict) -> str:
 
     for key in sorted(report.get("outputs", {})):
         emit(key, report["outputs"][key])
+    if "error" in report:
+        rows.append(f"error.{report['error']['name']},,,,")
     return "\n".join(rows) + "\n"
 
 

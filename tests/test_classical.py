@@ -27,6 +27,7 @@ from qpool.errors import (
     QpoolError,
     ShapeError,
 )
+from qpool.linalg import dagger, ensure_density_matrix, ensure_hermitian, matrix_sqrt_psd
 
 # Rows are P(m|.), columns sum to 1 over outcomes.
 MODEL_84 = LikelihoodModel([[0.8, 0.4], [0.2, 0.6]])
@@ -411,3 +412,30 @@ def test_updates_match_reference(case):
             assert got is want, (update.__name__, got, want)
         else:
             assert_same_bytes(got, want)
+
+
+# matrix_bayes_update as it was when the square root came from a second
+# eigen-solve, kept as the reference for the route through the effect's
+# validation eigenpairs.  Every drawn effect is valid, so the reference only
+# symmetrizes it.
+def reference_matrix_bayes_update(rho, effect):
+    rho = ensure_density_matrix(rho, name="rho")[0]
+    effect = ensure_hermitian(effect, name="effect")
+    prob = float(np.trace(effect @ rho).real)
+    root = matrix_sqrt_psd(effect, name="effect")
+    post = root @ rho @ root / prob
+    return (post + dagger(post)) / 2, prob
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_matrix_bayes_update_matches_reference(seed, n):
+    rng = np.random.default_rng(seed)
+    prior = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8) + 1e-3
+    row = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8)
+    row[rng.integers(n)] = rng.uniform(0.1, 1.0)  # a possible outcome
+    rho, effect = np.diag(prior / prior.sum()), np.diag(row)
+    post, prob = matrix_bayes_update(rho, effect)
+    want_post, want_prob = reference_matrix_bayes_update(rho, effect)
+    assert_same_bytes(post, want_post)
+    assert prob == want_prob

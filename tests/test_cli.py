@@ -593,6 +593,37 @@ def test_undecodable_config_exits_with_config_error(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_config_that_is_not_utf8_exits_with_config_error(command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"kind": "reproduce-paper", "seed": 1 \xff}')
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_history_step_with_both_povm_and_kraus_is_rejected(command, tmp_path, capsys):
+    cfg = load_config(CONFIG_DIR / "history.json")
+    cfg["payload"]["steps"][1]["kraus"] = cfg["payload"]["steps"][1]["povm"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: $.payload.steps[1]: names both")
+    with pytest.raises(ConfigError, match=r"^\$\.payload\.steps\[1\]: "):
+        validate_config(cfg)
+
+
+def test_failed_run_csv_names_the_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "pool-classical", "payload": {"p": [0.5, 0.6], "q": [0.5, 0.5]}}))
+    assert main(["run", "--format", "csv", str(path)]) == 2
+    assert capsys.readouterr().out == "key,i,j,re,im\nerror.NotNormalizedError,,,,\n"
+    # A successful run's CSV has no error row.
+    assert main(["run", "--format", "csv", str(CONFIG_DIR / "pool-classical.json")]) == 0
+    assert capsys.readouterr().out == "key,i,j,re,im\nresult,0,,0.33333333333333331,0\nresult,1,,0.66666666666666663,0\n"
+
+
 @pytest.mark.parametrize("kind, field, payload", SAMPLE_COUNT_SITES)
 def test_largest_sample_count_validates(kind, field, payload):
     validate_config({"kind": kind, "payload": {**payload, field: 1_000_000}})

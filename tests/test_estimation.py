@@ -23,6 +23,7 @@ from qpool.errors import (
     SingularConstraintError,
 )
 from qpool.estimation import (
+    _is_exact,
     DiagonalEffect,
     PolynomialDensity,
     WeightedStateEnsemble,
@@ -37,6 +38,7 @@ from qpool.estimation import (
     qubit_diagonal_posterior,
 )
 from qpool.haar import PureStateSample, average_projector, sample_amplitudes
+from qpool.linalg import TOL_SINGULAR
 from qpool.measurement import ensure_effect
 
 
@@ -281,6 +283,50 @@ class TestMatchingBeta:
             matching_beta(Fraction(1, 10), Fraction(9, 10))
 
 
+# matching_beta as it was when it picked float constants for float inputs,
+# kept as the reference for the one-set-of-constants version.
+def reference_matching_beta(alpha, gamma):
+    exact = _is_exact(alpha) and _is_exact(gamma)
+    if exact:
+        alpha, gamma = Fraction(alpha), Fraction(gamma)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+    else:
+        alpha, gamma = float(alpha), float(gamma)
+        half, third = 0.5, 1.0 / 3.0
+    target = third * (alpha + 1)
+    denom = (2 * gamma - 1) * target - gamma
+    if denom == 0 or (not exact and abs(denom) < TOL_SINGULAR):
+        raise SingularConstraintError(f"constraint singular at alpha={alpha}, gamma={gamma}")
+    beta = (target * (gamma - 2) + half) / denom
+    if not 0 <= beta <= 1:
+        raise InvalidEffectError(f"matching beta {beta!r} outside [0, 1]")
+    return beta
+
+
+BETA_ARGUMENTS = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.fractions(-2, 2, max_denominator=40),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.0 / 3.0, 2.0 / 3.0, 2.0, -0.0]),
+)
+
+
+def _beta_outcome(solve, alpha, gamma):
+    """``(type, repr)`` of the solved beta, or the class and message of the qpool error raised."""
+    try:
+        beta = solve(alpha, gamma)
+    except QpoolError as exc:
+        return type(exc), str(exc)
+    return type(beta), repr(beta)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(BETA_ARGUMENTS, BETA_ARGUMENTS)
+def test_matching_beta_matches_reference(alpha, gamma):
+    assert _beta_outcome(matching_beta, alpha, gamma) == _beta_outcome(reference_matching_beta, alpha, gamma)
+
+
 class TestEnsemblePath:
     def test_identity_effect_keeps_weights(self):
         ens = WeightedStateEnsemble.from_prior(2, 500, seed=0)
@@ -343,7 +389,7 @@ def reference_posterior_update(ens: WeightedStateEnsemble, effect) -> WeightedSt
     """Multiply every sample weight by its outcome likelihood Tr[E rho_sample]."""
     if isinstance(effect, DiagonalEffect):
         effect = effect.matrix()
-    effect = ensure_effect(effect)
+    effect = ensure_effect(effect)[0]
     if effect.shape[0] != ens.dim:
         raise ShapeError(f"effect dim {effect.shape[0]} != ensemble dim {ens.dim}")
     likelihood = np.einsum(

@@ -13,7 +13,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpool import cli
+from qpool import cli, linalg
 from qpool.errors import (
     AmbiguityPreconditionError,
     DegenerateConstructionError,
@@ -465,29 +465,36 @@ def test_max_common_weight_is_tight(pair):
             assert abs(float(np.linalg.eigvalsh(compressed)[0])) <= 1e-9
 
 
-FUSION_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-# Upper bounds (eigvalsh, eigh) per shipped fusion config.  They stay out of the
-# test ids, so tightening a bound renames no test.
-EIGEN_SOLVE_BOUNDS = {"realize": (2, 5), "ambiguity": (7, 8), "fuse": (0, 2), "consistency": (0, 2)}
+# Upper bounds (eigvalsh, eigh, Hermiticity passes) per shipped config that
+# validates a matrix.  They stay out of the test ids, so tightening a bound
+# renames no test.
+EIGEN_SOLVE_BOUNDS = {
+    "realize": (2, 5, 5),
+    "ambiguity": (7, 8, 14),
+    "fuse": (0, 2, 2),
+    "consistency": (0, 2, 2),
+    "history": (0, 4, 4),
+    "estimate": (0, 2, 2),
+}
 
 
 @pytest.mark.parametrize("kind", EIGEN_SOLVE_BOUNDS)
 def test_each_state_is_eigendecomposed_once_per_entry_point(kind, monkeypatch):
-    """Eigen-solves per shipped fusion config: one validation per input, support eigenpairs reused."""
-    max_eigvalsh, max_eigh = EIGEN_SOLVE_BOUNDS[kind]
-    counts = dict.fromkeys(("eigvalsh", "eigh"), 0)
-    for name in counts:
-        solve = getattr(np.linalg, name)
+    """Eigen-solves per shipped config: one symmetrize and one eigh per validated state or effect."""
+    counts = dict.fromkeys(("eigvalsh", "eigh", "ensure_hermitian"), 0)
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (linalg, "ensure_hermitian")):
+        solve = getattr(module, name)
 
         def counted(*args, _name=name, _solve=solve, **kwargs):
             counts[_name] += 1
             return _solve(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    cli.run_scenario(json.loads((FUSION_CONFIGS / f"{kind}.json").read_text()))
-    assert counts["eigvalsh"] <= max_eigvalsh and counts["eigh"] <= max_eigh, counts
+        monkeypatch.setattr(module, name, counted)
+    cli.run_scenario(json.loads((SHIPPED_CONFIGS / f"{kind}.json").read_text()))
+    assert all(n <= bound for n, bound in zip(counts.values(), EIGEN_SOLVE_BOUNDS[kind])), counts
 
 
 def assert_same_tree(actual, expected) -> None:

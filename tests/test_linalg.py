@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ginibre, random_density, random_hermitian, random_unitary
+from conftest import assert_same_bytes, ginibre, random_density, random_hermitian, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpool
 
@@ -15,12 +17,16 @@ from qpool.errors import (
     ShapeError,
 )
 from qpool.linalg import (
+    TOL_PSD,
     Subspace,
+    ensure_density_matrix,
+    ensure_effect,
     ensure_states,
     hermitian_eig,
     is_psd,
     matrix_sqrt_psd,
     partial_trace,
+    psd_root,
     subspace_intersection,
     support,
     tensor,
@@ -296,3 +302,36 @@ def test_tolerance_literals_live_in_the_block():
             ):
                 offenders.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not offenders, offenders
+
+
+def edge_state(seed: int) -> np.ndarray:
+    """A unit-trace state in a random basis with lambda_min within 1e-7 relative of -TOL_PSD."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    spectrum = rng.uniform(0.1, 0.9, dim)
+    spectrum[0] = -TOL_PSD * (1.0 + rng.uniform(-1e-7, 1e-7))
+    spectrum[1:] *= (1.0 - spectrum[0]) / spectrum[1:].sum()
+    frame = random_unitary(rng, dim)
+    return frame @ np.diag(spectrum) @ frame.conj().T
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_is_psd_agrees_with_the_state_validator_at_the_edge(seed):
+    rho = edge_state(seed)
+    try:
+        ensure_density_matrix(rho)
+    except PositivityError:
+        assert not is_psd(rho)
+    else:
+        assert is_psd(rho)
+
+
+def test_effects_come_back_with_their_eigenpairs():
+    rng = np.random.default_rng(5)
+    effect = random_density(rng, 3)
+    sym, vals, vecs = ensure_effect(effect)
+    assert_same_bytes(sym, (effect + effect.conj().T) / 2)
+    for got, want in zip((vals, vecs), hermitian_eig(sym)):
+        assert_same_bytes(got, want)
+    assert_same_bytes(psd_root(vals, vecs), matrix_sqrt_psd(sym))

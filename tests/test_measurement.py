@@ -14,14 +14,17 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpool.cli import run_scenario
+from qpool.config import matrix_to_literal
 from qpool.errors import ImpossibleOutcomeError, IncompleteMeasurementError, QpoolError, ShapeError
-from qpool.linalg import dagger, ensure_density_matrix, is_psd, trace_distance
+from qpool.linalg import TOL_PSD, dagger, ensure_density_matrix, is_psd, matrix_sqrt_psd, trace_distance
 from qpool.measurement import (
     OWNERS,
     FlatPovm,
     KrausPovm,
     MeasurementHistory,
     Povm,
+    condition,
     conditional_state,
     flatten_history,
     measurement_update,
@@ -534,3 +537,59 @@ def test_validate_povm_agrees_with_constructors(family):
             assert validate_povm(KrausPovm(tuple(mats))).passed
         mats = [m.conj().T @ m for m in mats]
     assert validate_povm(mats).passed == _builds(Povm, mats)
+
+
+def edge_effect_family(seed: int) -> list:
+    """``{E, I - E}`` in a random basis, with lambda_min(E) within 1e-7 relative of -TOL_PSD.
+
+    So close to the PSD edge, two LAPACK routines can decide the same
+    effect differently.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    spectrum = rng.uniform(0.1, 0.9, dim)
+    spectrum[0] = -TOL_PSD * (1.0 + rng.uniform(-1e-7, 1e-7))
+    frame = random_unitary(rng, dim)
+    effect = frame @ np.diag(spectrum) @ dagger(frame)
+    return [effect, np.eye(dim) - effect]
+
+
+def _runs(effects) -> bool:
+    """Whether a one-step ``povm`` history with these effects runs."""
+    step = {"owner": "alice", "povm": [matrix_to_literal(e) for e in effects]}
+    try:
+        run_scenario({"kind": "history", "payload": {"steps": [step], "known": {"i": 0}}})
+    except QpoolError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_edge_effects_get_one_verdict_everywhere(seed):
+    effects = edge_effect_family(seed)
+    verdicts = {
+        "validate_povm": validate_povm(effects).passed,
+        "Povm": _builds(Povm, effects),
+        "KrausPovm.from_effects": _builds(KrausPovm.from_effects, effects),
+        "history run": _runs(effects),
+    }
+    assert len(set(verdicts.values())) == 1, verdicts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+def test_kraus_operators_are_the_square_roots_of_the_effects(seed, dim, n):
+    rng = np.random.default_rng(seed)
+    effects = [e + 1e-10 * ginibre(rng, dim, dim) for e in random_effects(rng, dim, n)]
+    ops = KrausPovm.from_effects(effects).ops
+    for op, e in zip(ops, effects):
+        assert_same_bytes(op, matrix_sqrt_psd((e + dagger(e)) / 2))
+
+
+def test_condition_gives_the_state_and_its_probability():
+    history = random_history(np.random.default_rng(4), 3, 3)
+    for known in ({}, {"i": 1}, {"i": 0, "j": 1}):
+        state, probability = condition(history, known)
+        assert_same_bytes(state, conditional_state(history, known))
+        assert probability == outcome_probability(history, known)
