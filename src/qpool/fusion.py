@@ -6,9 +6,10 @@ system measurement scenario realizes the pair with sigma as the state held
 by an observer who sees both outcome records.  Because sigma may be any
 state supported inside the intersection, the pooled state is not fixed by
 the two marginals alone; ``averaged_fusion`` explores one pluggable choice
-of measure over the realizations.  Each public function validates its raw
-matrices once (``linalg.ensure_states``), which also returns each state's
-eigenpairs, and passes both down to private cores, so no state is solved twice.
+of measure over the realizations.  Each public function validates its
+matrices with ``linalg.ensure_states`` into ``State``s that carry their
+eigenpairs, and passes those ``State``s on to the public functions it builds
+on; ``ensure_states`` returns a ``State`` unchanged, so no state is solved twice.
 """
 
 from __future__ import annotations
@@ -33,24 +34,16 @@ from .linalg import (
     TOL_RECON,
     TOL_REMAINDER,
     TOL_TRACE,
-    Subspace,
     dagger,
     ensure_states,
     hermitian_eig,
     psd_ok,
     require_normalized,
     subspace_intersection,
-    support,  # unused here; a module attribute so tracers can look it up
+    support,
     support_cutoff,
     trace_distance,
 )
-
-
-def _intersection(a, b, tol: float):
-    """The support intersection of two ``ensure_states`` entries, and both states' support eigenpairs."""
-    eigs = [support_cutoff(vals, vecs, tol) for _, vals, vecs in (a, b)]
-    u, v = (Subspace(a[0].shape[0], basis) for _, basis in eigs)
-    return subspace_intersection(u, v, tol), eigs
 
 
 def check_consistency(rho_a, rho_b, tol: float = TOL_RANK):
@@ -59,20 +52,9 @@ def check_consistency(rho_a, rho_b, tol: float = TOL_RANK):
     Returns ``(verdict, intersection)`` where the verdict is true iff the
     intersection of the two supports has dimension at least 1.
     """
-    intersection = _intersection(*ensure_states(rho_a=rho_a, rho_b=rho_b), tol)[0]
+    a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
+    intersection = subspace_intersection(support(a, tol), support(b, tol), tol)
     return intersection.dimension >= 1, intersection
-
-
-def _max_weight(lam: np.ndarray, basis: np.ndarray, sigma: np.ndarray) -> float:
-    """``max_common_weight`` from a state's support eigenpairs and a validated sigma."""
-    projected = dagger(basis) @ sigma @ basis
-    leak = float(np.trace(sigma).real - np.trace(projected).real)
-    if leak > TOL_RANK:
-        return 0.0
-    inv_root = 1.0 / np.sqrt(lam)
-    scaled = inv_root[:, None] * projected * inv_root[None, :]
-    top = float(np.linalg.eigvalsh(scaled)[-1])
-    return min(1.0, 1.0 / top)
 
 
 def max_common_weight(rho, sigma) -> float:
@@ -83,7 +65,15 @@ def max_common_weight(rho, sigma) -> float:
     the inverse square root of rho on its support.
     """
     (_, vals, vecs), (sigma, _, _) = ensure_states(rho=rho, sigma=sigma)
-    return _max_weight(*support_cutoff(vals, vecs, TOL_RANK), sigma)
+    lam, basis = support_cutoff(vals, vecs, TOL_RANK)
+    projected = dagger(basis) @ sigma @ basis
+    leak = float(np.trace(sigma).real - np.trace(projected).real)
+    if leak > TOL_RANK:
+        return 0.0
+    inv_root = 1.0 / np.sqrt(lam)
+    scaled = inv_root[:, None] * projected * inv_root[None, :]
+    top = float(np.linalg.eigvalsh(scaled)[-1])
+    return min(1.0, 1.0 / top)
 
 
 def _remainder_terms(rho: np.ndarray, sigma: np.ndarray, weight: float, *, name: str):
@@ -148,29 +138,24 @@ class CommonTermDecomposition:
         return self._reconstruct(self.beta, self.remainder_b)
 
 
-def _decompose(a, b, sig, alpha: float, beta: float):
-    """``decompose_common`` on ``ensure_states`` entries."""
-    (a, _, _), (b, _, _), (sig, *sig_eig) = a, b, sig
+def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTermDecomposition:
+    """Decompose both states around the common term ``alpha/beta * sigma``."""
+    a, b, sig = ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma)
     dec = CommonTermDecomposition(
-        sigma=sig,
-        sigma_support=support_cutoff(*sig_eig, TOL_RANK),
+        sigma=sig.rho,
+        sigma_support=support_cutoff(sig.vals, sig.vecs, TOL_RANK),
         alpha=float(alpha),
         beta=float(beta),
-        remainder_a=_remainder_terms(a, sig, float(alpha), name="rho_a"),
-        remainder_b=_remainder_terms(b, sig, float(beta), name="rho_b"),
+        remainder_a=_remainder_terms(a.rho, sig.rho, float(alpha), name="rho_a"),
+        remainder_b=_remainder_terms(b.rho, sig.rho, float(beta), name="rho_b"),
     )
     for label, original, rebuilt in (
-        ("rho_a", a, dec.reconstruct_a()),
-        ("rho_b", b, dec.reconstruct_b()),
+        ("rho_a", a.rho, dec.reconstruct_a()),
+        ("rho_b", b.rho, dec.reconstruct_b()),
     ):
         if float(np.abs(original - rebuilt).max()) > TOL_RECON:
             raise PositivityError(f"{label} reconstruction drifted beyond {TOL_RECON:g}")
     return dec
-
-
-def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTermDecomposition:
-    """Decompose both states around the common term ``alpha/beta * sigma``."""
-    return _decompose(*ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma), alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -321,9 +306,14 @@ class AmbiguityReport:
     distance: float  # trace distance between the two Charlie states
 
 
-def _realize(a, b, sig, alpha=None, beta=None):
-    """``realize_pair`` on ``ensure_states`` entries."""
-    a_max, b_max = (_max_weight(*support_cutoff(*eig, TOL_RANK), sig[0]) for _, *eig in (a, b))
+def realize_pair(rho_a, rho_b, sigma, alpha=None, beta=None):
+    """Decompose both states around ``sigma``, then realize and simulate the scenario.
+
+    ``alpha`` and ``beta`` default to half of ``max_common_weight``; returns
+    ``(decomposition, alpha_max, beta_max, report)``.
+    """
+    a, b, sig = ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma)
+    a_max, b_max = max_common_weight(a, sig), max_common_weight(b, sig)
     if a_max <= 0.0 or b_max <= 0.0:
         raise AmbiguityPreconditionError(
             "sigma is not absorbable into both states (zero admissible weight)"
@@ -331,17 +321,8 @@ def _realize(a, b, sig, alpha=None, beta=None):
     # Half the admissible maximum keeps the remainders well conditioned.
     alpha = a_max / 2.0 if alpha is None else alpha
     beta = b_max / 2.0 if beta is None else beta
-    dec = _decompose(a, b, sig, alpha, beta)
+    dec = decompose_common(a, b, sig, alpha, beta)
     return dec, a_max, b_max, simulate_tripartite(realize_tripartite(dec))
-
-
-def realize_pair(rho_a, rho_b, sigma, alpha=None, beta=None):
-    """Decompose both states around ``sigma``, then realize and simulate the scenario.
-
-    ``alpha`` and ``beta`` default to half of ``max_common_weight``; returns
-    ``(decomposition, alpha_max, beta_max, report)``.
-    """
-    return _realize(*ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma), alpha, beta)
 
 
 def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
@@ -352,8 +333,8 @@ def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
     resulting pooled states.
     """
     a, b, *sigmas = ensure_states(rho_a=rho_a, rho_b=rho_b, sigma_1=sigma_1, sigma_2=sigma_2)
-    intersection = _intersection(a, b, TOL_RANK)[0]
-    if intersection.dimension < 1:
+    consistent, intersection = check_consistency(a, b)
+    if not consistent:
         raise AmbiguityPreconditionError("the states' supports do not intersect")
     proj = intersection.projector()
     for label, (sig, _, _) in zip(("sigma_1", "sigma_2"), sigmas):
@@ -362,10 +343,10 @@ def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
             raise AmbiguityPreconditionError(
                 f"{label} has weight {leak:.3e} outside the support intersection"
             )
-    reports = [_realize(a, b, sig)[-1] for sig in sigmas]
+    reports = [realize_pair(a, b, sig)[-1] for sig in sigmas]
     return AmbiguityReport(
         reports=tuple(reports),
-        charlie_deviations=tuple(trace_distance(r.charlie_state, s[0]) for r, s in zip(reports, sigmas)),
+        charlie_deviations=tuple(trace_distance(r.charlie_state, s.rho) for r, s in zip(reports, sigmas)),
         distance=trace_distance(reports[0].charlie_state, reports[1].charlie_state),
     )
 
@@ -405,14 +386,16 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     Deterministic for a fixed seed (single stream, fixed reduction order).
     The support of the result lies inside the intersection of the supports.
     """
-    intersection, eigs = _intersection(*ensure_states(rho_a=rho_a, rho_b=rho_b), TOL_RANK)
-    if intersection.dimension < 1:
+    a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
+    consistent, intersection = check_consistency(a, b)
+    if not consistent:
         raise InconsistentStatesError("cannot fuse states with disjoint supports")
 
     rng = np.random.default_rng(cfg.seed)
     local = sample_amplitudes(intersection.dimension, int(cfg.n_samples), rng)
     states = local @ intersection.basis.T  # rows are ambient pure states
 
+    eigs = (support_cutoff(s.vals, s.vecs, TOL_RANK) for s in (a, b))
     pinv_a, pinv_b = ((basis / lam) @ dagger(basis) for lam, basis in eigs)
     # For a pure common state, the admissible maximum weight is the inverse
     # of the quadratic form of the support pseudo-inverse.

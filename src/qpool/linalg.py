@@ -6,12 +6,14 @@ i.e. ``tensor(A, B)`` is the row-major Kronecker product ``np.kron(A, B)``.
 
 Every tolerance in qpool is a ``TOL_*`` constant below, and each validity
 rule (PSD, effect, completeness, normalization, support cutoff) is one function here.
-A state or effect comes back with the eigenpairs of the one ``eigh`` that decides it.
+A state (as a ``State``) or effect comes back with the eigenpairs of the one ``eigh``
+that decides it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +80,8 @@ def completeness_residual(total: np.ndarray) -> float:
 
 
 def require_complete(residual: float, name: str) -> None:
-    """The completeness rule: raise unless ``residual <= TOL_COMPLETENESS``."""
-    if residual > TOL_COMPLETENESS:
+    """The completeness rule: raise unless ``residual <= TOL_COMPLETENESS`` (a NaN residual fails)."""
+    if not residual <= TOL_COMPLETENESS:
         raise IncompleteMeasurementError(f"{name}: completeness residual {residual:.3e}")
 
 
@@ -102,10 +104,11 @@ def support_cutoff(vals: np.ndarray, vecs: np.ndarray, tol: float):
 def ensure_hermitian(mat, *, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within ``TOL_HERM`` and return the symmetrized matrix."""
     arr = as_square_matrix(mat, name=name)
-    scale = max(1.0, float(np.abs(arr).max())) if arr.size else 1.0
-    if arr.size and float(np.abs(arr - dagger(arr)).max()) > TOL_HERM * scale:
+    half = arr / 2  # the rule on halves, so entries near the float limit cannot overflow
+    half_scale = max(0.5, float(np.abs(half).max())) if arr.size else 0.5
+    if arr.size and float(np.abs(half - dagger(half)).max()) > TOL_HERM * half_scale:
         raise HermiticityError(f"{name} is not Hermitian within relative tolerance {TOL_HERM:g}")
-    return (arr + dagger(arr)) / 2
+    return half + dagger(half)
 
 
 def ensure_effect(mat, *, name: str = "effect"):
@@ -116,17 +119,29 @@ def ensure_effect(mat, *, name: str = "effect"):
     return arr, vals, vecs
 
 
-def ensure_density_matrix(mat, *, name: str = "rho"):
-    """Validate a density matrix (Hermitian, PSD, unit trace); return ``(rho, *hermitian_eig(rho))``."""
+class State(NamedTuple):
+    """A validated density matrix with the descending eigenpairs of the ``eigh`` that decided it."""
+
+    rho: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
+
+
+def ensure_density_matrix(mat, *, name: str = "rho") -> State:
+    """Validate a density matrix (Hermitian, PSD, unit trace) into a ``State``; a ``State`` passes as is."""
+    if isinstance(mat, State):
+        return mat
     arr = ensure_hermitian(mat, name=name)
-    require_normalized(float(np.trace(arr).real), TOL_TRACE, f"{name} trace")
+    with np.errstate(over="ignore"):  # an infinite trace fails the rule below
+        trace = float(np.trace(arr).real)
+    require_normalized(trace, TOL_TRACE, f"{name} trace")
     vals, vecs = _descending_eigh(arr)
     require_psd(float(vals[-1]), float(vals[0]), name)
-    return arr, vals, vecs
+    return State(arr, vals, vecs)
 
 
 def ensure_states(**named) -> list:
-    """Validate each named state in argument order into ``(rho, vals, vecs)``; shapes must match."""
+    """Validate each named state in argument order into a ``State``; shapes must match."""
     states = [ensure_density_matrix(mat, name=name) for name, mat in named.items()]
     if len({s.shape for s, _, _ in states}) > 1:
         shapes = ", ".join(f"{name} {s.shape}" for name, (s, _, _) in zip(named, states))

@@ -89,7 +89,8 @@ class KrausPovm:
 
     def __post_init__(self):
         ops = tuple(as_square_matrix(m, name=f"operator {k}") for k, m in enumerate(self.ops))
-        _require_complete_family([dagger(m) @ m for m in ops], "operators")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails the rules
+            _require_complete_family([dagger(m) @ m for m in ops], "operators")
         object.__setattr__(self, "ops", ops)
 
     @classmethod
@@ -335,7 +336,7 @@ def validate_povm(povm) -> PovmReport:
         if e.shape != (dim, dim):
             failures.append(f"{name}: shape {e.shape} != ({dim}, {dim})")
             continue
-        sym = (e + dagger(e)) / 2
+        sym = e / 2 + dagger(e) / 2
         vals = hermitian_eig(sym)[0]
         margins.append(float(vals[-1]) / max(1.0, float(vals[0])))
         if not kraus:

@@ -1,6 +1,7 @@
 import copy
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -576,6 +577,56 @@ def test_invalid_input_exits_with_named_error(case, tmp_path, capsys):
     else:
         assert json.loads(out_file.read_text())["error"]["name"] == error
         assert err.startswith(f"error: {error}:")
+
+
+def _diag(*entries) -> list:
+    """A matrix literal with the given real diagonal."""
+    return [[[x if i == j else 0, 0] for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+def _kraus_step(*ops) -> dict:
+    return {"kind": "history", "payload": {"steps": [{"owner": "alice", "kraus": list(ops)}]}}
+
+
+# Finite entries near the float limit: (config, error, start of its message).
+NEAR_FLOAT_LIMIT = {
+    "effect_entry": (
+        {"kind": "history", "payload": {"steps": [{"owner": "alice", "povm": [_diag(1e308, 0), _diag(0, 1)]}]}},
+        "InvalidEffectError",
+        "effect 0 has eigenvalue",
+    ),
+    "state_trace": (
+        {
+            "kind": "ambiguity",
+            "payload": {"rho_a": _diag(0.5, 1e308), "rho_b": EYE2, "sigma_1": PROJ0, "sigma_2": PROJ_PLUS},
+        },
+        "NotNormalizedError",
+        "rho_a trace = 1e+308,",
+    ),
+    "state_trace_overflow": (
+        {"kind": "fuse", "payload": {"rho_a": _diag(1e308, 1e308), "rho_b": EYE2, "n_samples": 10}},
+        "NotNormalizedError",
+        "rho_a trace = inf,",
+    ),
+    "kraus_of_two_sizes": (_kraus_step(_diag(1e308, 0), _diag(0, 1, 1)), "ShapeError", "all operators"),
+    # The two M^dag M have off-diagonal entries +inf and -inf, so the residual is NaN.
+    "kraus_nan_residual": (
+        _kraus_step([[[1e308, 0], [1e308, 0]], [[0, 0], [0, 0]]], [[[1e308, 0], [-1e308, 0]], [[0, 0], [0, 0]]]),
+        "IncompleteMeasurementError",
+        "operators: completeness residual nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_FLOAT_LIMIT))
+def test_entries_near_the_float_limit_exit_with_named_error(case, tmp_path, capsys):
+    cfg, error, message = NEAR_FLOAT_LIMIT[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}: {message}")
 
 
 # JSON text that json.loads rejects without a JSONDecodeError.

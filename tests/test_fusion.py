@@ -13,7 +13,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpool import cli, linalg
+from qpool import cli, fusion, linalg
 from qpool.errors import (
     AmbiguityPreconditionError,
     DegenerateConstructionError,
@@ -40,6 +40,7 @@ from qpool.linalg import (
     TOL_RANK,
     dagger,
     ensure_density_matrix,
+    ensure_states,
     hermitian_eig,
     is_psd,
     support,
@@ -468,10 +469,9 @@ def test_max_common_weight_is_tight(pair):
 SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-# Upper bounds (eigvalsh, eigh, Hermiticity passes) per shipped config that
-# validates a matrix.  They stay out of the test ids, so tightening a bound
-# renames no test.
-EIGEN_SOLVE_BOUNDS = {
+# (eigvalsh, eigh, Hermiticity passes) per shipped config that validates a
+# matrix.  They stay out of the test ids, so changing a count renames no test.
+EIGEN_SOLVES = {
     "realize": (2, 5, 5),
     "ambiguity": (7, 8, 14),
     "fuse": (0, 2, 2),
@@ -481,7 +481,7 @@ EIGEN_SOLVE_BOUNDS = {
 }
 
 
-@pytest.mark.parametrize("kind", EIGEN_SOLVE_BOUNDS)
+@pytest.mark.parametrize("kind", EIGEN_SOLVES)
 def test_each_state_is_eigendecomposed_once_per_entry_point(kind, monkeypatch):
     """Eigen-solves per shipped config: one symmetrize and one eigh per validated state or effect."""
     counts = dict.fromkeys(("eigvalsh", "eigh", "ensure_hermitian"), 0)
@@ -494,7 +494,32 @@ def test_each_state_is_eigendecomposed_once_per_entry_point(kind, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     cli.run_scenario(json.loads((SHIPPED_CONFIGS / f"{kind}.json").read_text()))
-    assert all(n <= bound for n, bound in zip(counts.values(), EIGEN_SOLVE_BOUNDS[kind])), counts
+    assert tuple(counts.values()) == EIGEN_SOLVES[kind], counts
+
+
+# Calls per shipped config to these fusion functions, in this order.
+FUSION_CALL_NAMES = ("check_consistency", "support", "max_common_weight", "decompose_common", "realize_tripartite")
+FUSION_CALLS = {
+    "consistency": (1, 2, 0, 0, 0),
+    "realize": (0, 0, 2, 1, 1),
+    "ambiguity": (1, 2, 4, 2, 2),
+    "fuse": (1, 2, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("kind", FUSION_CALLS)
+def test_fusion_work_goes_through_the_public_functions(kind, monkeypatch):
+    """Counted through fusion's module attributes, where a tracer wraps them."""
+    counts = dict.fromkeys(FUSION_CALL_NAMES, 0)
+    for name in FUSION_CALL_NAMES:
+
+        def counted(*args, _name=name, _call=getattr(fusion, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, name, counted)
+    cli.run_scenario(json.loads((SHIPPED_CONFIGS / f"{kind}.json").read_text()))
+    assert tuple(counts.values()) == FUSION_CALLS[kind], counts
 
 
 def assert_same_tree(actual, expected) -> None:
@@ -545,6 +570,25 @@ def test_fusion_reuses_the_validation_eigenpairs_bit_for_bit(pair):
         assert_same_tree(tuple(eig), hermitian_eig(rho))
     dec = realize_pair(*pair)[0]
     assert_same_tree(dec.sigma_support, support_cutoff(*hermitian_eig(dec.sigma), TOL_RANK))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(6, candidates=2), st.floats(0.05, 1.0))
+def test_fusion_gives_the_same_bytes_for_raw_matrices_and_states(raw, fraction):
+    states = tuple(ensure_states(rho_a=raw[0], rho_b=raw[1], sigma_1=raw[2], sigma_2=raw[3]))
+    alpha = fraction * max_common_weight(raw[0], raw[2])
+    beta = fraction * max_common_weight(raw[1], raw[2])
+    calls = (
+        lambda a, b, s1, s2: check_consistency(a, b),
+        lambda a, b, s1, s2: (max_common_weight(a, s1), max_common_weight(b, s2)),
+        lambda a, b, s1, s2: decompose_common(a, b, s1, alpha, beta),
+        lambda a, b, s1, s2: realize_pair(a, b, s1),
+        lambda a, b, s1, s2: realize_pair(a, b, s1, alpha, beta),
+        lambda a, b, s1, s2: demonstrate_ambiguity(a, b, s1, s2),
+        lambda a, b, s1, s2: averaged_fusion(a, b, HistoryMeasureConfig(n_samples=50, seed=3)),
+    )
+    for call in calls:
+        assert_same_tree(call(*states), call(*raw))
 
 
 def psd_edge_state(lam_min: float) -> np.ndarray:

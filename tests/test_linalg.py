@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpool
-
+from qpool import linalg
 from qpool.errors import (
     HermiticityError,
+    IncompleteMeasurementError,
     NonFiniteError,
     NotNormalizedError,
     PositivityError,
@@ -18,15 +20,18 @@ from qpool.errors import (
 )
 from qpool.linalg import (
     TOL_PSD,
+    State,
     Subspace,
     ensure_density_matrix,
     ensure_effect,
+    ensure_hermitian,
     ensure_states,
     hermitian_eig,
     is_psd,
     matrix_sqrt_psd,
     partial_trace,
     psd_root,
+    require_complete,
     subspace_intersection,
     support,
     tensor,
@@ -272,6 +277,37 @@ class TestEnsureStates:
     def test_names_every_shape(self):
         with pytest.raises(ShapeError, match=r"rho \(2, 2\), sigma \(3, 3\), tau \(2, 2\)"):
             ensure_states(rho=np.eye(2) / 2, sigma=np.eye(3) / 3, tau=proj(KET0))
+
+    def test_a_state_passes_through_without_a_solve(self, monkeypatch):
+        states = ensure_states(rho=np.eye(2) / 2, sigma=proj(KET_PLUS))
+        assert all(isinstance(s, State) and s.rho is s[0] for s in states)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append("eigh"))
+        monkeypatch.setattr(linalg, "ensure_hermitian", lambda *args, **kwargs: calls.append("hermitian"))
+        assert ensure_density_matrix(states[0]) is states[0]
+        again = ensure_states(rho=states[0], sigma=states[1])
+        assert all(got is state for got, state in zip(again, states, strict=True)) and not calls
+
+    def test_states_still_get_the_shape_check(self):
+        with pytest.raises(ShapeError, match=r"rho \(2, 2\), sigma \(3, 3\)"):
+            ensure_states(rho=ensure_density_matrix(np.eye(2) / 2), sigma=ensure_density_matrix(np.eye(3) / 3))
+
+
+def test_entries_near_the_float_limit_are_decided_without_overflow():
+    big = np.diag([1e308, -1e308]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_same_bytes(ensure_hermitian(big), big)
+        with pytest.raises(HermiticityError):
+            ensure_hermitian(np.array([[0, 1e308], [-1e308, 0]]))
+        # |1.5e308 (1 + i)| overflows, which must not make the tolerance infinite.
+        with pytest.raises(HermiticityError):
+            ensure_hermitian(np.array([[0, 1.5e308 + 1.5e308j], [0, 0]]))
+
+
+def test_a_nan_completeness_residual_fails():
+    with pytest.raises(IncompleteMeasurementError, match="residual nan"):
+        require_complete(float("nan"), "operators")
 
 
 def test_trace_distance_pure_states():
