@@ -6,10 +6,12 @@ system measurement scenario realizes the pair with sigma as the state held
 by an observer who sees both outcome records.  Because sigma may be any
 state supported inside the intersection, the pooled state is not fixed by
 the two marginals alone; ``averaged_fusion`` explores one pluggable choice
-of measure over the realizations.  Each public function validates its
-matrices with ``linalg.ensure_states`` into ``State``s that carry their
-eigenpairs, and passes those ``State``s on to the public functions it builds
-on; ``ensure_states`` returns a ``State`` unchanged, so no state is solved twice.
+of measure over the realizations, weighting each pure common state x in the
+intersection basis, in log space, by the realized squared norm <x|M|x>.
+Each public function validates its matrices with ``linalg.ensure_states``
+into ``State``s that carry their eigenpairs and passes them on to the public
+functions it builds on; ``ensure_states`` returns a ``State`` unchanged, so
+no state is solved twice.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
     InconsistentStatesError,
     PositivityError,
 )
+from .estimation import WeightedStateEnsemble, predictive_state
 from .haar import sample_amplitudes
 from .linalg import (
     TOL_PSD,
@@ -383,31 +386,28 @@ class HistoryMeasureConfig:
 def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     """Monte-Carlo average of pooled states over the configured measure family.
 
-    Deterministic for a fixed seed (single stream, fixed reduction order).
-    The support of the result lies inside the intersection of the supports.
+    A sample is a unit vector x in the intersection basis B.  With C = (V^dag B) / sqrt(lam)
+    from each state's support eigenpairs, the realized squared norm at half the admissible
+    weights is <x|M|x> for M = -I + 2 (C_a^dag C_a + C_b^dag C_b).  Its -weight_exponent power,
+    taken in log space relative to the largest, weighs the sample.  Deterministic per seed.
     """
     a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
     consistent, intersection = check_consistency(a, b)
     if not consistent:
         raise InconsistentStatesError("cannot fuse states with disjoint supports")
 
-    rng = np.random.default_rng(cfg.seed)
-    local = sample_amplitudes(intersection.dimension, int(cfg.n_samples), rng)
-    states = local @ intersection.basis.T  # rows are ambient pure states
-
-    eigs = (support_cutoff(s.vals, s.vecs, TOL_RANK) for s in (a, b))
-    pinv_a, pinv_b = ((basis / lam) @ dagger(basis) for lam, basis in eigs)
-    # For a pure common state, the admissible maximum weight is the inverse
-    # of the quadratic form of the support pseudo-inverse.
-    alpha = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), pinv_a, states).real
-    beta = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), pinv_b, states).real
-    norm_sq = 1.0 + (1.0 - alpha) / alpha + (1.0 - beta) / beta
-    weights = (1.0 / norm_sq) ** cfg.weight_exponent
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise ImpossibleOutcomeError(
-            f"fusion weights sum to {float(total)!r} at weight_exponent {cfg.weight_exponent!r}"
-        )
-
-    fused = (states.T * weights) @ states.conj() / total
+    basis, k = intersection.basis, intersection.dimension
+    quad = -np.eye(k)
+    for lam, vecs in (support_cutoff(s.vals, s.vecs, TOL_RANK) for s in (a, b)):
+        c = (dagger(vecs) @ basis) / np.sqrt(lam)[:, None]
+        quad = quad + 2.0 * (dagger(c) @ c)
+    local = sample_amplitudes(k, int(cfg.n_samples), np.random.default_rng(cfg.seed))
+    norm_sq = ((local.conj() @ quad) * local).sum(axis=1).real
+    with np.errstate(over="ignore"):  # an overflow gives -inf (weight 0) or an infinite top
+        log_w = -cfg.weight_exponent * np.log(norm_sq)
+    top = log_w.max()
+    if not np.isfinite(top):
+        raise ImpossibleOutcomeError(f"top log-weight {float(top)!r} at exponent {cfg.weight_exponent!r}")
+    ens = WeightedStateEnsemble(k, local, np.exp(log_w - top))
+    fused = basis @ predictive_state(ens) @ dagger(basis)
     return (fused + dagger(fused)) / 2

@@ -71,7 +71,7 @@ def require_effect(lam_min: float, lam_max: float, name: str) -> None:
     """The effect rule on a spectrum: PSD, and no eigenvalue above ``1 + TOL_PSD``."""
     require_psd(lam_min, lam_max, name)
     if lam_max > 1.0 + TOL_PSD:
-        raise InvalidEffectError(f"{name} has eigenvalue {lam_max:.6f} > 1")
+        raise InvalidEffectError(f"{name} has eigenvalue {lam_max!r} > 1")
 
 
 def completeness_residual(total: np.ndarray) -> float:

@@ -593,7 +593,7 @@ NEAR_FLOAT_LIMIT = {
     "effect_entry": (
         {"kind": "history", "payload": {"steps": [{"owner": "alice", "povm": [_diag(1e308, 0), _diag(0, 1)]}]}},
         "InvalidEffectError",
-        "effect 0 has eigenvalue",
+        "effect 0 has eigenvalue 1e+308 > 1",
     ),
     "state_trace": (
         {

@@ -2,6 +2,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import (
@@ -644,4 +645,28 @@ def reference_averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.nda
 def test_averaged_fusion_matches_the_check_consistency_route(pair, n_samples, seed, exponent):
     rho_a, rho_b, _ = pair
     cfg = HistoryMeasureConfig(n_samples=n_samples, seed=seed, weight_exponent=exponent)
-    assert_same_bytes(averaged_fusion(rho_a, rho_b, cfg), reference_averaged_fusion(rho_a, rho_b, cfg))
+    np.testing.assert_allclose(
+        averaged_fusion(rho_a, rho_b, cfg), reference_averaged_fusion(rho_a, rho_b, cfg), rtol=0, atol=1e-13
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(6), st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-700.0, 700.0))
+def test_averaged_fusion_weighs_each_sample_by_its_realized_norm(pair, n_samples, seed, exponent):
+    """Each sample s weighs ``norm_psi_sq ** -exponent`` of the scenario realizing |s><s|.
+
+    The weights are normalized in mpmath, so exponents whose float powers
+    underflow or overflow (|exponent| above about 650) still have a reference.
+    """
+    rho_a, rho_b, _ = pair
+    _, intersection = check_consistency(rho_a, rho_b)
+    local = sample_amplitudes(intersection.dimension, n_samples, np.random.default_rng(seed))
+    states = local @ intersection.basis.T
+    norms = [realize_pair(rho_a, rho_b, proj(s))[-1].norm_psi_sq for s in states]
+    powers = [mpmath.mpf(x) ** -exponent for x in norms]
+    total = mpmath.fsum(powers)
+    weights = np.array([float(w / total) for w in powers])
+    cfg = HistoryMeasureConfig(n_samples=n_samples, seed=seed, weight_exponent=exponent)
+    np.testing.assert_allclose(
+        averaged_fusion(rho_a, rho_b, cfg), (states.T * weights) @ states.conj(), rtol=0, atol=1e-13
+    )
