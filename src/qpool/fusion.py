@@ -402,7 +402,10 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
         c = (dagger(vecs) @ basis) / np.sqrt(lam)[:, None]
         quad = quad + 2.0 * (dagger(c) @ c)
     local = sample_amplitudes(k, int(cfg.n_samples), np.random.default_rng(cfg.seed))
-    norm_sq = ((local.conj() @ quad) * local).sum(axis=1).real
+    # On interleaved (Re x, Im x) rows, M = A + iB acts as the real symmetric [[A, -B], [B, A]] per entry.
+    real_quad = np.kron(quad.real, np.eye(2)) + np.kron(quad.imag, [[0.0, -1.0], [1.0, 0.0]])
+    parts = local.view(np.float64)
+    norm_sq = np.einsum("ij,ij->i", parts @ real_quad, parts)
     with np.errstate(over="ignore"):  # an overflow gives -inf (weight 0) or an infinite top
         log_w = -cfg.weight_exponent * np.log(norm_sq)
     top = log_w.max()

@@ -2,10 +2,16 @@
 
 In probability/phase coordinates the invariant measure is flat: the outcome
 probabilities ``P_k = |c_k|^2`` are uniform on the simplex and the phases
-are independent and uniform on [0, 2pi).  Sampling therefore draws
-normalized exponential spacings for the probabilities (the uniform
-Dirichlet) and independent uniform phases.  The global phase is sampled
-too; it is physically redundant but harmless.
+are independent and uniform on [0, 2pi).  A standard complex Gaussian vector
+g ~ CN(0, I) divided by its norm has exactly that law (Mezzadri, Notices
+AMS 54, 592 (2007)): each |g_k|^2 is an independent exponential, so the
+normalized moduli are the uniform Dirichlet (Devroye's normalized
+exponential spacings), and each arg g_k is uniform and independent of the
+moduli.  Sampling therefore draws one real Gaussian buffer with the real and
+imaginary parts interleaved, divides each row by its norm in place, and
+reads the buffer as complex amplitudes: no transcendental function per entry
+and no allocation beyond the result and one norm per row.  The global phase
+is sampled too; it is physically redundant but harmless.
 """
 
 from __future__ import annotations
@@ -56,26 +62,20 @@ class PureStateSample:
         return np.outer(amps, amps.conj())
 
 
-def _draw_coordinates(dim: int, n_samples: int, rng: np.random.Generator):
-    """Probability and phase rows for ``n_samples`` states, each of shape (n, dim)."""
+def sample_amplitudes(dim: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Amplitude rows for ``n_samples`` invariant-measure pure states: C-contiguous complex (n, dim)."""
     if dim < 1:
         raise ShapeError(f"dimension must be positive, got {dim}")
-    spacings = rng.standard_exponential((n_samples, dim))
-    probs = spacings / spacings.sum(axis=1, keepdims=True)
-    phases = rng.uniform(0.0, 2.0 * np.pi, (n_samples, dim))
-    return probs, phases
-
-
-def sample_amplitudes(dim: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Amplitude rows for ``n_samples`` invariant-measure pure states, shape (n, dim)."""
-    probs, phases = _draw_coordinates(dim, int(n_samples), rng)
-    return np.sqrt(probs) * np.exp(1j * phases)
+    parts = rng.standard_normal((int(n_samples), 2 * dim))
+    norms = np.einsum("ij,ij->i", parts, parts)
+    parts /= np.sqrt(norms, out=norms)[:, None]
+    return parts.view(complex)
 
 
 def sample_pure_state(dim: int, rng: np.random.Generator) -> PureStateSample:
     """Draw one pure state from the invariant measure."""
-    probs, phases = _draw_coordinates(dim, 1, rng)
-    return PureStateSample(probs[0], phases[0])
+    amps = sample_amplitudes(dim, 1, rng)[0]
+    return PureStateSample(np.abs(amps) ** 2, np.angle(amps) % (2.0 * np.pi))
 
 
 def measure_normalization(dim: int) -> float:

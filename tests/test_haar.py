@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_unitary
@@ -60,6 +62,59 @@ class TestSamplePureState:
         p1 = np.abs(amps[:, 0]) ** 2
         theta1 = np.angle(amps[:, 0])
         assert abs(np.corrcoef(p1, theta1)[0, 1]) < 0.01
+
+    def test_pure_state_is_the_first_amplitude_row_of_the_same_draw(self):
+        for dim in (1, 2, 5):
+            state = sample_pure_state(dim, np.random.default_rng(5))
+            row = sample_amplitudes(dim, 1, np.random.default_rng(5))[0]
+            np.testing.assert_allclose(state.amplitudes, row, rtol=0, atol=1e-15)
+            assert 0.0 <= state.phases.min() and state.phases.max() <= 2.0 * np.pi
+
+
+def assert_mean(values, expected, what):
+    """The sample mean lies within 6 standard errors, estimated from the draws, of ``expected``.
+
+    The 1e-12 floor covers moments that are constant up to rounding (|a|^2 = 1 at d = 1).
+    """
+    se = values.std(ddof=1) / np.sqrt(values.size)
+    assert abs(values.mean() - expected) <= 6.0 * se + 1e-12, f"{what}: mean {values.mean()!r}, exact {expected!r}, se {se!r}"
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sampler_matches_the_exact_moments_of_the_invariant_measure(dim):
+    """E|a_i|^2 = 1/d, E|a_i|^4 = 2/(d(d+1)), E|a_i|^2|a_j|^2 = 1/(d(d+1)) and E a_i a_j^* = 0 for i != j."""
+    amps = sample_amplitudes(dim, 200_000, np.random.default_rng(900 + dim))
+    probs = np.abs(amps) ** 2
+    for i in range(dim):
+        assert_mean(probs[:, i], 1.0 / dim, f"E|a_{i}|^2")
+        assert_mean(probs[:, i] ** 2, 2.0 / (dim * (dim + 1)), f"E|a_{i}|^4")
+        for j in range(i + 1, dim):
+            assert_mean(probs[:, i] * probs[:, j], 1.0 / (dim * (dim + 1)), f"E|a_{i}|^2|a_{j}|^2")
+            cross = amps[:, i] * amps[:, j].conj()
+            assert_mean(cross.real, 0.0, f"Re E a_{i} a_{j}^*")
+            assert_mean(cross.imag, 0.0, f"Im E a_{i} a_{j}^*")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+def test_sampler_layout_norms_and_determinism(dim):
+    # _sample_features, predictive_state and averaged_fusion read the rows through a float64 view.
+    amps = sample_amplitudes(dim, 1000, np.random.default_rng(6))
+    assert amps.shape == (1000, dim)
+    assert amps.dtype == np.complex128
+    assert amps.flags.c_contiguous
+    np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-14)
+    assert sample_amplitudes(dim, 1000, np.random.default_rng(6)).tobytes() == amps.tobytes()
+
+
+def test_sampler_peak_memory_is_at_most_twice_its_result():
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        amps = sample_amplitudes(2, 100_000, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * amps.nbytes, f"peak {peak} bytes for a {amps.nbytes}-byte result"
 
 
 class TestMeasureNormalization:
