@@ -62,7 +62,7 @@ class InvalidEffectError(QpoolError, ValueError):
 
 
 class DimensionGuardError(QpoolError, ValueError):
-    """A requested tensor power exceeds the dense-matrix size guard."""
+    """A requested tensor power exceeds the dense-matrix size guard, or a float posterior the float range."""
 
 
 class ConfigError(QpoolError, ValueError):

@@ -95,12 +95,26 @@ class KrausPovm:
 
     @classmethod
     def from_effects(cls, effects: Sequence, unitaries: Sequence | None = None) -> "KrausPovm":
-        roots = [psd_root(*ensure_effect(e, name=f"effect {k}")[1:]) for k, e in enumerate(effects)]
+        """The operators ``U_i sqrt(E_i)`` of a complete family of effects.
+
+        Completeness is decided once, on the effects as ``Povm`` decides it,
+        and on each unitary as a one-operator family (``U^dag U = I``).  The
+        roots are not judged again: ``psd_root`` clips eigenvalues in
+        [-TOL_PSD, 0) to 0, and the clipped parts add up across effects.
+        """
+        checked = [ensure_effect(e, name=f"effect {k}") for k, e in enumerate(effects)]
+        _require_complete_family([e for e, _, _ in checked], "effects")
+        roots = [psd_root(vals, vecs) for _, vals, vecs in checked]
         if unitaries is not None:
             if len(unitaries) != len(roots):
                 raise ShapeError("one unitary per outcome is required")
-            roots = [as_square_matrix(u) @ r for u, r in zip(unitaries, roots)]
-        return cls(tuple(roots))
+            unitaries = [as_square_matrix(u, name=f"unitary {k}") for k, u in enumerate(unitaries)]
+            for k, u in enumerate(unitaries):
+                _require_complete_family([dagger(u) @ u], f"unitary {k}")
+            roots = [u @ r for u, r in zip(unitaries, roots)]
+        povm = cls.__new__(cls)
+        object.__setattr__(povm, "ops", tuple(roots))
+        return povm
 
     @classmethod
     def projective(cls, basis: np.ndarray) -> "KrausPovm":

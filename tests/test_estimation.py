@@ -1,4 +1,8 @@
 import json
+import math
+import struct
+import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -8,7 +12,7 @@ import pytest
 from conftest import assert_same_bytes, random_effects, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ, Poly, Rational, symbols
+from sympy import QQ, ZZ, Poly, symbols
 
 from qpool.cli import main
 from qpool.errors import (
@@ -53,30 +57,55 @@ R = symbols("r")
 
 
 def sympy_top_population(effects) -> Fraction:
-    """Exact oracle: expand the likelihood product in QQ[r] and integrate it with sympy."""
-    q = Poly(1, R, domain=QQ)
-    for x in effects:
-        x = Rational(x.numerator, x.denominator)
-        q = q * Poly([2 * x - 1, 1 - x], R, domain=QQ)  # x r + (1 - x)(1 - r)
+    """Exact oracle: expand the likelihood product with sympy and integrate it in QQ[r].
+
+    Each factor is scaled by its effect's denominator into ZZ[r], which the
+    ratio of the two integrals cancels, and equal effects enter as one power
+    of their factor: 2000 effects k/20 take a few seconds.
+    """
+    q = Poly(1, R, domain=ZZ)
+    for x, count in sorted(Counter(effects).items()):
+        a, b = x.numerator, x.denominator  # b (x r + (1 - x)(1 - r)); the factor b cancels
+        q = q * Poly([2 * a - b, b - a], R, domain=ZZ) ** count
+    q = Poly(q, R, domain=QQ)
     top = (q * Poly(R, R, domain=QQ)).integrate().eval(1) / q.integrate().eval(1)
     return Fraction(int(top.p), int(top.q))
 
 
 def mpmath_top_population(effects) -> float:
-    """Float-input oracle: the monomial expansion at 300 significant digits.
+    """Oracle for float or rational effects: the monomial expansion in fixed point, summed in mpmath.
 
-    The float effects enter exactly.  For n factors the monomial coefficients
-    are below 2^n in magnitude, and the moments are above 2^-n / (16n): every
-    factor is 1/2 at r = 1/2 and has slope at most 1.  With n <= 300, 300
-    digits leave over 100 after the cancellation.
+    Each effect is an exact ratio x = p / d, so its factor (1 - x) + (2x - 1) r
+    is (a + b r) / d with integers a = d - p and b = 2p - d; equal effects
+    enter as one binomial power.  The monomial coefficients are kept as
+    integers in units of 2^-prec, each update rounded down, so after n factors
+    they are off by at most n 2^(S - prec), where 2^S bounds
+    prod(max(1, (|a| + |b|) / d)) and so the coefficients too.  As m0 >=
+    2^-n / (n + 1) (every factor is 1/2 at r = 1/2 with slope at most 1),
+    prec = S + n + 3 log2(n + 1) + 120 leaves over 100 bits after the
+    cancellation.  mpmath then sums m0 and m1 exactly enough at the
+    coefficients' own bit length plus 64.
     """
-    with mpmath.workdps(300):
-        coeffs = [mpmath.mpf(1)]
-        for x in effects:
-            a, b = 1 - mpmath.mpf(x), 2 * mpmath.mpf(x) - 1
-            coeffs = [a * c + b * d for c, d in zip(coeffs + [0], [0] + coeffs)]
-        m0 = mpmath.fsum(c / (j + 1) for j, c in enumerate(coeffs))
-        m1 = mpmath.fsum(c / (j + 2) for j, c in enumerate(coeffs))
+    groups = Counter(effects)
+    n = len(effects)
+    spread = sum(m * max(0.0, math.log2(abs(1 - x) + abs(2 * x - 1))) for x, m in groups.items())
+    prec = int(spread + n + 3 * math.log2(n + 1)) + 120
+    coeffs = [1 << prec]
+    for x, m in groups.items():
+        p, d = x.as_integer_ratio()
+        a, b = d - p, 2 * p - d
+        power = [a**m]  # C(m, k) a^(m-k) b^k by recurrence in k; a = 0 only for x = 1
+        for k in range(m):
+            power.append(power[-1] * (m - k) * b // ((k + 1) * a) if a else 0)
+        power[m] = b**m
+        product = [0] * (len(coeffs) + m)
+        for i, c in enumerate(coeffs):
+            product[i : i + m + 1] = [u + c * t for u, t in zip(product[i : i + m + 1], power)]
+        # Floor division by d^m; a shift when d is a power of two, as for every float.
+        coeffs = [u >> (m * (d.bit_length() - 1)) for u in product] if d & (d - 1) == 0 else [u // d**m for u in product]
+    with mpmath.workprec(max(c.bit_length() for c in coeffs) + 64):
+        m0 = mpmath.fsum(mpmath.mpf(c) / (j + 1) for j, c in enumerate(coeffs))
+        m1 = mpmath.fsum(mpmath.mpf(c) / (j + 2) for j, c in enumerate(coeffs))
         return float(m1 / m0)
 
 
@@ -203,6 +232,95 @@ class TestPooledPredictive:
             assert qubit_diagonal_posterior(xs).moment(0) > 0
 
 
+# The exact path before the scaled fold: one PolynomialDensity per effect and
+# one Fraction per moment term, in the parent's float arithmetic.  It is the
+# reference for the fold's bytes.  ``ReferenceUnderflow`` marks inputs on which
+# one of its float steps left the normal range, where its bytes carry no claim.
+class ReferenceUnderflow(Exception):
+    pass
+
+
+def _reference_product(a, b):
+    if isinstance(a, float) or isinstance(b, float):
+        a, b = float(a), float(b)  # a Fraction meets a float as float(Fraction)
+        product = a * b
+        if any(0 < abs(v) < sys.float_info.min for v in (a, b, product)) or (a and b and not product):
+            raise ReferenceUnderflow
+        return product
+    return a * b
+
+
+def reference_multiply(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += _reference_product(x, y)
+    return out
+
+
+def reference_posterior(effects) -> list:
+    return reduce(lambda coeffs, x: reference_multiply(coeffs, [1 - x, x]), effects, [1])
+
+
+def reference_moment(coeffs, k: int):
+    d = len(coeffs) - 1 + k
+    return sum(_reference_product(c, Fraction(1, (d + 1) * math.comb(d, j + k))) for j, c in enumerate(coeffs))
+
+
+def reference_populations(coeffs) -> tuple:
+    m0, m1 = reference_moment(coeffs, 0), reference_moment(coeffs, 1)
+    top = m1 / m0
+    if isinstance(top, float) and m1 and abs(top) < sys.float_info.min:
+        raise ReferenceUnderflow
+    return top, 1 - top
+
+
+EFFECT_VALUES = st.one_of(
+    st.floats(0, 1),
+    st.sampled_from([0, 1, 0.0, 1.0, 0.5, 1e-300, 1 - 2**-53]),
+    st.fractions(0, 1, max_denominator=64),
+)
+
+
+@st.composite
+def effect_lists(draw):
+    """0-40 effects drawn from a pool of up to 8 values, so that repeats are common."""
+    pool = draw(st.lists(EFFECT_VALUES, min_size=1, max_size=8))
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))]
+
+
+def _bits(values) -> list:
+    return [struct.pack("<d", float(v)) for v in values]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(effect_lists(), effect_lists())
+def test_scaled_posteriors_keep_the_reference_bytes(effects_a, effects_b):
+    try:
+        ref_a, ref_b = reference_posterior(effects_a), reference_posterior(effects_b)
+        ref_pooled = reference_multiply(ref_a, ref_b)
+        expected = [(c, reference_populations(c)) for c in (ref_a, ref_b, ref_pooled)]
+    except ReferenceUnderflow:
+        return
+    q_a, q_b = qubit_diagonal_posterior(effects_a), qubit_diagonal_posterior(effects_b)
+    for (coeffs, populations), q in zip(expected, (q_a, q_b, q_a.multiply(q_b))):
+        assert list(q.coeffs) == coeffs and _bits(q.coeffs) == _bits(coeffs)
+        got = predictive_populations(q)
+        assert got == populations and _bits(got) == _bits(populations)
+        assert [type(v) for v in got] == [type(v) for v in populations]
+
+
+def _estimate_populations(tmp_path, payload) -> dict:
+    """Run an ``estimate`` config through the CLI; the two populations of each reported state."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "estimate", "payload": payload}))
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    pops = {key: (outputs[key][0][0][0], outputs[key][1][1][0]) for key in ("predictive_a", "predictive_b", "pooled")}
+    return outputs, pops
+
+
 class TestOracles:
     def test_exact_path_equals_sympy(self):
         # Effects k/20 keep sympy's rationals small; float-derived ones make
@@ -218,8 +336,16 @@ class TestOracles:
         top, bottom = predictive_populations(q_a.multiply(q_b))
         assert top == sympy_top_population(effects) and top + bottom == 1
 
+    def test_exact_path_equals_sympy_at_2000_effects(self):
+        rng = np.random.default_rng(6)
+        effects = [Fraction(int(k), 20) for k in rng.integers(1, 20, 2000)]
+        top, bottom = predictive_populations(qubit_diagonal_posterior(effects))
+        assert top == sympy_top_population(effects) and top + bottom == 1
+
     @pytest.mark.parametrize(
-        "effects", [[0.1] * 20, [0.1] * 21, [0.3] * 87], ids=["20x0.1", "21x0.1", "87x0.3"]
+        "effects",
+        [[0.1] * 20, [0.1] * 21, [0.3] * 87, [0.5] * 1100, [0.3] * 2000, [0.9] * 2000, [0.5] * 2000],
+        ids=["20x0.1", "21x0.1", "87x0.3", "1100x0.5", "2000x0.3", "2000x0.9", "2000x0.5"],
     )
     def test_repeated_float_effects(self, effects):
         top = mpmath_top_population(effects)
@@ -240,13 +366,37 @@ class TestOracles:
                 np.testing.assert_allclose(got, np.diag([top, 1 - top]), rtol=0, atol=1e-13)
 
     def test_cli_runs_repeated_effects(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kind": "estimate", "payload": {"effects_a": [0.1] * 21}}))
-        out = tmp_path / "report.json"
-        assert main(["run", str(cfg), "--out", str(out)]) == 0
-        outputs = json.loads(out.read_text())["outputs"]
+        outputs, _ = _estimate_populations(tmp_path, {"effects_a": [0.1] * 21})
         assert min(outputs["posterior_coeffs_a"]) >= 0
         assert sum(outputs["posterior_coeffs_a"]) == pytest.approx(1, abs=1e-15)
+
+    def test_cli_runs_1100_half_effects(self, tmp_path):
+        # Every moment term is 2^-1100 / 1101: the unscaled moments underflow.
+        outputs, pops = _estimate_populations(tmp_path, {"effects_a": [0.5] * 1100})
+        for key in ("predictive_a", "pooled"):
+            assert pops[key][0] == pytest.approx(0.5, abs=1e-13)
+            assert pops[key][1] == pytest.approx(0.5, abs=1e-13)
+        assert pops["predictive_b"] == (0.5, 0.5)
+        # The report holds the unscaled coefficients: c_0 = 2^-1100 reads 0.
+        coeffs = outputs["posterior_coeffs_a"]
+        assert coeffs[0] == 0.0 and coeffs[550] > 0
+        assert sum(coeffs) == pytest.approx(1, abs=1e-13)
+
+    def test_cli_runs_600_plus_600_random_effects(self, tmp_path):
+        rng = np.random.default_rng(17)
+        xs_a, xs_b = rng.uniform(0, 1, 600).tolist(), rng.uniform(0, 1, 600).tolist()
+        _, pops = _estimate_populations(tmp_path, {"effects_a": xs_a, "effects_b": xs_b})
+        for key, xs in (("predictive_a", xs_a), ("predictive_b", xs_b), ("pooled", xs_a + xs_b)):
+            top = mpmath_top_population(xs)
+            assert abs(pops[key][0] - top) <= 1e-13 and abs(pops[key][1] - (1 - top)) <= 1e-13
+
+    def test_beyond_the_float_range_is_a_named_error(self, tmp_path):
+        # A mass of 2^-3000 is past what the scaled floats resolve.
+        with pytest.raises(DimensionGuardError, match="below the float range"):
+            predictive_populations(qubit_diagonal_posterior([0.5] * 3000))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "estimate", "payload": {"effects_a": [0.5] * 3000}}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "report.json")]) == 2
 
 
 class TestMatchingBeta:

@@ -577,6 +577,53 @@ def test_edge_effects_get_one_verdict_everywhere(seed):
     assert len(set(verdicts.values())) == 1, verdicts
 
 
+# Two effects each with an eigenvalue just inside -TOL_PSD: clipping both roots
+# leaves their sum 1.8e-9 past the identity, more than TOL_COMPLETENESS.
+CLIPPED_FAMILY = [np.diag([-0.9e-9, 0.2]), np.diag([-0.9e-9, 0.3]), np.diag([0.5 + 1.8e-9, 0.25]), np.diag([0.5, 0.25])]
+
+
+def test_from_effects_decides_completeness_on_the_effects():
+    assert validate_povm(CLIPPED_FAMILY).passed and _builds(Povm, CLIPPED_FAMILY)
+    ops = KrausPovm.from_effects(CLIPPED_FAMILY).ops
+    for op, e in zip(ops, CLIPPED_FAMILY):
+        assert_same_bytes(op, matrix_sqrt_psd(e))
+
+
+def test_from_effects_checks_each_unitary():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(IncompleteMeasurementError, match="unitary 1"):
+        KrausPovm.from_effects([proj(KET0), proj(KET1)], unitaries=[swap, 2 * swap])
+
+
+@st.composite
+def clipped_families(draw):
+    """2-5 commuting effects in a random frame, several with eigenvalues at -TOL_PSD (1 +- 1e-7).
+
+    Each direction's eigenvalues add up to 1: the last effect takes up the
+    negative ones, so it sits at or just past 1 + TOL_PSD when they add up.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    spectra = rng.dirichlet(np.ones(n), size=dim).T  # spectra[k] is effect k's eigenvalues
+    for k in range(n - 1):
+        edge = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        spectra[k, edge] = -TOL_PSD * (1.0 + rng.uniform(-1e-7, 1e-7, dim)[edge])
+    spectra[-1] = 1.0 - spectra[:-1].sum(axis=0)
+    frame = random_unitary(rng, dim)
+    return [frame @ np.diag(v) @ dagger(frame) for v in spectra]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clipped_families())
+def test_effects_at_the_psd_edge_get_one_completeness_verdict(effects):
+    verdicts = {
+        "validate_povm": validate_povm(effects).passed,
+        "Povm": _builds(Povm, effects),
+        "KrausPovm.from_effects": _builds(KrausPovm.from_effects, effects),
+    }
+    assert len(set(verdicts.values())) == 1, verdicts
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
 def test_kraus_operators_are_the_square_roots_of_the_effects(seed, dim, n):
