@@ -12,15 +12,12 @@ nonnegative coefficients in the basis r^k (1 - r)^(n - k).
 from . import classical, estimation, fusion, haar, linalg, measurement
 from .classical import (
     LikelihoodModel,
-    PermutationTransform,
     ProbDist,
-    apply_transform,
     bayes_update,
     matrix_bayes_update,
     pool_classical,
     pool_commuting_density,
     sequential_update,
-    shannon_entropy,
 )
 from .errors import (
     AmbiguityPreconditionError,
@@ -68,34 +65,21 @@ from .fusion import (
     realize_tripartite,
     simulate_tripartite,
 )
-from .haar import (
-    PureStateSample,
-    average_projector,
-    measure_normalization,
-    sample_amplitudes,
-    sample_pure_state,
-)
+from .haar import sample_amplitudes
 from .linalg import (
     Subspace,
     hermitian_eig,
-    is_psd,
-    matrix_sqrt_psd,
-    partial_trace,
     subspace_intersection,
     support,
-    tensor,
     trace_distance,
 )
 from .measurement import (
     FlatPovm,
     KrausPovm,
     MeasurementHistory,
-    Povm,
     conditional_state,
     flatten_history,
-    measurement_update,
     outcome_probability,
-    validate_povm,
 )
 
 __version__ = "0.1.0"

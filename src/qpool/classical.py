@@ -103,25 +103,6 @@ class LikelihoodModel:
         return self.cond[int(outcome), :]
 
 
-@dataclass(frozen=True)
-class PermutationTransform:
-    """Deterministic reversible relabeling of hypotheses: n -> perm[n]."""
-
-    perm: tuple
-
-    def __post_init__(self):
-        perm = tuple(int(p) for p in self.perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise ShapeError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
-        object.__setattr__(self, "perm", perm)
-
-
-def shannon_entropy(dist: ProbDist) -> float:
-    """Entropy in bits, with the 0 * log(0) = 0 convention."""
-    p = dist.probs[dist.probs > 0.0]
-    return float(-(p * np.log2(p)).sum())
-
-
 def _renormalize(unnorm: np.ndarray, error: type, message: str) -> ProbDist:
     """The second half of multiply-and-renormalize; a zero total raises ``error(message)``."""
     total = unnorm.sum()
@@ -155,15 +136,6 @@ def pool_classical(p: ProbDist, q: ProbDist) -> ProbDist:
         raise ShapeError(f"distribution sizes differ: {p.n} vs {q.n}")
     unnorm = p.probs * q.probs
     return _renormalize(unnorm, IncompatibleKnowledgeError, "distributions have disjoint supports")
-
-
-def apply_transform(dist: ProbDist, transform: PermutationTransform) -> ProbDist:
-    """Relabel hypotheses: result[perm[n]] = P(n).  Entropy is preserved."""
-    if len(transform.perm) != dist.n:
-        raise ShapeError(f"permutation size {len(transform.perm)} != distribution size {dist.n}")
-    out = np.empty_like(dist.probs)
-    out[list(transform.perm)] = dist.probs
-    return ProbDist(out)
 
 
 def _ensure_diagonal(mat: np.ndarray, *, name: str) -> np.ndarray:

@@ -6,7 +6,7 @@ class QpoolError(Exception):
 
 
 class ShapeError(QpoolError, ValueError):
-    """Dimensions, history owner or index names, or a permutation break an operation's contract."""
+    """Dimensions, sample counts, or history owner or index names break an operation's contract."""
 
 
 class HermiticityError(QpoolError, ValueError):
@@ -26,7 +26,7 @@ class IncompleteMeasurementError(QpoolError, ValueError):
 
 
 class NonFiniteError(QpoolError, ValueError):
-    """A matrix, distribution, subspace basis or state phase has an entry that is not a finite float."""
+    """A matrix, distribution or subspace basis has an entry that is not a finite float."""
 
 
 class ImpossibleOutcomeError(QpoolError, ValueError):

@@ -55,7 +55,7 @@ from .errors import (
     ShapeError,
     SingularConstraintError,
 )
-from .haar import PureStateSample, sample_amplitudes
+from .haar import sample_amplitudes
 from .linalg import TOL_SINGULAR, dagger, ensure_effect
 
 _DIM_GUARD = 4096
@@ -126,11 +126,6 @@ class PolynomialDensity:
     def _float_form(self) -> tuple:
         """(scaled float coefficients, exponent); exact coefficients are rounded once."""
         return _float_scaled(self._scaled, self._scale) if self._exact else (self._scaled, self._scale)
-
-    def evaluate(self, r):
-        """Evaluate q at a scalar or array of points."""
-        r, n = np.asarray(r, dtype=float), self.degree
-        return sum(float(c) * r**j * (1.0 - r) ** (n - j) for j, c in enumerate(self.coeffs))
 
     def _moment_sums(self, *orders) -> list:
         """One pass over the scaled coefficients for the moments of the given orders.
@@ -353,6 +348,8 @@ class WeightedStateEnsemble:
             raise ShapeError(f"amplitudes must have shape (n, {self.dim})")
         if weights.shape != (amps.shape[0],):
             raise ShapeError("one weight per sample is required")
+        if weights.size == 0:
+            raise ShapeError("an ensemble needs at least one sample")
         if not np.all(np.isfinite(weights)):
             raise NonFiniteError("weights must be finite")
         if weights.min() < 0.0:
@@ -370,16 +367,6 @@ class WeightedStateEnsemble:
         rng = np.random.default_rng(seed)
         amps = sample_amplitudes(dim, n_samples, rng)
         return cls(dim, amps, np.ones(int(n_samples)))
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[PureStateSample], weights=None) -> "WeightedStateEnsemble":
-        if not samples:
-            raise ShapeError("ensemble needs at least one sample")
-        dim = samples[0].dim
-        amps = np.stack([s.amplitudes for s in samples])
-        if weights is None:
-            weights = np.ones(len(samples))
-        return cls(dim, amps, np.asarray(weights, dtype=float))
 
     @property
     def n_samples(self) -> int:
@@ -535,12 +522,6 @@ class EstimationAudit:
             "symmetry_note": self.symmetry_note,
             "conclusion": self.conclusion,
         }
-
-    def entry(self, quantity: str, parameters: str | None = None) -> AuditEntry:
-        for e in self.entries:
-            if e.quantity == quantity and (parameters is None or e.parameters == parameters):
-                return e
-        raise KeyError(f"no audit entry for {quantity!r}")
 
 
 _SYMMETRY_NOTE = (

@@ -1,8 +1,6 @@
 """Dense complex linear algebra for small quantum-state calculations.
 
-Matrices are plain numpy arrays of complex128.  Index convention for
-composite systems: subsystem 0 is the most significant tensor factor,
-i.e. ``tensor(A, B)`` is the row-major Kronecker product ``np.kron(A, B)``.
+Matrices are plain numpy arrays of complex128.
 
 Every tolerance in qpool is a ``TOL_*`` constant below, and each validity
 rule (PSD, effect, completeness, normalization, support cutoff) is one function here.
@@ -166,62 +164,11 @@ def _descending_eigh(arr: np.ndarray):
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def is_psd(mat, tol: float = TOL_PSD, *, name: str = "matrix") -> bool:
-    """True iff the minimum eigenvalue is >= -tol * max(1, largest eigenvalue)."""
-    vals = hermitian_eig(mat, name=name)[0]
-    return psd_ok(float(vals[-1]), float(vals[0]), tol)
-
-
 def psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Hermitian square root from eigenpairs, with negative eigenvalues clipped to 0."""
     root = np.sqrt(np.clip(vals, 0.0, None))
     out = (vecs * root) @ dagger(vecs)
     return (out + dagger(out)) / 2
-
-
-def matrix_sqrt_psd(mat, *, name: str = "matrix") -> np.ndarray:
-    """Hermitian PSD square root: the PSD rule, then ``psd_root`` of the same eigenpairs."""
-    vals, vecs = hermitian_eig(mat, name=name)
-    require_psd(float(vals[-1]), float(vals[0]), name)
-    return psd_root(vals, vecs)
-
-
-def tensor(*mats) -> np.ndarray:
-    """Kronecker product of one or more matrices, first factor most significant."""
-    if not mats:
-        raise ShapeError("tensor() needs at least one factor")
-    out = as_matrix(mats[0], name="factor 0")
-    for k, m in enumerate(mats[1:], start=1):
-        out = np.kron(out, as_matrix(m, name=f"factor {k}"))
-    return out
-
-
-def partial_trace(mat, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` lists the subsystem dimensions in tensor order (subsystem 0 most
-    significant); ``keep`` is an iterable of subsystem indices to retain, in
-    their original relative order.
-    """
-    arr = as_square_matrix(mat, name="matrix")
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"subsystem dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if arr.shape != (total, total):
-        raise ShapeError(f"matrix shape {arr.shape} does not match dims product {total}")
-    keep = sorted(set(int(k) for k in keep))
-    for k in keep:
-        if k < 0 or k >= len(dims):
-            raise IndexError(f"keep index {k} out of range for {len(dims)} subsystems")
-    traced = [k for k in range(len(dims)) if k not in keep]
-    reshaped = arr.reshape(dims + dims)
-    remaining = list(dims)
-    for idx in sorted(traced, reverse=True):
-        reshaped = np.trace(reshaped, axis1=idx, axis2=idx + len(remaining))
-        del remaining[idx]
-    out_dim = int(np.prod(remaining)) if remaining else 1
-    return np.asarray(reshaped, dtype=complex).reshape(out_dim, out_dim)
 
 
 @dataclass(frozen=True)
@@ -253,14 +200,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ dagger(self.basis)
 
-    def projection_residual(self, vectors: np.ndarray) -> float:
-        """Largest norm of the component of the given column vectors outside the span."""
-        v = np.asarray(vectors, dtype=complex).reshape(self.ambient_dim, -1)
-        if v.shape[1] == 0:
-            return 0.0
-        resid = v - self.projector() @ v
-        return float(np.linalg.norm(resid, axis=0).max())
-
 
 def support(rho, tol: float = TOL_RANK) -> Subspace:
     """Span of the eigenvectors of ``rho`` with eigenvalue above ``tol * lambda_max``."""
@@ -284,7 +223,9 @@ def subspace_intersection(u: Subspace, v: Subspace, tol: float = TOL_RANK) -> Su
 
 
 def trace_distance(a, b) -> float:
-    """(1/2) * trace norm of a - b, for Hermitian a, b."""
-    diff = ensure_hermitian(a, name="a") - ensure_hermitian(b, name="b")
-    vals = np.linalg.eigvalsh(diff)
+    """(1/2) * trace norm of a - b, for Hermitian a, b of one shape."""
+    a, b = ensure_hermitian(a, name="a"), ensure_hermitian(b, name="b")
+    if a.shape != b.shape:
+        raise ShapeError(f"shapes differ: a {a.shape}, b {b.shape}")
+    vals = np.linalg.eigvalsh(a - b)
     return 0.5 * float(np.abs(vals).sum())

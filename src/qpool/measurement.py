@@ -26,18 +26,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, QpoolError, ShapeError
+from .errors import ImpossibleOutcomeError, ShapeError
 from .linalg import (
     as_square_matrix,
     completeness_residual,
     dagger,
     ensure_density_matrix,
     ensure_effect,
-    ensure_hermitian,
-    hermitian_eig,
     psd_root,
     require_complete,
-    require_effect,
 )
 
 OWNERS = ("alice", "bob", "eve")
@@ -54,26 +51,6 @@ def _require_complete_family(effects, what: str) -> None:
             raise ShapeError(f"all {what} must share one dimension")
         total += e
     require_complete(completeness_residual(total), what)
-
-
-@dataclass(frozen=True)
-class Povm:
-    """A complete set of effects: sum of effects equals the identity."""
-
-    effects: tuple
-
-    def __post_init__(self):
-        effects = tuple(ensure_effect(e, name=f"effect {k}")[0] for k, e in enumerate(self.effects))
-        _require_complete_family(effects, "effects")
-        object.__setattr__(self, "effects", effects)
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.effects)
 
 
 @dataclass(frozen=True)
@@ -97,10 +74,11 @@ class KrausPovm:
     def from_effects(cls, effects: Sequence, unitaries: Sequence | None = None) -> "KrausPovm":
         """The operators ``U_i sqrt(E_i)`` of a complete family of effects.
 
-        Completeness is decided once, on the effects as ``Povm`` decides it,
-        and on each unitary as a one-operator family (``U^dag U = I``).  The
-        roots are not judged again: ``psd_root`` clips eigenvalues in
-        [-TOL_PSD, 0) to 0, and the clipped parts add up across effects.
+        Each effect passes the effect rule, and completeness is decided once,
+        on the effects themselves, and on each unitary as a one-operator
+        family (``U^dag U = I``).  The roots are not judged again:
+        ``psd_root`` clips eigenvalues in [-TOL_PSD, 0) to 0, and the clipped
+        parts add up across effects.
         """
         checked = [ensure_effect(e, name=f"effect {k}") for k, e in enumerate(effects)]
         _require_complete_family([e for e, _, _ in checked], "effects")
@@ -115,12 +93,6 @@ class KrausPovm:
         povm = cls.__new__(cls)
         object.__setattr__(povm, "ops", tuple(roots))
         return povm
-
-    @classmethod
-    def projective(cls, basis: np.ndarray) -> "KrausPovm":
-        """Rank-1 projective measurement onto the columns of ``basis``."""
-        b = np.asarray(basis, dtype=complex)
-        return cls(tuple(np.outer(b[:, k], b[:, k].conj()) for k in range(b.shape[1])))
 
     @property
     def dim(self) -> int:
@@ -295,68 +267,3 @@ def condition(history: MeasurementHistory, known: Mapping[str, int] | None = Non
         raise ImpossibleOutcomeError(f"assignment {known} has zero probability")
     out = unnorm / total
     return (out + dagger(out)) / 2, total
-
-
-def measurement_update(rho, op: KrausPovm, outcome: int):
-    """Post-measurement state and probability for one outcome of ``op``.
-
-    The one-step history ``op`` propagated from ``rho`` with ``i = outcome``:
-    returns ``(M rho M^dag / p, p)`` with ``p = Tr[M rho M^dag]``.
-    """
-    return condition(MeasurementHistory((("alice", op),)), {"i": outcome}, initial_state=rho)
-
-
-@dataclass(frozen=True)
-class PovmReport:
-    """Validation summary for a POVM or Kraus family."""
-
-    completeness_residual: float
-    psd_margins: tuple  # per effect: min eigenvalue relative to max(1, lam_max)
-    failures: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def validate_povm(povm) -> PovmReport:
-    """Apply the constructor's rules and report the failures instead of raising.
-
-    Effects (a ``Povm`` or a sequence of matrices) get the rules of ``Povm``, a
-    ``KrausPovm`` its own: completeness of ``sum M^dag M``.
-    """
-    kraus = isinstance(povm, KrausPovm)
-    if kraus:
-        effects = [dagger(m) @ m for m in povm.ops]
-    elif isinstance(povm, Povm):
-        effects = list(povm.effects)
-    else:
-        effects = [as_square_matrix(e, name=f"effect {k}") for k, e in enumerate(povm)]
-    if not effects:
-        _require_complete_family(effects, "effects")  # raises the ShapeError of Povm(())
-    dim = effects[0].shape[0]
-    failures = []
-    margins = []
-
-    def record(check, *args, **kwargs):
-        try:
-            check(*args, **kwargs)
-        except QpoolError as exc:
-            failures.append(str(exc))
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for k, e in enumerate(effects):
-        name = f"effect {k}"
-        if e.shape != (dim, dim):
-            failures.append(f"{name}: shape {e.shape} != ({dim}, {dim})")
-            continue
-        sym = e / 2 + dagger(e) / 2
-        vals = hermitian_eig(sym)[0]
-        margins.append(float(vals[-1]) / max(1.0, float(vals[0])))
-        if not kraus:
-            record(ensure_hermitian, e, name=name)
-            record(require_effect, float(vals[-1]), float(vals[0]), name)
-        total += e if kraus else sym
-    residual = completeness_residual(total)
-    record(require_complete, residual, "effects")
-    return PovmReport(residual, tuple(margins), tuple(failures))

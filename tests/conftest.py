@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+from scipy.linalg import LinAlgWarning, sqrtm
 
 from qpool.measurement import KrausPovm, MeasurementHistory
 
@@ -12,6 +15,39 @@ def assert_same_bytes(actual, expected) -> None:
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape and actual.dtype == expected.dtype
     assert actual.tobytes() == expected.tobytes()
+
+
+def is_psd(mat, tol: float = 1e-9) -> bool:
+    """PSD verdict from numpy's ``eigvalsh`` of the Hermitian part: lambda_min >= -tol * max(1, lambda_max)."""
+    mat = np.asarray(mat, dtype=complex)
+    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+    return bool(vals[0] >= -tol * max(1.0, vals[-1]))
+
+
+def sqrtm_psd(mat) -> np.ndarray:
+    """Principal square root by scipy's Schur-based ``sqrtm``.
+
+    scipy warns on every singular input, but a PSD matrix has a principal
+    root whether or not it is singular, so that warning is silenced here.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        return sqrtm(np.asarray(mat, dtype=complex))
+
+
+def residual_outside(basis, vectors) -> float:
+    """Largest norm, over the columns of ``vectors``, of the least-squares residual in span(basis columns)."""
+    basis = np.asarray(basis, dtype=complex)
+    vectors = np.asarray(vectors, dtype=complex).reshape(basis.shape[0], -1)
+    if vectors.shape[1] == 0:
+        return 0.0
+    coeffs = np.linalg.lstsq(basis, vectors, rcond=None)[0]
+    return float(np.linalg.norm(vectors - basis @ coeffs, axis=0).max())
+
+
+def projective(basis) -> KrausPovm:
+    """Rank-1 projective measurement onto the columns of ``basis``."""
+    return KrausPovm(tuple(np.outer(col, col.conj()) for col in np.asarray(basis, dtype=complex).T))
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_consistent_pair, random_intersection_state
+from conftest import random_consistent_pair, random_intersection_state, residual_outside
 from scipy import stats
 
 from qpool.classical import ProbDist, matrix_bayes_update, pool_classical, sequential_update
@@ -34,7 +34,7 @@ from qpool.fusion import (
     realize_tripartite,
     simulate_tripartite,
 )
-from qpool.haar import average_projector, sample_amplitudes
+from qpool.haar import sample_amplitudes
 from qpool.linalg import support
 
 KET0 = np.array([1.0, 0.0])
@@ -124,8 +124,9 @@ def test_criterion_3_published_numbers_at_alpha_half():
 def test_criterion_4_discrepancy_audit_and_substitute():
     with _Stopwatch(4, "published pooled state refuted; substitute preserves it", 1.0):
         audit = audit_published_example()
+        entries = {(e.quantity, e.parameters): e for e in audit.entries}
         primary = "alpha=1/2, gamma=1/4"
-        entry = audit.entry("sigma_prime", primary)
+        entry = entries["sigma_prime", primary]
         # Exact integrator: I/2, contradicting the published matrix; the
         # report must state both values and carry the symmetry sketch.
         assert entry.computed_exact == "diag(1/2, 1/2)"
@@ -134,14 +135,14 @@ def test_criterion_4_discrepancy_audit_and_substitute():
         assert "r -> 1 - r" in entry.note and entry.symmetry_prediction == "I/2"
 
         alt = "alpha=3/4, gamma=3/10"
-        assert audit.entry("beta", alt).computed_exact == "59/64"
+        assert entries["beta", alt].computed_exact == "59/64"
         for name in ("rho_a", "rho_a_prime"):
-            populations = audit.entry(name, alt).computed
+            populations = entries[name, alt].computed
             assert abs(populations[0] - 7 / 12) <= 1e-12
             assert abs(populations[1] - 5 / 12) <= 1e-12
-        sigma = audit.entry("sigma", alt).computed
+        sigma = entries["sigma", alt].computed
         assert abs(sigma[0] - 17 / 26) <= 1e-12
-        sigma_prime = audit.entry("sigma_prime", alt).computed
+        sigma_prime = entries["sigma_prime", alt].computed
         assert abs(sigma_prime[0] - 0.636624) <= 1e-6
         assert abs(sigma[0] - sigma_prime[0]) >= 0.015
 
@@ -190,7 +191,9 @@ def test_criterion_7_ambiguity_at_desk_scale():
 def test_criterion_8_invariant_measure_sampler():
     with _Stopwatch(8, "sampler moments, uniform population, two-copy state", 120.0):
         for dim in (2, 3):
-            mean = average_projector(dim, 1_000_000, seed=800 + dim)
+            rng = np.random.default_rng(800 + dim)
+            batches = (sample_amplitudes(dim, 200_000, rng) for _ in range(5))
+            mean = sum(amps.T @ amps.conj() for amps in batches) / 1_000_000
             assert np.abs(mean - np.eye(dim) / dim).max() <= 5e-3
         populations = np.abs(sample_amplitudes(2, 100_000, np.random.default_rng(801))[:, 0]) ** 2
         assert stats.kstest(populations, "uniform").pvalue > 0.01
@@ -220,8 +223,8 @@ def test_criterion_9_consistency_checker():
             ok, inter = check_consistency(rho, rho)
             sup = support(rho)
             assert ok and inter.dimension == sup.dimension == rank
-            assert inter.projection_residual(sup.basis) <= 1e-9
-            assert sup.projection_residual(inter.basis) <= 1e-9
+            assert residual_outside(inter.basis, sup.basis) <= 1e-9
+            assert residual_outside(sup.basis, inter.basis) <= 1e-9
 
         # One-dimensional intersection: the realization pipeline collapses
         # to a single possible pooled state.

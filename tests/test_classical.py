@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
-from conftest import assert_same_bytes, random_unitary
+from conftest import assert_same_bytes, random_unitary, sqrtm_psd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpool.classical import (
     LikelihoodModel,
-    PermutationTransform,
     ProbDist,
-    apply_transform,
     bayes_update,
     matrix_bayes_update,
     pool_classical,
     pool_commuting_density,
     sequential_update,
-    shannon_entropy,
 )
 from qpool.errors import (
     ImpossibleOutcomeError,
@@ -27,7 +24,7 @@ from qpool.errors import (
     QpoolError,
     ShapeError,
 )
-from qpool.linalg import dagger, ensure_density_matrix, ensure_hermitian, matrix_sqrt_psd
+from qpool.linalg import dagger, ensure_density_matrix, ensure_hermitian
 
 # Rows are P(m|.), columns sum to 1 over outcomes.
 MODEL_84 = LikelihoodModel([[0.8, 0.4], [0.2, 0.6]])
@@ -71,28 +68,6 @@ class TestLikelihoodModel:
     def test_rejects_non_finite_entries(self, cond):
         with pytest.raises(NonFiniteError):
             LikelihoodModel(cond)
-
-
-class TestEntropy:
-    def test_flat_two_state(self):
-        assert shannon_entropy(ProbDist([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
-
-    def test_delta(self):
-        assert shannon_entropy(ProbDist([1.0, 0.0])) == 0.0
-
-    def test_skewed(self):
-        # -(3/4 log2 3/4 + 1/4 log2 1/4) evaluated directly.
-        expected = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
-        assert expected == pytest.approx(0.811278, abs=1e-6)
-        assert shannon_entropy(ProbDist([0.75, 0.25])) == pytest.approx(expected, abs=1e-15)
-
-    def test_bounded_by_log_n(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            p = rng.dirichlet(np.ones(n))
-            h = shannon_entropy(ProbDist(p))
-            assert -1e-12 <= h <= np.log2(n) + 1e-12
 
 
 class TestBayesUpdate:
@@ -213,37 +188,6 @@ class TestPoolClassical:
         np.testing.assert_allclose(
             folded.probs, sequential_update(flat, evidence).probs, atol=1e-12
         )
-
-
-class TestApplyTransform:
-    def test_identity(self):
-        p = ProbDist([0.7, 0.3])
-        np.testing.assert_allclose(apply_transform(p, PermutationTransform((0, 1))).probs, p.probs)
-
-    def test_swap(self):
-        out = apply_transform(ProbDist([0.7, 0.3]), PermutationTransform((1, 0)))
-        np.testing.assert_allclose(out.probs, [0.3, 0.7])
-
-    def test_three_cycle_has_order_three(self):
-        p = ProbDist([0.5, 0.3, 0.2])
-        cycle = PermutationTransform((1, 2, 0))
-        out = p
-        for _ in range(3):
-            out = apply_transform(out, cycle)
-        np.testing.assert_allclose(out.probs, p.probs)
-
-    def test_entropy_preserved(self):
-        p = ProbDist([0.5, 0.25, 0.25])
-        out = apply_transform(p, PermutationTransform((2, 0, 1)))
-        assert shannon_entropy(out) == pytest.approx(shannon_entropy(p), abs=1e-15)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            apply_transform(ProbDist([1.0]), PermutationTransform((1, 0)))
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ShapeError):
-            PermutationTransform((0, 0))
 
 
 class TestMatrixBayesUpdate:
@@ -414,15 +358,14 @@ def test_updates_match_reference(case):
             assert_same_bytes(got, want)
 
 
-# matrix_bayes_update as it was when the square root came from a second
-# eigen-solve, kept as the reference for the route through the effect's
-# validation eigenpairs.  Every drawn effect is valid, so the reference only
-# symmetrizes it.
+# The matrix Bayes rule written out with scipy's square root, the reference
+# for the route through the effect's validation eigenpairs.  Every drawn
+# effect is valid, so the reference only symmetrizes it.
 def reference_matrix_bayes_update(rho, effect):
     rho = ensure_density_matrix(rho, name="rho")[0]
     effect = ensure_hermitian(effect, name="effect")
     prob = float(np.trace(effect @ rho).real)
-    root = matrix_sqrt_psd(effect, name="effect")
+    root = sqrtm_psd(effect)
     post = root @ rho @ root / prob
     return (post + dagger(post)) / 2, prob
 
@@ -437,5 +380,5 @@ def test_matrix_bayes_update_matches_reference(seed, n):
     rho, effect = np.diag(prior / prior.sum()), np.diag(row)
     post, prob = matrix_bayes_update(rho, effect)
     want_post, want_prob = reference_matrix_bayes_update(rho, effect)
-    assert_same_bytes(post, want_post)
+    np.testing.assert_allclose(post, want_post, rtol=1e-14, atol=0.0)
     assert prob == want_prob

@@ -20,7 +20,6 @@ from qpool.errors import (
     ImpossibleOutcomeError,
     InvalidEffectError,
     NonFiniteError,
-    NotNormalizedError,
     PositivityError,
     QpoolError,
     ShapeError,
@@ -41,16 +40,22 @@ from qpool.estimation import (
     predictive_state,
     qubit_diagonal_posterior,
 )
-from qpool.haar import PureStateSample, average_projector, sample_amplitudes
-from qpool.linalg import TOL_SINGULAR
+from qpool.haar import sample_amplitudes
+from qpool.linalg import TOL_SINGULAR, trace_distance
 from qpool.measurement import ensure_effect
+
+
+def evaluate(q: PolynomialDensity, r):
+    """q(r) = sum_j c_j r^j (1 - r)^(n - j), pointwise at a scalar or array r."""
+    r, n = np.asarray(r, dtype=float), q.degree
+    return sum(float(c) * r**j * (1.0 - r) ** (n - j) for j, c in enumerate(q.coeffs))
 
 
 def gauss_moment(q: PolynomialDensity, k: int) -> float:
     """Quadrature oracle: Gauss-Legendre is exact for polynomial integrands."""
     nodes, weights = np.polynomial.legendre.leggauss(q.degree + k + 2)
     r = (nodes + 1.0) / 2.0
-    return float(0.5 * np.sum(weights * r**k * q.evaluate(r)))
+    return float(0.5 * np.sum(weights * r**k * evaluate(q, r)))
 
 
 R = symbols("r")
@@ -159,7 +164,7 @@ class TestQubitDiagonalPosterior:
         q = qubit_diagonal_posterior(xs)
         for r in rng.uniform(0.0, 1.0, 10):
             expected = np.prod([(2 * x - 1) * r + (1 - x) for x in xs])
-            assert q.evaluate(r) == pytest.approx(float(expected), abs=1e-13)
+            assert evaluate(q, r) == pytest.approx(float(expected), abs=1e-13)
 
     def test_effect_parameter_validated(self):
         with pytest.raises(InvalidEffectError):
@@ -477,6 +482,16 @@ def test_matching_beta_matches_reference(alpha, gamma):
     assert _beta_outcome(matching_beta, alpha, gamma) == _beta_outcome(reference_matching_beta, alpha, gamma)
 
 
+def ensemble(*rows, weights=None) -> WeightedStateEnsemble:
+    """An ensemble of the given amplitude rows, with unit weights by default."""
+    amps = np.array(rows, dtype=complex)
+    return WeightedStateEnsemble(amps.shape[1], amps, np.ones(len(rows)) if weights is None else weights)
+
+
+# A qubit pure state with populations (0.3, 0.7) and relative phase 1.1.
+SKEWED = np.array([np.sqrt(0.3), np.sqrt(0.7) * np.exp(1.1j)])
+
+
 class TestEnsemblePath:
     def test_identity_effect_keeps_weights(self):
         ens = WeightedStateEnsemble.from_prior(2, 500, seed=0)
@@ -484,11 +499,7 @@ class TestEnsemblePath:
         np.testing.assert_allclose(updated.weights, ens.weights, atol=1e-12)
 
     def test_projector_effect_kills_orthogonal_samples(self):
-        samples = [
-            PureStateSample(np.array([1.0, 0.0]), np.zeros(2)),
-            PureStateSample(np.array([0.0, 1.0]), np.zeros(2)),
-        ]
-        ens = WeightedStateEnsemble.from_samples(samples)
+        ens = ensemble([1.0, 0.0], [0.0, 1.0])
         updated = posterior_update(ens, np.diag([1.0, 0.0]))
         np.testing.assert_allclose(updated.weights, [1.0, 0.0], atol=1e-12)
 
@@ -498,23 +509,19 @@ class TestEnsemblePath:
         np.testing.assert_allclose(updated.weights, 0.5 * ens.weights, atol=1e-12)
 
     def test_diagonal_likelihood_arithmetic(self):
-        sample = PureStateSample(np.array([0.5, 0.5]), np.zeros(2))
-        ens = WeightedStateEnsemble.from_samples([sample])
+        ens = ensemble([np.sqrt(0.5), np.sqrt(0.5)])
         updated = posterior_update(ens, np.diag([0.8, 0.4]))
         # Tr[diag(0.8, 0.4) rho] with populations (0.5, 0.5).
         assert updated.weights[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_impossible_outcome(self):
-        ens = WeightedStateEnsemble.from_samples(
-            [PureStateSample(np.array([0.0, 1.0]), np.zeros(2))]
-        )
+        ens = ensemble([0.0, 1.0])
         with pytest.raises(ImpossibleOutcomeError):
             posterior_update(ens, np.diag([1.0, 0.0]))
 
     def test_single_sample_predictive(self):
-        sample = PureStateSample(np.array([0.3, 0.7]), np.array([0.0, 1.1]))
-        ens = WeightedStateEnsemble.from_samples([sample])
-        np.testing.assert_allclose(predictive_state(ens), sample.projector(), atol=1e-12)
+        ens = ensemble(SKEWED)
+        np.testing.assert_allclose(predictive_state(ens), np.outer(SKEWED, SKEWED.conj()), atol=1e-12)
 
     def test_prior_predictive_is_maximally_mixed(self):
         ens = WeightedStateEnsemble.from_prior(2, 200_000, seed=2)
@@ -640,12 +647,10 @@ class TestTinyAndHugeWeights:
 
     @pytest.mark.parametrize("weight", [1e-320, 5e-324, 1e308])
     def test_equal_weights_give_the_sample_projector(self, weight):
-        sample = PureStateSample(np.array([0.3, 0.7]), np.array([0.0, 1.1]))
-        ens = WeightedStateEnsemble.from_samples([sample, sample], [weight, weight])
-        np.testing.assert_allclose(predictive_state(ens), sample.projector(), rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(
-            definetti_state(1, posterior=ens), sample.projector(), rtol=0.0, atol=1e-15
-        )
+        ens = ensemble(SKEWED, SKEWED, weights=[weight, weight])
+        projector = np.outer(SKEWED, SKEWED.conj())
+        np.testing.assert_allclose(predictive_state(ens), projector, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(definetti_state(1, posterior=ens), projector, rtol=0.0, atol=1e-15)
 
     def test_subnormal_total_after_many_updates(self):
         ens = WeightedStateEnsemble.from_prior(2, 2000, seed=13)
@@ -702,32 +707,36 @@ class TestDefinettiState:
         np.testing.assert_allclose(out, exact, atol=1e-2)
 
 
+def audit_entries() -> dict:
+    """The audit's entries by (quantity, parameters)."""
+    return {(e.quantity, e.parameters): e for e in audit_published_example().entries}
+
+
 class TestAudit:
     def test_primary_parameters_match_published(self):
-        audit = audit_published_example()
+        entries = audit_entries()
         primary = "alpha=1/2, gamma=1/4"
-        assert audit.entry("beta", primary).matches_published
+        assert entries["beta", primary].matches_published
         for name in ("rho_a", "rho_a_prime", "sigma"):
-            assert audit.entry(name, primary).matches_published
+            assert entries[name, primary].matches_published
 
     def test_published_pooled_state_is_not_reproducible(self):
-        audit = audit_published_example()
-        entry = audit.entry("sigma_prime", "alpha=1/2, gamma=1/4")
+        entry = audit_entries()["sigma_prime", "alpha=1/2, gamma=1/4"]
         assert entry.matches_published is False
         assert entry.computed_exact == "diag(1/2, 1/2)"
         assert entry.symmetry_prediction == "I/2"
         assert "r -> 1 - r" in entry.note
 
     def test_alternative_parameters_preserve_the_conclusion(self):
-        audit = audit_published_example()
+        entries = audit_entries()
         alt = "alpha=3/4, gamma=3/10"
-        assert audit.entry("beta", alt).computed_exact == "59/64"
-        assert audit.entry("rho_a", alt).computed_exact == "diag(7/12, 5/12)"
-        assert audit.entry("rho_a_prime", alt).computed_exact == "diag(7/12, 5/12)"
-        assert audit.entry("sigma", alt).computed_exact == "diag(17/26, 9/26)"
-        sigma_prime = audit.entry("sigma_prime", alt)
+        assert entries["beta", alt].computed_exact == "59/64"
+        assert entries["rho_a", alt].computed_exact == "diag(7/12, 5/12)"
+        assert entries["rho_a_prime", alt].computed_exact == "diag(7/12, 5/12)"
+        assert entries["sigma", alt].computed_exact == "diag(17/26, 9/26)"
+        sigma_prime = entries["sigma_prime", alt]
         assert sigma_prime.computed[0] == pytest.approx(0.636624, abs=1e-6)
-        gap = audit.entry("population_gap", alt)
+        gap = entries["population_gap", alt]
         assert gap.computed[0] >= 0.015
 
     def test_report_round_trips_to_dict(self):
@@ -749,9 +758,20 @@ def test_ensemble_validation():
         WeightedStateEnsemble(2, amps, np.array([1.0, -0.5]))
     with pytest.raises(ShapeError):
         definetti_state(-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WeightedStateEnsemble.from_prior(2, 0, 0),
+        lambda: definetti_state(2, n_samples=0),
+        lambda: WeightedStateEnsemble(2, np.zeros((0, 2), dtype=complex), np.zeros(0)),
+        lambda: sample_amplitudes(2, -1, np.random.default_rng(0)),
+        lambda: trace_distance(np.eye(2) / 2, np.eye(3) / 3),
+    ],
+    ids=["from_prior_no_samples", "definetti_no_samples", "empty_ensemble", "negative_sample_count", "trace_distance_shapes"],
+)
+def test_degenerate_sizes_raise_shape_error(call):
+    # Each is refused before numpy sees it, which would raise a bare ValueError.
     with pytest.raises(ShapeError):
-        average_projector(2, 0, seed=0)
-    with pytest.raises(PositivityError):
-        PureStateSample(np.array([1.5, -0.5]), np.zeros(2))
-    with pytest.raises(NotNormalizedError):
-        PureStateSample(np.array([0.5, 0.6]), np.zeros(2))
+        call()

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from conftest import (
     assert_same_bytes,
+    is_psd,
     random_consistent_pair,
     random_density,
     random_intersection_state,
+    residual_outside,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +45,6 @@ from qpool.linalg import (
     ensure_density_matrix,
     ensure_states,
     hermitian_eig,
-    is_psd,
     support,
     support_cutoff,
     trace_distance,
@@ -85,7 +86,7 @@ class TestCheckConsistency:
     def test_mixed_with_pure(self):
         ok, inter = check_consistency(np.eye(2) / 2, proj(KET_PLUS))
         assert ok and inter.dimension == 1
-        assert inter.projection_residual(KET_PLUS.reshape(2, 1)) <= 1e-10
+        assert residual_outside(inter.basis, KET_PLUS) <= 1e-10
 
     def test_self_consistency_gives_support(self):
         rng = np.random.default_rng(0)
@@ -94,8 +95,8 @@ class TestCheckConsistency:
             ok, inter = check_consistency(rho, rho)
             assert ok and inter.dimension == rank
             sup = support(rho)
-            assert inter.projection_residual(sup.basis) <= 1e-9
-            assert sup.projection_residual(inter.basis) <= 1e-9
+            assert residual_outside(inter.basis, sup.basis) <= 1e-9
+            assert residual_outside(sup.basis, inter.basis) <= 1e-9
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -5,35 +5,28 @@ import pytest
 from conftest import random_unitary
 from scipy import stats
 
-from qpool.errors import NonFiniteError, ShapeError
-from qpool.haar import (
-    PureStateSample,
-    average_projector,
-    measure_normalization,
-    sample_amplitudes,
-    sample_pure_state,
-)
+from qpool.errors import ShapeError
+from qpool.haar import sample_amplitudes
 
 
 class TestSamplePureState:
     def test_one_dimensional(self):
-        state = sample_pure_state(1, np.random.default_rng(0))
-        assert state.dim == 1
-        assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-15)
+        amps = sample_amplitudes(1, 1, np.random.default_rng(0))
+        assert amps.shape == (1, 1)
+        assert abs(amps[0, 0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_dimension_rejected(self):
-        with pytest.raises(ShapeError):
-            sample_pure_state(0, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            sample_amplitudes(0, 5, np.random.default_rng(0))
+        for n_samples in (1, 5):
+            with pytest.raises(ShapeError):
+                sample_amplitudes(0, n_samples, np.random.default_rng(0))
 
     def test_normalization_and_projector(self):
         rng = np.random.default_rng(1)
         for dim in (2, 3, 5):
-            state = sample_pure_state(dim, rng)
-            assert state.probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.abs(state.amplitudes).max() <= 1.0 + 1e-12
-            p = state.projector()
+            amps = sample_amplitudes(dim, 1, rng)[0]
+            assert (np.abs(amps) ** 2).sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(amps).max() <= 1.0 + 1e-12
+            p = np.outer(amps, amps.conj())
             assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(p @ p, p, atol=1e-12)
 
@@ -64,11 +57,11 @@ class TestSamplePureState:
         assert abs(np.corrcoef(p1, theta1)[0, 1]) < 0.01
 
     def test_pure_state_is_the_first_amplitude_row_of_the_same_draw(self):
+        # Rows are drawn in order, so a one-state draw is the first row of a larger one.
         for dim in (1, 2, 5):
-            state = sample_pure_state(dim, np.random.default_rng(5))
-            row = sample_amplitudes(dim, 1, np.random.default_rng(5))[0]
-            np.testing.assert_allclose(state.amplitudes, row, rtol=0, atol=1e-15)
-            assert 0.0 <= state.phases.min() and state.phases.max() <= 2.0 * np.pi
+            state = sample_amplitudes(dim, 1, np.random.default_rng(5))
+            rows = sample_amplitudes(dim, 7, np.random.default_rng(5))
+            assert state.tobytes() == rows[:1].tobytes()
 
 
 def assert_mean(values, expected, what):
@@ -117,20 +110,10 @@ def test_sampler_peak_memory_is_at_most_twice_its_result():
     assert peak <= 2 * amps.nbytes, f"peak {peak} bytes for a {amps.nbytes}-byte result"
 
 
-class TestMeasureNormalization:
-    def test_one_dimension(self):
-        assert measure_normalization(1) == pytest.approx(2 * np.pi, abs=1e-12)
-
-    def test_two_dimensions(self):
-        assert measure_normalization(2) == pytest.approx(2 * np.pi**2, abs=1e-12)
-
-    def test_three_dimensions(self):
-        # 2 pi^3 / 2! = pi^3.
-        assert measure_normalization(3) == pytest.approx(np.pi**3, abs=1e-12)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ShapeError):
-            measure_normalization(0)
+def average_projector(dim: int, n_samples: int, seed: int) -> np.ndarray:
+    """Mean projector of ``n_samples`` sampled pure states; the invariant measure makes it I/d."""
+    amps = sample_amplitudes(dim, n_samples, np.random.default_rng(seed))
+    return amps.T @ amps.conj() / n_samples
 
 
 class TestAverageProjector:
@@ -148,22 +131,3 @@ class TestAverageProjector:
         out = average_projector(3, 300_000, seed=2)
         off = out - np.diag(np.diag(out))
         assert np.abs(off).max() <= 5e-3
-
-
-def test_pure_state_sample_validation():
-    with pytest.raises(ValueError):
-        PureStateSample(np.array([0.5, 0.6]), np.zeros(2))
-    with pytest.raises(ShapeError):
-        PureStateSample(np.array([1.0]), np.zeros(2))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_pure_state_sample_rejects_non_finite_phase(bad):
-    with pytest.raises(NonFiniteError):
-        PureStateSample(np.array([0.5, 0.5]), np.array([0.0, bad]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_pure_state_sample_rejects_non_finite_probability(bad):
-    with pytest.raises(NonFiniteError):
-        PureStateSample([bad, 1.0], [0, 0])

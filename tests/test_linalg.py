@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_same_bytes, ginibre, random_density, random_hermitian, random_unitary
+from conftest import assert_same_bytes, is_psd, random_density, random_hermitian, random_unitary, residual_outside, sqrtm_psd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,14 +27,11 @@ from qpool.linalg import (
     ensure_hermitian,
     ensure_states,
     hermitian_eig,
-    is_psd,
-    matrix_sqrt_psd,
-    partial_trace,
+    psd_ok,
     psd_root,
     require_complete,
     subspace_intersection,
     support,
-    tensor,
     trace_distance,
 )
 
@@ -86,101 +83,55 @@ class TestHermitianEig:
 
 
 class TestIsPsd:
+    """The PSD rule, on a spectrum and through the validators that apply it."""
+
     def test_half_identity(self):
-        assert is_psd(np.eye(2) / 2)
+        _, vals, _ = ensure_density_matrix(np.eye(2) / 2)
+        assert psd_ok(float(vals[-1]), float(vals[0]), TOL_PSD)
 
     def test_negative_eigenvalue(self):
-        assert not is_psd(np.diag([1.0, -1e-3]), tol=1e-9)
+        assert not psd_ok(-1e-3, 1.0, 1e-9)
+        with pytest.raises(PositivityError):
+            ensure_effect(np.diag([1.0, -1e-3]))
 
     def test_rank_one_symmetric(self):
-        assert is_psd([[0.5, 0.5], [0.5, 0.5]])
+        _, vals, _ = ensure_density_matrix([[0.5, 0.5], [0.5, 0.5]])
+        assert psd_ok(float(vals[-1]), float(vals[0]), TOL_PSD)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
-            is_psd([[0.0, 1.0], [0.0, 0.0]])
+            ensure_effect([[0.0, 1.0], [0.0, 0.0]])
+
+
+def root(mat) -> np.ndarray:
+    """The library's square root of a validated matrix: ``psd_root`` of its eigenpairs."""
+    return psd_root(*hermitian_eig(mat))
 
 
 class TestMatrixSqrt:
     def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.eye(3)), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(root(np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
+        np.testing.assert_allclose(root(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_projector_is_fixed_point(self):
         p = proj(KET_PLUS)
-        np.testing.assert_allclose(matrix_sqrt_psd(p), p, atol=1e-12)
+        np.testing.assert_allclose(root(p), p, atol=1e-12)
 
     def test_square_recovers_random_psd(self):
         rng = np.random.default_rng(7)
         for dim in (2, 3, 5):
             h = random_density(rng, dim) * rng.uniform(0.5, 3.0)
-            root = matrix_sqrt_psd(h)
-            assert np.linalg.norm(root @ root - h) <= 1e-10 * max(1.0, np.linalg.norm(h))
-            assert is_psd(root)
+            r = root(h)
+            assert np.linalg.norm(r @ r - h) <= 1e-10 * max(1.0, np.linalg.norm(h))
+            assert is_psd(r)
+            np.testing.assert_allclose(r, sqrtm_psd(h), rtol=0, atol=1e-10)
 
     def test_rejects_indefinite(self):
+        # Roots are taken only of validated eigenpairs; validation refuses an indefinite matrix.
         with pytest.raises(PositivityError):
-            matrix_sqrt_psd(np.diag([1.0, -0.5]))
-
-
-class TestTensor:
-    def test_identity(self):
-        np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_bookkeeping(self):
-        out = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_hand_kronecker(self):
-        out = tensor(proj(KET0), np.eye(2) / 2)
-        np.testing.assert_allclose(out, np.diag([0.5, 0.5, 0.0, 0.0]))
-
-
-class TestPartialTrace:
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(3)
-        rho = random_density(rng, 2)
-        sigma = random_density(rng, 3) * 0.7  # non-unit trace on the traced factor
-        np.testing.assert_allclose(
-            partial_trace(tensor(rho, sigma), [2, 3], keep=[0]), rho * 0.7, atol=1e-12
-        )
-
-    def test_bell_state_marginals(self):
-        # |Phi+><Phi+| has 1/2 at the four corners of the 4x4 matrix.
-        bell = np.zeros((4, 4))
-        bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-        for keep in ([0], [1]):
-            np.testing.assert_allclose(partial_trace(bell, [2, 2], keep), np.eye(2) / 2, atol=1e-12)
-
-    def test_keep_everything(self):
-        rng = np.random.default_rng(4)
-        m = ginibre(rng, 6, 6)
-        np.testing.assert_allclose(partial_trace(m, [2, 3], keep=[0, 1]), m)
-
-    def test_trace_and_positivity_preserved(self):
-        rng = np.random.default_rng(5)
-        for dims in ([2, 2], [2, 3], [2, 2, 2]):
-            rho = random_density(rng, int(np.prod(dims)))
-            for k in range(len(dims)):
-                reduced = partial_trace(rho, dims, keep=[k])
-                assert abs(np.trace(reduced).real - 1.0) <= 1e-12
-                assert is_psd(reduced, tol=1e-10)
-
-    def test_linear_in_input(self):
-        rng = np.random.default_rng(6)
-        a, b = ginibre(rng, 4, 4), ginibre(rng, 4, 4)
-        lhs = partial_trace(2.0 * a + b, [2, 2], keep=[1])
-        rhs = 2.0 * partial_trace(a, [2, 2], keep=[1]) + partial_trace(b, [2, 2], keep=[1])
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_dims_mismatch(self):
-        with pytest.raises(ShapeError):
-            partial_trace(np.eye(4), [2, 3], keep=[0])
-
-    def test_keep_out_of_range(self):
-        with pytest.raises(IndexError):
-            partial_trace(np.eye(4), [2, 2], keep=[2])
+            ensure_effect(np.diag([1.0, -0.5]))
 
 
 class TestSupport:
@@ -190,7 +141,7 @@ class TestSupport:
     def test_pure_state(self):
         sub = support(proj(KET0))
         assert sub.dimension == 1
-        assert sub.projection_residual(KET0.reshape(2, 1)) <= 1e-12
+        assert residual_outside(sub.basis, KET0) <= 1e-12
 
     def test_threshold_rule(self):
         eps = 1e-15
@@ -223,7 +174,7 @@ class TestSubspaceIntersection:
         sub = Subspace(2, KET0.reshape(2, 1))
         out = subspace_intersection(sub, sub)
         assert out.dimension == 1
-        assert out.projection_residual(KET0.reshape(2, 1)) <= 1e-12
+        assert residual_outside(out.basis, KET0) <= 1e-12
 
     def test_orthogonal(self):
         a = Subspace(2, KET0.reshape(2, 1))
@@ -237,7 +188,7 @@ class TestSubspaceIntersection:
         b = Subspace(3, eye[:, 1:])
         out = subspace_intersection(a, b)
         assert out.dimension == 1
-        assert out.projection_residual(eye[:, 1:2]) <= 1e-12
+        assert residual_outside(out.basis, eye[:, 1:2]) <= 1e-12
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(9)
@@ -252,8 +203,8 @@ class TestSubspaceIntersection:
             ba = subspace_intersection(b, a)
             assert ab.dimension == ba.dimension == max(0, ka + kb - dim)
             if ab.dimension:
-                assert ab.projection_residual(ba.basis) <= 1e-10
-                assert ba.projection_residual(ab.basis) <= 1e-10
+                assert residual_outside(ab.basis, ba.basis) <= 1e-10
+                assert residual_outside(ba.basis, ab.basis) <= 1e-10
 
     def test_ambient_mismatch(self):
         with pytest.raises(ShapeError):
@@ -354,13 +305,15 @@ def edge_state(seed: int) -> np.ndarray:
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1))
 def test_is_psd_agrees_with_the_state_validator_at_the_edge(seed):
+    # The PSD rule on hermitian_eig's spectrum gives the validator's verdict.
     rho = edge_state(seed)
+    vals = hermitian_eig(rho)[0]
     try:
         ensure_density_matrix(rho)
     except PositivityError:
-        assert not is_psd(rho)
+        assert not psd_ok(float(vals[-1]), float(vals[0]), TOL_PSD)
     else:
-        assert is_psd(rho)
+        assert psd_ok(float(vals[-1]), float(vals[0]), TOL_PSD)
 
 
 def test_effects_come_back_with_their_eigenpairs():
@@ -370,4 +323,4 @@ def test_effects_come_back_with_their_eigenpairs():
     assert_same_bytes(sym, (effect + effect.conj().T) / 2)
     for got, want in zip((vals, vecs), hermitian_eig(sym)):
         assert_same_bytes(got, want)
-    assert_same_bytes(psd_root(vals, vecs), matrix_sqrt_psd(sym))
+    assert_same_bytes(psd_root(vals, vecs), psd_root(*hermitian_eig(sym)))

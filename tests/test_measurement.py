@@ -6,6 +6,8 @@ import pytest
 from conftest import (
     assert_same_bytes,
     ginibre,
+    is_psd,
+    projective,
     random_effects,
     random_history,
     random_kraus_povm,
@@ -16,20 +18,25 @@ from hypothesis import strategies as st
 
 from qpool.cli import run_scenario
 from qpool.config import matrix_to_literal
-from qpool.errors import ImpossibleOutcomeError, IncompleteMeasurementError, QpoolError, ShapeError
-from qpool.linalg import TOL_PSD, dagger, ensure_density_matrix, is_psd, matrix_sqrt_psd, trace_distance
+from qpool.errors import (
+    HermiticityError,
+    ImpossibleOutcomeError,
+    IncompleteMeasurementError,
+    InvalidEffectError,
+    PositivityError,
+    QpoolError,
+    ShapeError,
+)
+from qpool.linalg import TOL_PSD, dagger, ensure_density_matrix, hermitian_eig, psd_root, trace_distance
 from qpool.measurement import (
     OWNERS,
     FlatPovm,
     KrausPovm,
     MeasurementHistory,
-    Povm,
     condition,
     conditional_state,
     flatten_history,
-    measurement_update,
     outcome_probability,
-    validate_povm,
 )
 
 KET0 = np.array([1.0, 0.0])
@@ -41,6 +48,11 @@ X_BASIS = np.column_stack([KET_PLUS, np.array([1.0, -1.0]) / np.sqrt(2)])
 
 def proj(vec):
     return np.outer(vec, np.conj(vec))
+
+
+def update(rho, op: KrausPovm, outcome: int):
+    """``(M rho M^dag / p, p)`` for one outcome: ``condition`` on the one-step history ``op``."""
+    return condition(MeasurementHistory((("alice", op),)), {"i": outcome}, initial_state=rho)
 
 
 class TestKrausPovm:
@@ -56,37 +68,37 @@ class TestKrausPovm:
     def test_unitaries_fold_in(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         kp = KrausPovm.from_effects([proj(KET0), proj(KET1)], unitaries=[swap, swap])
-        post, _ = measurement_update(np.eye(2) / 2, kp, 0)
+        post, _ = update(np.eye(2) / 2, kp, 0)
         np.testing.assert_allclose(post, proj(KET1), atol=1e-12)
 
 
 class TestMeasurementUpdate:
     def test_projective_on_mixed(self):
-        kp = KrausPovm.projective(Z_BASIS)
-        post, prob = measurement_update(np.eye(2) / 2, kp, 0)
+        kp = projective(Z_BASIS)
+        post, prob = update(np.eye(2) / 2, kp, 0)
         np.testing.assert_allclose(post, proj(KET0), atol=1e-12)
         assert prob == pytest.approx(0.5)
 
     def test_trivial_measurement(self):
         rho = proj(KET_PLUS)
-        post, prob = measurement_update(rho, KrausPovm((np.eye(2),)), 0)
+        post, prob = update(rho, KrausPovm((np.eye(2),)), 0)
         np.testing.assert_allclose(post, rho, atol=1e-12)
         assert prob == pytest.approx(1.0)
 
     def test_projective_on_plus(self):
         # |<0|+>|^2 = 1/2 by hand.
-        post, prob = measurement_update(proj(KET_PLUS), KrausPovm.projective(Z_BASIS), 0)
+        post, prob = update(proj(KET_PLUS), projective(Z_BASIS), 0)
         np.testing.assert_allclose(post, proj(KET0), atol=1e-12)
         assert prob == pytest.approx(0.5)
 
     def test_zero_probability(self):
         with pytest.raises(ImpossibleOutcomeError):
-            measurement_update(proj(KET0), KrausPovm.projective(Z_BASIS), 1)
+            update(proj(KET0), projective(Z_BASIS), 1)
 
     @pytest.mark.parametrize("outcome", [-1, 2])
     def test_outcome_out_of_range_is_named(self, outcome):
         with pytest.raises(ImpossibleOutcomeError, match=f"index i={outcome} out of range 0..1"):
-            measurement_update(np.eye(2) / 2, KrausPovm.projective(Z_BASIS), outcome)
+            update(np.eye(2) / 2, projective(Z_BASIS), outcome)
 
     def test_matches_the_one_step_history(self):
         rng = np.random.default_rng(21)
@@ -95,7 +107,7 @@ class TestMeasurementUpdate:
         kp = random_kraus_povm(rng, 3, 4)
         history = MeasurementHistory((("alice", kp),))
         for outcome in range(4):
-            post, prob = measurement_update(rho, kp, outcome)
+            post, prob = update(rho, kp, outcome)
             m = kp.ops[outcome]
             np.testing.assert_allclose(post, m @ rho @ dagger(m) / prob, rtol=0, atol=1e-13)
             assert prob == pytest.approx(float(np.trace(dagger(m) @ m @ rho).real), rel=1e-13)
@@ -179,10 +191,10 @@ class TestFlattenHistory:
         # the products may carry as -0.0.
         history = MeasurementHistory(
             (
-                ("alice", KrausPovm.projective(Z_BASIS)),
-                ("bob", KrausPovm.projective(X_BASIS)),
-                ("eve", KrausPovm.projective(-X_BASIS)),
-                ("alice", KrausPovm.projective(Z_BASIS)),
+                ("alice", projective(Z_BASIS)),
+                ("bob", projective(X_BASIS)),
+                ("eve", projective(-X_BASIS)),
+                ("alice", projective(Z_BASIS)),
             )
         )
         assert_same_bytes(flatten_history(history).ops, reference_flatten(history))
@@ -237,14 +249,14 @@ def test_flatten_history_matches_reference(history):
 
 def z_then_x_history():
     return MeasurementHistory(
-        (("alice", KrausPovm.projective(Z_BASIS)), ("bob", KrausPovm.projective(X_BASIS)))
+        (("alice", projective(Z_BASIS)), ("bob", projective(X_BASIS)))
     )
 
 
 class TestConditionalState:
     def test_alice_projective_with_trivial_bob(self):
         history = MeasurementHistory(
-            (("alice", KrausPovm.projective(Z_BASIS)), ("bob", KrausPovm((np.eye(2),))))
+            (("alice", projective(Z_BASIS)), ("bob", KrausPovm((np.eye(2),))))
         )
         state = conditional_state(history, {"i": 0})
         np.testing.assert_allclose(state, proj(KET0), atol=1e-12)
@@ -276,7 +288,7 @@ class TestConditionalState:
     def test_zero_probability_assignment(self):
         # Two successive Z measurements: outcome pair (0, 1) is impossible.
         history = MeasurementHistory(
-            (("alice", KrausPovm.projective(Z_BASIS)), ("alice", KrausPovm.projective(Z_BASIS)))
+            (("alice", projective(Z_BASIS)), ("alice", projective(Z_BASIS)))
         )
         with pytest.raises(ImpossibleOutcomeError):
             conditional_state(history, {"i": 1})
@@ -323,9 +335,9 @@ class TestConditionalState:
     def test_eve_step_changes_alice_state(self):
         # Z measurement alone pins Alice to |0><0|; an unseen X measurement
         # afterwards scrambles it even though Alice's record is unchanged.
-        without = MeasurementHistory((("alice", KrausPovm.projective(Z_BASIS)),))
+        without = MeasurementHistory((("alice", projective(Z_BASIS)),))
         with_eve = MeasurementHistory(
-            (("alice", KrausPovm.projective(Z_BASIS)), ("eve", KrausPovm.projective(X_BASIS)))
+            (("alice", projective(Z_BASIS)), ("eve", projective(X_BASIS)))
         )
         before = conditional_state(without, {"i": 0})
         after = conditional_state(with_eve, {"i": 0})
@@ -336,7 +348,7 @@ class TestConditionalState:
             conditional_state(z_then_x_history(), {"k": 0})
 
     def test_general_initial_state_variant(self):
-        history = MeasurementHistory((("alice", KrausPovm.projective(Z_BASIS)),))
+        history = MeasurementHistory((("alice", projective(Z_BASIS)),))
         rho0 = np.diag([0.9, 0.1])
         state = conditional_state(history, {"i": 0}, initial_state=rho0)
         np.testing.assert_allclose(state, proj(KET0), atol=1e-12)
@@ -346,14 +358,14 @@ class TestConditionalState:
         # rho0 = |v><v| with v = (1, i)/sqrt(2) is the first basis vector, so
         # outcome 0 is certain; reading rho0 transposed would give 0.
         basis = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2)
-        history = MeasurementHistory((("alice", KrausPovm.projective(basis)),))
+        history = MeasurementHistory((("alice", projective(basis)),))
         rho0 = proj(basis[:, 0])
         assert outcome_probability(history, {"i": 0}, initial_state=rho0) == pytest.approx(1.0)
         assert outcome_probability(history, {"i": 1}, initial_state=rho0) == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(conditional_state(history, {"i": 0}, initial_state=rho0), rho0, atol=1e-12)
 
     def test_initial_state_of_another_dimension(self):
-        history = MeasurementHistory((("alice", KrausPovm.projective(Z_BASIS)),))
+        history = MeasurementHistory((("alice", projective(Z_BASIS)),))
         rho0 = np.eye(3) / 3
         match = r"initial_state dim 3 != history dim 2"
         with pytest.raises(ShapeError, match=match):
@@ -361,7 +373,7 @@ class TestConditionalState:
         with pytest.raises(ShapeError, match=match):
             outcome_probability(history, {"i": 0}, initial_state=rho0)
         with pytest.raises(ShapeError, match=match):
-            measurement_update(rho0, KrausPovm.projective(Z_BASIS), 0)
+            update(rho0, projective(Z_BASIS), 0)
 
 
 _INDEX_AXES = {"i": 0, "j": 1, "e": 2}
@@ -451,92 +463,44 @@ def test_propagation_matches_flat_family(history, data):
 
 
 class TestValidatePovm:
+    """The rules for a family of effects, as ``KrausPovm.from_effects`` applies them."""
+
     def test_trivial_passes(self):
-        report = validate_povm([np.eye(2)])
-        assert report.passed and report.completeness_residual <= 1e-12
+        ops = KrausPovm.from_effects([np.eye(2)]).ops
+        assert np.abs(sum(dagger(m) @ m for m in ops) - np.eye(2)).max() <= 1e-12
 
     def test_complete_diagonal_passes(self):
-        report = validate_povm([np.diag([0.8, 0.4]), np.diag([0.2, 0.6])])
-        assert report.passed
-
-    def test_completeness_failure_is_reported_not_raised(self):
-        report = validate_povm([np.diag([0.8, 0.4]), np.diag([0.1, 0.6])])
-        assert not report.passed
-        assert report.completeness_residual == pytest.approx(0.1, abs=1e-12)
-        assert any("completeness" in f for f in report.failures)
-
-    def test_kraus_and_povm_objects_accepted(self):
-        assert validate_povm(KrausPovm.projective(Z_BASIS)).passed
-        assert validate_povm(Povm((proj(KET0), proj(KET1)))).passed
+        KrausPovm.from_effects([np.diag([0.8, 0.4]), np.diag([0.2, 0.6])])
 
     def test_negative_effect_flagged(self):
-        report = validate_povm([np.diag([1.2, 1.0]), np.diag([-0.2, 0.0])])
-        assert not report.passed
-        assert any("negative" in f for f in report.failures)
+        with pytest.raises(PositivityError, match="effect 0 has negative eigenvalue"):
+            KrausPovm.from_effects([np.diag([-0.2, 0.0]), np.diag([1.2, 1.0])])
 
-    def test_non_hermitian_effect_above_identity_gets_both_failures(self):
-        report = validate_povm([np.array([[1.5, 0.1], [0.0, 1.0]])])
-        assert "not Hermitian" in report.failures[0] and "> 1" in report.failures[1]
+    @pytest.mark.parametrize(
+        "effects, error, message",
+        [
+            ([np.diag([0.8, 0.4]), np.diag([0.1, 0.6])], IncompleteMeasurementError, "effects: completeness residual 1.000e-01"),
+            ([np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(2) / 2], HermiticityError, "effect 0 is not Hermitian"),
+            ([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])], InvalidEffectError, "effect 0 has eigenvalue 1.5 > 1"),
+        ],
+        ids=["incomplete", "non_hermitian", "above_identity"],
+    )
+    def test_a_broken_rule_raises_its_error(self, effects, error, message):
+        with pytest.raises(error, match=message):
+            KrausPovm.from_effects(effects)
 
     def test_empty_family_raises_the_constructor_error(self):
-        with pytest.raises(ShapeError) as built:
-            Povm(())
-        with pytest.raises(ShapeError) as checked:
-            validate_povm([])
-        assert str(checked.value) == str(built.value)
+        with pytest.raises(ShapeError, match="a measurement needs at least one of its effects"):
+            KrausPovm.from_effects([])
 
 
-@st.composite
-def near_complete_family(draw):
-    """A random complete measurement with a small random error added.
-
-    Returns ``(kraus, matrices)``: Kraus operators of a general complete
-    family, or the effects of a random or a projective (rank-deficient) one.
-    The error sizes straddle the tolerances, so all rules are exercised.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["kraus", "effects", "projective"]))
-    scale = draw(st.sampled_from([0.0, 2e-10, 6e-10, 1.2e-9, 3e-9, 1e-6]))
-    hermitian_error = draw(st.booleans())
-    if kind == "kraus":
-        mats = list(random_kraus_povm(rng, dim, n, hermitian=False).ops)
-    elif kind == "effects":
-        mats = random_effects(rng, dim, n)
-    else:
-        frame = random_unitary(rng, dim)
-        mats = [np.outer(frame[:, k], frame[:, k].conj()) for k in range(dim)]
-    out = []
-    for m in mats:
-        err = ginibre(rng, dim, dim)
-        if hermitian_error:
-            err = err + err.conj().T
-        out.append(m + scale * err)
-    return kind == "kraus", out
-
-
-def _builds(cls, mats) -> bool:
+def _verdict(build, family):
+    """None if ``build(family)`` succeeds, else the class of the qpool error it raised."""
     try:
-        cls(tuple(mats))
-    except QpoolError:
-        return False
-    return True
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(near_complete_family())
-def test_validate_povm_agrees_with_constructors(family):
-    # validate_povm(x).passed holds exactly when the constructor accepts x.
-    # An invalid KrausPovm cannot be built, so Kraus families are checked
-    # through their effects M^dag M (the rules of Povm), and every family
-    # KrausPovm accepts must validate as a KrausPovm.
-    kraus, mats = family
-    if kraus:
-        if _builds(KrausPovm, mats):
-            assert validate_povm(KrausPovm(tuple(mats))).passed
-        mats = [m.conj().T @ m for m in mats]
-    assert validate_povm(mats).passed == _builds(Povm, mats)
+        build(family)
+    except QpoolError as exc:
+        return type(exc)
+    return None
 
 
 def edge_effect_family(seed: int) -> list:
@@ -567,14 +531,11 @@ def _runs(effects) -> bool:
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1))
 def test_edge_effects_get_one_verdict_everywhere(seed):
+    # E sits at the PSD edge and I - E at 1 + TOL_PSD: only the effect rule can fail.
     effects = edge_effect_family(seed)
-    verdicts = {
-        "validate_povm": validate_povm(effects).passed,
-        "Povm": _builds(Povm, effects),
-        "KrausPovm.from_effects": _builds(KrausPovm.from_effects, effects),
-        "history run": _runs(effects),
-    }
-    assert len(set(verdicts.values())) == 1, verdicts
+    verdict = _verdict(KrausPovm.from_effects, effects)
+    assert verdict in (None, PositivityError, InvalidEffectError)
+    assert (verdict is None) == _runs(effects)
 
 
 # Two effects each with an eigenvalue just inside -TOL_PSD: clipping both roots
@@ -583,10 +544,9 @@ CLIPPED_FAMILY = [np.diag([-0.9e-9, 0.2]), np.diag([-0.9e-9, 0.3]), np.diag([0.5
 
 
 def test_from_effects_decides_completeness_on_the_effects():
-    assert validate_povm(CLIPPED_FAMILY).passed and _builds(Povm, CLIPPED_FAMILY)
     ops = KrausPovm.from_effects(CLIPPED_FAMILY).ops
     for op, e in zip(ops, CLIPPED_FAMILY):
-        assert_same_bytes(op, matrix_sqrt_psd(e))
+        assert_same_bytes(op, psd_root(*hermitian_eig(e)))
 
 
 def test_from_effects_checks_each_unitary():
@@ -616,12 +576,8 @@ def clipped_families(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(clipped_families())
 def test_effects_at_the_psd_edge_get_one_completeness_verdict(effects):
-    verdicts = {
-        "validate_povm": validate_povm(effects).passed,
-        "Povm": _builds(Povm, effects),
-        "KrausPovm.from_effects": _builds(KrausPovm.from_effects, effects),
-    }
-    assert len(set(verdicts.values())) == 1, verdicts
+    # The effects sum to I, so only the effect rule may fail: the clipped roots are not judged.
+    assert _verdict(KrausPovm.from_effects, effects) in (None, PositivityError, InvalidEffectError)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -631,7 +587,7 @@ def test_kraus_operators_are_the_square_roots_of_the_effects(seed, dim, n):
     effects = [e + 1e-10 * ginibre(rng, dim, dim) for e in random_effects(rng, dim, n)]
     ops = KrausPovm.from_effects(effects).ops
     for op, e in zip(ops, effects):
-        assert_same_bytes(op, matrix_sqrt_psd((e + dagger(e)) / 2))
+        assert_same_bytes(op, psd_root(*hermitian_eig(e)))
 
 
 def test_condition_gives_the_state_and_its_probability():
