@@ -13,7 +13,9 @@ Two evaluation paths are provided and cross-checked against each other:
   matrix-vector product with a per-sample table of populations and
   coherences, and the weights stay the unnormalized product of the
   likelihoods.  Readout normalizes the weights as reals before any complex
-  sum, so a subnormal or huge total weight still gives a density matrix; and
+  sum, so a subnormal or huge total weight still gives a density matrix,
+  and sums the samples' real Gram matrix over blocks of ``_BLOCK_FLOATS``
+  floats, so it copies one block, not the ensemble; and
 * an exact path for diagonal qubit effects, where the posterior reduces to
   a polynomial in the excited-state population r (the population is
   uniformly distributed under the invariant measure, and the phase average
@@ -60,6 +62,7 @@ from .linalg import TOL_SINGULAR, dagger, ensure_effect
 
 _DIM_GUARD = 4096
 _CHUNK = 65_536  # samples per tensor-power batch, scaled down by dim^N / 4
+_BLOCK_FLOATS = 65_536  # float64 per block of amplitude rows in a streamed weighted Gram
 _SCALE_EXPONENT = 1020  # float posterior coefficients are scaled to sum below 2^1020
 
 
@@ -435,20 +438,41 @@ def posterior_update(ens: WeightedStateEnsemble, *effects) -> WeightedStateEnsem
 def _normalized_weights(ens: WeightedStateEnsemble) -> np.ndarray:
     """The weights scaled to sum to 1, in reals, so a subnormal or huge total divides nothing complex."""
     w = ens.weights / ens.weights.max()
-    return w / w.sum()
+    w /= w.sum()
+    return w
+
+
+def _block_rows(dim: int) -> int:
+    """Amplitude rows per block: ``_BLOCK_FLOATS`` over the 2 * dim real columns of a row."""
+    return max(1, _BLOCK_FLOATS // (2 * dim))
+
+
+def _gram_state(gram: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix sum_n w_n a_n a_n^dag read from G = sum_n w_n c_n c_n^T.
+
+    Each real row c_n interleaves (Re a_i, Im a_i), so one real Gram matrix
+    holds every product: Re(a_i conj(a_j)) = G[re_i, re_j] + G[im_i, im_j] and
+    Im(a_i conj(a_j)) = G[im_i, re_j] - G[re_i, im_j].
+    """
+    out = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
+    return (out + dagger(out)) / 2
 
 
 def predictive_state(ens: WeightedStateEnsemble) -> np.ndarray:
     """Weight-normalized mean projector sum_n w_n a_n a_n^dag of the ensemble.
 
-    With Re a_i and Im a_i as interleaved real columns, one real Gram matrix
-    holds every product: Re(a_i conj(a_j)) = G[re_i, re_j] + G[im_i, im_j] and
-    Im(a_i conj(a_j)) = G[im_i, re_j] - G[re_i, im_j].
+    The real Gram of the amplitude rows is summed over blocks of
+    ``_block_rows(dim)`` rows, so the weighted copy it multiplies is one
+    block, not the whole ensemble.
     """
     cols = np.ascontiguousarray(ens.amplitudes).view(np.float64)
-    gram = (cols.T * _normalized_weights(ens)) @ cols
-    out = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
-    return (out + dagger(out)) / 2
+    weights = _normalized_weights(ens)
+    rows = _block_rows(ens.dim)
+    gram = np.zeros((cols.shape[1], cols.shape[1]))
+    for start in range(0, ens.n_samples, rows):
+        block = cols[start : start + rows]
+        gram += (block.T * weights[start : start + rows]) @ block
+    return _gram_state(gram)
 
 
 def definetti_state(

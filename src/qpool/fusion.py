@@ -8,6 +8,10 @@ state supported inside the intersection, the pooled state is not fixed by
 the two marginals alone; ``averaged_fusion`` explores one pluggable choice
 of measure over the realizations, weighting each pure common state x in the
 intersection basis, in log space, by the realized squared norm <x|M|x>.
+It streams the samples in blocks of a fixed size and keeps only a running
+real Gram matrix, read out by the helper ``estimation.predictive_state``
+uses, so its memory does not grow with the sample count.
+
 Each public function validates its matrices with ``linalg.ensure_states``
 into ``State``s that carry their eigenpairs and passes them on to the public
 functions it builds on; ``ensure_states`` returns a ``State`` unchanged, so
@@ -29,7 +33,7 @@ from .errors import (
     InconsistentStatesError,
     PositivityError,
 )
-from .estimation import WeightedStateEnsemble, predictive_state
+from .estimation import _block_rows, _gram_state
 from .haar import sample_amplitudes
 from .linalg import (
     TOL_PSD,
@@ -389,7 +393,16 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     A sample is a unit vector x in the intersection basis B.  With C = (V^dag B) / sqrt(lam)
     from each state's support eigenpairs, the realized squared norm at half the admissible
     weights is <x|M|x> for M = -I + 2 (C_a^dag C_a + C_b^dag C_b).  Its -weight_exponent power,
-    taken in log space relative to the largest, weighs the sample.  Deterministic per seed.
+    taken in log space relative to the largest so far, weighs the sample.
+
+    The samples are streamed: one generator seeded with ``cfg.seed`` draws blocks of
+    ``estimation._block_rows(k)`` rows in turn, which are the rows one draw of all
+    ``n_samples`` would give, byte for byte.  Each block adds its weighted real (2k x 2k)
+    Gram to a running sum; when a block holds a new top log-weight, the sum and the weight
+    total are first scaled by exp(old top - new top).  The state is read out of the Gram once,
+    at the end, so memory does not grow with ``n_samples``.  The fixed block size sets the
+    order of summation, so the result depends on it at the level of rounding.  Deterministic
+    per seed.
     """
     a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
     consistent, intersection = check_consistency(a, b)
@@ -401,16 +414,31 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     for lam, vecs in (support_cutoff(s.vals, s.vecs, TOL_RANK) for s in (a, b)):
         c = (dagger(vecs) @ basis) / np.sqrt(lam)[:, None]
         quad = quad + 2.0 * (dagger(c) @ c)
-    local = sample_amplitudes(k, int(cfg.n_samples), np.random.default_rng(cfg.seed))
     # On interleaved (Re x, Im x) rows, M = A + iB acts as the real symmetric [[A, -B], [B, A]] per entry.
     real_quad = np.kron(quad.real, np.eye(2)) + np.kron(quad.imag, [[0.0, -1.0], [1.0, 0.0]])
-    parts = local.view(np.float64)
-    norm_sq = np.einsum("ij,ij->i", parts @ real_quad, parts)
-    with np.errstate(over="ignore"):  # an overflow gives -inf (weight 0) or an infinite top
-        log_w = -cfg.weight_exponent * np.log(norm_sq)
-    top = log_w.max()
+    rng = np.random.default_rng(cfg.seed)
+    n_samples, rows = int(cfg.n_samples), _block_rows(k)
+    gram, total, top = np.zeros((2 * k, 2 * k)), 0.0, -np.inf
+    for start in range(0, n_samples, rows):
+        parts = sample_amplitudes(k, min(rows, n_samples - start), rng).view(np.float64)
+        norm_sq = np.einsum("ij,ij->i", parts @ real_quad, parts)
+        with np.errstate(over="ignore"):  # an overflow gives -inf (weight 0) or an infinite top
+            log_w = -cfg.weight_exponent * np.log(norm_sq)
+        block_top = log_w.max()
+        if not block_top <= top:  # a new top, +inf or NaN
+            if not block_top < np.inf:
+                top = block_top
+                break
+            scale = np.exp(top - block_top)
+            gram *= scale
+            total *= scale
+            top = block_top
+        if top == -np.inf:  # every weight so far is zero
+            continue
+        weights = np.exp(log_w - top)
+        gram += (parts.T * weights) @ parts
+        total += weights.sum()
     if not np.isfinite(top):
         raise ImpossibleOutcomeError(f"top log-weight {float(top)!r} at exponent {cfg.weight_exponent!r}")
-    ens = WeightedStateEnsemble(k, local, np.exp(log_w - top))
-    fused = basis @ predictive_state(ens) @ dagger(basis)
+    fused = basis @ _gram_state(gram / total) @ dagger(basis)
     return (fused + dagger(fused)) / 2

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -26,6 +27,7 @@ from qpool.errors import (
     SingularConstraintError,
 )
 from qpool.estimation import (
+    _block_rows,
     _is_exact,
     DiagonalEffect,
     PolynomialDensity,
@@ -663,6 +665,58 @@ class TestTinyAndHugeWeights:
         want = (amps.T * w) @ amps.conj() / w.sum()
         np.testing.assert_allclose(predictive_state(ens), want, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(definetti_state(1, posterior=ens), want, rtol=0.0, atol=1e-15)
+
+
+def one_shot_predictive_state(ens: WeightedStateEnsemble) -> np.ndarray:
+    """``predictive_state`` with one weighted copy of every sample in a single Gram product."""
+    cols = np.ascontiguousarray(ens.amplitudes).view(np.float64)
+    w = ens.weights / ens.weights.max()
+    gram = (cols.T * (w / w.sum())) @ cols
+    out = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
+    return (out + out.conj().T) / 2
+
+
+@st.composite
+def blocked_ensembles(draw):
+    """Posterior ensembles at dims 1-8 with 1, one block of rows less one, one block, one block
+    and one row, or two to four blocks of samples."""
+    dim = draw(st.integers(1, 8))
+    rows = _block_rows(dim)
+    n_samples = draw(st.sampled_from([1, rows - 1, rows, rows + 1, None]))
+    if n_samples is None:
+        n_samples = draw(st.integers(2 * rows, 4 * rows))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ens = WeightedStateEnsemble.from_prior(dim, n_samples, seed)
+    effect = random_effects(np.random.default_rng(seed), dim, 2)[0]
+    updated = posterior_update(ens, effect)
+    return updated if updated.weights.max() > 0 else ens
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(blocked_ensembles())
+def test_blocked_readout_matches_the_one_shot_product(ens):
+    """Both sum the same n normalized rank-one terms in another order; recursive summation of n
+    terms errs by at most about n eps of their total (Higham, ch. 4), so 4 n eps is ample."""
+    np.testing.assert_allclose(
+        predictive_state(ens),
+        one_shot_predictive_state(ens),
+        rtol=0,
+        atol=4 * ens.n_samples * np.finfo(float).eps,
+    )
+
+
+def test_readout_memory_is_a_block_not_a_copy_of_the_ensemble():
+    """d = 8 and 100k samples hold 12.8 MB of amplitudes.  The readout allocates the normalized
+    weights (0.8 MB) and one block's weighted copy (512 kB); a weighted copy of the whole
+    ensemble would put the peak above the amplitude bytes."""
+    ens = WeightedStateEnsemble.from_prior(8, 100_000, seed=14)
+    tracemalloc.start()
+    try:
+        predictive_state(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * ens.amplitudes.nbytes
 
 
 class TestDefinettiState:

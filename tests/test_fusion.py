@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpool import cli, fusion, linalg
+from qpool.estimation import _block_rows
 from qpool.errors import (
     AmbiguityPreconditionError,
     DegenerateConstructionError,
@@ -408,10 +411,17 @@ def reference_simulate(sc: TripartiteScenario) -> TripartiteReport:
 
 
 @st.composite
-def consistent_pairs(draw, max_dim: int, candidates: int = 1):
-    """``(rho_a, rho_b, sigma, ...)``: each sigma, pure or mixed, inside the support intersection."""
+def consistent_pairs(draw, max_dim: int, candidates: int = 1, min_overlap: int = 1):
+    """``(rho_a, rho_b, sigma, ...)``: each sigma, pure or mixed, inside the support intersection.
+
+    The intersection has dimension at least ``min_overlap``.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rho_a, rho_b, common = random_consistent_pair(rng, int(rng.integers(1, max_dim + 1)))
+    if min_overlap == 1:
+        rho_a, rho_b, common = random_consistent_pair(rng, int(rng.integers(1, max_dim + 1)))
+    else:
+        overlap = int(rng.integers(min_overlap, max_dim + 1))
+        rho_a, rho_b, common = random_consistent_pair(rng, int(rng.integers(overlap, max_dim + 1)), overlap)
     sigmas = [
         random_intersection_state(rng, common, mixed=draw(st.booleans())) for _ in range(candidates)
     ]
@@ -671,3 +681,197 @@ def test_averaged_fusion_weighs_each_sample_by_its_realized_norm(pair, n_samples
     np.testing.assert_allclose(
         averaged_fusion(rho_a, rho_b, cfg), (states.T * weights) @ states.conj(), rtol=0, atol=1e-13
     )
+
+
+def one_shot_averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
+    """``averaged_fusion`` with every sample at once: all weights taken against the top of all,
+    normalized as reals, and one weighted copy of the samples multiplied into their real Gram."""
+    a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
+    consistent, intersection = check_consistency(a, b)
+    assert consistent
+    basis, k = intersection.basis, intersection.dimension
+    quad = -np.eye(k)
+    for lam, vecs in (support_cutoff(s.vals, s.vecs, TOL_RANK) for s in (a, b)):
+        c = (dagger(vecs) @ basis) / np.sqrt(lam)[:, None]
+        quad = quad + 2.0 * (dagger(c) @ c)
+    real_quad = np.kron(quad.real, np.eye(2)) + np.kron(quad.imag, [[0.0, -1.0], [1.0, 0.0]])
+    parts = sample_amplitudes(k, int(cfg.n_samples), np.random.default_rng(cfg.seed)).view(np.float64)
+    norm_sq = np.einsum("ij,ij->i", parts @ real_quad, parts)
+    with np.errstate(over="ignore"):
+        log_w = -cfg.weight_exponent * np.log(norm_sq)
+    top = log_w.max()
+    if not np.isfinite(top):
+        raise ImpossibleOutcomeError(f"top log-weight {float(top)!r} at exponent {cfg.weight_exponent!r}")
+    weights = np.exp(log_w - top)
+    weights = weights / weights.max()
+    gram = (parts.T * (weights / weights.sum())) @ parts
+    local = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
+    fused = basis @ ((local + dagger(local)) / 2) @ dagger(basis)
+    return (fused + dagger(fused)) / 2
+
+
+@st.composite
+def streamed_pairs(draw, k: int):
+    """``(rho_a, rho_b, n_samples)``: an intersection of dimension k, and n_samples of 1, one
+    block of rows less one, one block, one block and one row, or two to four blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho_a, rho_b, _ = random_consistent_pair(rng, k + draw(st.integers(0, 8 - k)), overlap=k)
+    rows = _block_rows(k)
+    n_samples = draw(st.sampled_from([1, rows - 1, rows, rows + 1, None]))
+    if n_samples is None:
+        n_samples = draw(st.integers(2 * rows, 4 * rows))
+    return rho_a, rho_b, n_samples
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_streamed_fusion_matches_the_one_shot_reference(k, data):
+    """Both sum the same n weighted rank-one terms, each entry at most 1 once the weights are
+    normalized, in another order.  Recursive summation of n terms errs by at most about n eps of
+    their total (Higham, ch. 4), once in the Gram and once in the weight total, and the streamed
+    sum adds one rounding per block where a rescale by exp(old top - new top) falls.  An absolute
+    tolerance of 4 n eps covers all three."""
+    exponent = data.draw(st.floats(-700.0, 700.0))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rho_a, rho_b, n_samples = data.draw(streamed_pairs(k))
+    cfg = HistoryMeasureConfig(n_samples=n_samples, seed=seed, weight_exponent=exponent)
+    atol = 4 * n_samples * np.finfo(float).eps
+    np.testing.assert_allclose(
+        averaged_fusion(rho_a, rho_b, cfg), one_shot_averaged_fusion(rho_a, rho_b, cfg), rtol=0, atol=atol
+    )
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("exponent", [-700.0, -1.0, 1.0, 700.0])
+def test_rescaled_blocks_match_the_one_shot_reference(k, exponent):
+    """Four blocks and three rows, so later blocks bring new top log-weights and rescale the sum."""
+    rho_a, rho_b, _ = random_consistent_pair(np.random.default_rng(k), 8, overlap=k)
+    n_samples = 4 * _block_rows(k) + 3
+    cfg = HistoryMeasureConfig(n_samples=n_samples, seed=k, weight_exponent=exponent)
+    np.testing.assert_allclose(
+        averaged_fusion(rho_a, rho_b, cfg),
+        one_shot_averaged_fusion(rho_a, rho_b, cfg),
+        rtol=0,
+        atol=4 * n_samples * np.finfo(float).eps,
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_block_draws_are_the_single_draw(k):
+    rows = _block_rows(k)
+    n_samples = 3 * rows + 5
+    rng = np.random.default_rng(k)
+    blocks = [sample_amplitudes(k, min(rows, n_samples - start), rng) for start in range(0, n_samples, rows)]
+    assert_same_bytes(np.concatenate(blocks), sample_amplitudes(k, n_samples, np.random.default_rng(k)))
+
+
+@pytest.mark.parametrize("exponent", [1e308, -1e308, np.inf, np.nan])
+def test_overflowing_log_weights_keep_the_one_shot_message(exponent):
+    """At the maximally mixed qubit pair every <x|M|x> is 7, so +-1e308 log 7 overflows in every
+    block, and a NaN exponent makes every log-weight NaN."""
+    cfg = HistoryMeasureConfig(n_samples=3 * _block_rows(2) + 1, seed=4, weight_exponent=exponent)
+    with pytest.raises(ImpossibleOutcomeError) as expected:
+        one_shot_averaged_fusion(np.eye(2) / 2, np.eye(2) / 2, cfg)
+    with pytest.raises(ImpossibleOutcomeError, match=f"^{re.escape(str(expected.value))}$"):
+        averaged_fusion(np.eye(2) / 2, np.eye(2) / 2, cfg)
+
+
+def test_fusion_memory_does_not_grow_with_the_sample_count():
+    """At k = 8 a block is 4096 rows of 16 floats (512 kB); the traced peak holds a few block-sized
+    buffers, whatever n_samples is."""
+    rng = np.random.default_rng(21)
+    a, b = ensure_states(rho_a=random_density(rng, 8), rho_b=random_density(rng, 8))
+    peaks = []
+    for n_samples in (50_000, 500_000):
+        tracemalloc.start()
+        try:
+            averaged_fusion(a, b, HistoryMeasureConfig(n_samples=n_samples, seed=5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) < 4e6
+
+
+MC_SIGMAS = 6.0  # as in perfbench/oracles.py: a Monte-Carlo entry lies within this many standard errors
+
+
+def laplace_spectrum(m, w) -> list:
+    """f_i = E[p_i (m.p)^-w] / E[(m.p)^-w] for p uniform on the simplex and 0 < w < k, by mpmath.
+
+    With p = e / S (e_j iid Exp(1), S ~ Gamma(k) independent of p) and
+    (m.e)^-w = Gamma(w)^-1 int_0^inf t^(w-1) exp(-t m.e) dt,
+
+        f_i = (k - w)^-1 int t^(w-1) (1 + t m_i)^-1 prod_j (1 + t m_j)^-1 dt / int t^(w-1) prod_j (1 + t m_j)^-1 dt.
+
+    Each integral is split at t = 1.  On (0, 1), t = s^(1/w); beyond, t = 1/u with u = s^(1/a),
+    where u^(a-1) prod_j (u + m_j)^-1 is the integrand in u (a = k - w, plus 1 with the extra
+    factor).  Both substitutions leave smooth integrands on [0, 1].
+    """
+    k, w = len(m), mpmath.mpf(w)
+
+    def integral(extra):
+        def lower(s):
+            t = s ** (1 / w)
+            out = 1 / (w * (1 + t * extra)) if extra is not None else 1 / w
+            for mj in m:
+                out /= 1 + t * mj
+            return out
+
+        a = k - w + (extra is not None)
+
+        def upper(s):
+            u = s ** (1 / a)
+            out = 1 / (a * (u + extra)) if extra is not None else 1 / a
+            for mj in m:
+                out /= u + mj
+            return out
+
+        return mpmath.quad(lower, [0, 1]) + mpmath.quad(upper, [0, 1])
+
+    with mpmath.workdps(20):
+        total = integral(None)
+        return [float(integral(mi) / total / (k - w)) for mi in m]
+
+
+def intersection_basis(rho_a, rho_b) -> np.ndarray:
+    """Orthonormal columns spanning the null space of [I - P_a; I - P_b], by numpy's eigh and SVD."""
+
+    def outside(rho):
+        vals, vecs = np.linalg.eigh(rho)
+        kept = vecs[:, vals > 1e-9]
+        return np.eye(rho.shape[0]) - kept @ dagger(kept)
+
+    _, sv, vh = np.linalg.svd(np.vstack([outside(rho_a), outside(rho_b)]))
+    return dagger(vh[sv < 1e-9])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(consistent_pairs(6, min_overlap=2), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+def test_averaged_fusion_converges_to_the_laplace_integral(pair, fraction, seed):
+    """In the eigenbasis of M = -I + 2 B^dag (rho_a^+ + rho_b^+) B the fused state is diag(f), f from
+    ``laplace_spectrum``.  The standard error of each entry is sqrt(Var / ESS): ESS is the Kish
+    effective sample size (sum w)^2 / sum w^2 of the sample weights w = <y|M|y>^-w, and Var the
+    w^2-weighted variance of the entry of |y><y| about the exact value."""
+    rho_a, rho_b, _ = pair
+    basis = intersection_basis(rho_a, rho_b)
+    k = basis.shape[1]
+    exponent = fraction * k
+    pinv = np.linalg.pinv(rho_a, rcond=1e-9, hermitian=True) + np.linalg.pinv(rho_b, rcond=1e-9, hermitian=True)
+    m, frame = np.linalg.eigh(-np.eye(k) + 2 * dagger(basis) @ pinv @ basis)
+    exact = np.diag(laplace_spectrum(m, exponent))
+    assert abs(np.trace(exact) - 1) <= 1e-12
+
+    cfg = HistoryMeasureConfig(n_samples=100_000, seed=seed, weight_exponent=exponent)
+    fused = dagger(basis @ frame) @ averaged_fusion(rho_a, rho_b, cfg) @ (basis @ frame)
+
+    y = sample_amplitudes(k, cfg.n_samples, np.random.default_rng(seed))  # Haar in any basis
+    probs = np.abs(y) ** 2
+    log_w = -exponent * np.log(probs @ m)
+    w = np.exp(log_w - log_w.max())
+    ess = w.sum() ** 2 / (w**2).sum()
+    w2 = w**2 / (w**2).sum()
+    var = np.einsum("n,nij->ij", w2, np.abs(y[:, :, None] * y[:, None, :].conj() - exact[None]) ** 2)
+    se = np.sqrt(var / ess)
+    assert np.all(np.abs(fused - exact) <= MC_SIGMAS * se)
