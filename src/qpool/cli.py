@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, estimation, fusion, measurement
-from .config import literal_to_matrix, load_config, matrix_to_literal, validate_config
+from .config import FUSE_FAMILY, literal_to_matrix, load_config, matrix_to_literal, validate_config
 from .errors import ConfigError, QpoolError
-from .linalg import TOL_RANK, require_complete
+from .linalg import TOL_RANK
 from .reporting import emit_report, render_text
 
 _EXPLORATORY_NOTE = (
@@ -65,7 +65,6 @@ def _build_history(steps: list) -> measurement.MeasurementHistory:
 def _run_history(payload: dict, seed: int):
     history = _build_history(payload["steps"])
     residual = history.completeness_residual()
-    require_complete(residual, "flattened operators")
     # One propagation gives both the conditional state and its probability.
     state, probability = measurement.condition(history, payload.get("known"))
     outputs = {
@@ -135,7 +134,6 @@ def _run_fuse(payload: dict, seed: int):
     cfg = fusion.HistoryMeasureConfig(
         n_samples=payload["n_samples"],
         seed=_stream_seed(seed, 0),
-        family=payload.get("family", fusion.DEFAULT_FAMILY),
         weight_exponent=payload.get("weight_exponent", 1.0),
     )
     fused = fusion.averaged_fusion(
@@ -143,7 +141,7 @@ def _run_fuse(payload: dict, seed: int):
     )
     outputs = {
         "fused": matrix_to_literal(fused),
-        "family": cfg.family,
+        "family": FUSE_FAMILY,
         "n_samples": cfg.n_samples,
         "label": "EXPLORATORY",
     }
@@ -173,12 +171,11 @@ def _run_estimate(payload: dict, seed: int):
 
 
 def _run_reproduce_paper(payload: dict, seed: int):
-    audit = estimation.audit_published_example()
     provenance = [
         "entries with a 'published' field audit printed values; others are derived",
         "exact rational integration distinguishes discrepancies from round-off",
     ]
-    return audit.to_dict(), provenance
+    return estimation.audit_published_example(), provenance
 
 
 _HANDLERS = {

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError, ShapeError
-from .fusion import DEFAULT_FAMILY
+
+FUSE_FAMILY = "haar-pure-intersection"  # the one measure ``fusion.averaged_fusion`` draws from
 
 _TYPES = {"object": (dict,), "array": (list,), "integer": (int,), "number": (int, float)}
 _PAIR = {
@@ -111,7 +112,7 @@ PAYLOAD_SCHEMAS = {
             "rho_a": _MATRIX,
             "rho_b": _MATRIX,
             "n_samples": {"type": "integer", "minimum": 1, "maximum": 1000000},
-            "family": {"enum": [DEFAULT_FAMILY]},
+            "family": {"enum": [FUSE_FAMILY]},
             "weight_exponent": {"type": "number"},
         },
         "required": ["rho_a", "rho_b", "n_samples"],

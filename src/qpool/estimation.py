@@ -9,13 +9,14 @@ Two evaluation paths are provided and cross-checked against each other:
 
 * a Monte-Carlo path over weighted samples from the invariant measure,
   valid for any effects.  ``posterior_update`` folds any number of effects
-  into one pass over the samples: each likelihood is one real
-  matrix-vector product with a per-sample table of populations and
+  into one pass over the samples, a block at a time: each likelihood is one
+  real matrix-vector product with the block's table of populations and
   coherences, and the weights stay the unnormalized product of the
   likelihoods.  Readout normalizes the weights as reals before any complex
   sum, so a subnormal or huge total weight still gives a density matrix,
-  and sums the samples' real Gram matrix over blocks of ``_BLOCK_FLOATS``
-  floats, so it copies one block, not the ensemble; and
+  and sums the real Gram matrix of the samples' tensor powers over blocks
+  of ``_BLOCK_FLOATS`` floats, so it copies one block, not the ensemble;
+  ``predictive_state`` is the one-copy ``definetti_state``; and
 * an exact path for diagonal qubit effects, where the posterior reduces to
   a polynomial in the excited-state population r (the population is
   uniformly distributed under the invariant measure, and the phase average
@@ -40,7 +41,7 @@ about 2000 effects near 1/2) raises ``DimensionGuardError``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, frexp, lcm, ldexp
 from numbers import Rational
@@ -61,8 +62,7 @@ from .haar import sample_amplitudes
 from .linalg import TOL_SINGULAR, dagger, ensure_effect
 
 _DIM_GUARD = 4096
-_CHUNK = 65_536  # samples per tensor-power batch, scaled down by dim^N / 4
-_BLOCK_FLOATS = 65_536  # float64 per block of amplitude rows in a streamed weighted Gram
+_BLOCK_FLOATS = 65_536  # float64 per block of rows in a streamed pass over the samples
 _SCALE_EXPONENT = 1020  # float posterior coefficients are scaled to sum below 2^1020
 
 
@@ -340,15 +340,14 @@ class WeightedStateEnsemble:
     ensemble has a positive total weight.
     """
 
-    dim: int
     amplitudes: np.ndarray = field(repr=False)  # shape (n_samples, dim)
     weights: np.ndarray = field(repr=False)  # shape (n_samples,)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         weights = np.asarray(self.weights, dtype=float)
-        if amps.ndim != 2 or amps.shape[1] != self.dim:
-            raise ShapeError(f"amplitudes must have shape (n, {self.dim})")
+        if amps.ndim != 2:
+            raise ShapeError("amplitudes must have shape (n, dim)")
         if weights.shape != (amps.shape[0],):
             raise ShapeError("one weight per sample is required")
         if weights.size == 0:
@@ -369,7 +368,11 @@ class WeightedStateEnsemble:
         """Uniform-weight samples from the invariant (zero knowledge) measure."""
         rng = np.random.default_rng(seed)
         amps = sample_amplitudes(dim, n_samples, rng)
-        return cls(dim, amps, np.ones(int(n_samples)))
+        return cls(amps, np.ones(int(n_samples)))
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[1]
 
     @property
     def n_samples(self) -> int:
@@ -412,10 +415,11 @@ def _sample_features(amps: np.ndarray) -> np.ndarray:
 def posterior_update(ens: WeightedStateEnsemble, *effects) -> WeightedStateEnsemble:
     """Multiply every sample weight by its outcome likelihood Tr[E rho_sample] for each effect.
 
-    The effects are validated in argument order and applied in one pass: each
-    likelihood is one real matrix-vector product with the per-sample features,
-    clipped at 0 and multiplied into one copy of the weights.  With no effects
-    the weights are unchanged.
+    The effects are validated in argument order and applied in one pass over
+    blocks of ``_block_rows(dim * dim)`` samples: each likelihood is one real
+    matrix-vector product with the block's features, clipped at 0 and
+    multiplied into one copy of the weights, so the feature table is one block,
+    not the whole ensemble.  With no effects the weights are unchanged.
     """
     coeffs = []
     for effect in effects:
@@ -426,13 +430,15 @@ def posterior_update(ens: WeightedStateEnsemble, *effects) -> WeightedStateEnsem
             raise ShapeError(f"effect dim {effect.shape[0]} != ensemble dim {ens.dim}")
         coeffs.append(_likelihood_coefficients(effect))
     weights = np.array(ens.weights)
-    if coeffs:
-        features = _sample_features(ens.amplitudes)
-        likelihood = np.empty(ens.n_samples)
+    rows = _block_rows(ens.dim * ens.dim)
+    for start in range(0, ens.n_samples if coeffs else 0, rows):
+        features = _sample_features(ens.amplitudes[start : start + rows])
+        block = weights[start : start + rows]
+        likelihood = np.empty(block.size)
         for c in coeffs:
             np.matmul(c, features, out=likelihood)
-            weights *= np.maximum(likelihood, 0.0, out=likelihood)
-    return WeightedStateEnsemble(ens.dim, ens.amplitudes, weights)
+            block *= np.maximum(likelihood, 0.0, out=likelihood)
+    return WeightedStateEnsemble(ens.amplitudes, weights)
 
 
 def _normalized_weights(ens: WeightedStateEnsemble) -> np.ndarray:
@@ -443,7 +449,7 @@ def _normalized_weights(ens: WeightedStateEnsemble) -> np.ndarray:
 
 
 def _block_rows(dim: int) -> int:
-    """Amplitude rows per block: ``_BLOCK_FLOATS`` over the 2 * dim real columns of a row."""
+    """Rows per block of ``_BLOCK_FLOATS`` floats, at 2 * dim floats a row."""
     return max(1, _BLOCK_FLOATS // (2 * dim))
 
 
@@ -459,20 +465,8 @@ def _gram_state(gram: np.ndarray) -> np.ndarray:
 
 
 def predictive_state(ens: WeightedStateEnsemble) -> np.ndarray:
-    """Weight-normalized mean projector sum_n w_n a_n a_n^dag of the ensemble.
-
-    The real Gram of the amplitude rows is summed over blocks of
-    ``_block_rows(dim)`` rows, so the weighted copy it multiplies is one
-    block, not the whole ensemble.
-    """
-    cols = np.ascontiguousarray(ens.amplitudes).view(np.float64)
-    weights = _normalized_weights(ens)
-    rows = _block_rows(ens.dim)
-    gram = np.zeros((cols.shape[1], cols.shape[1]))
-    for start in range(0, ens.n_samples, rows):
-        block = cols[start : start + rows]
-        gram += (block.T * weights[start : start + rows]) @ block
-    return _gram_state(gram)
+    """Weight-normalized mean projector sum_n w_n a_n a_n^dag of the ensemble: its one-copy state."""
+    return definetti_state(1, posterior=ens)
 
 
 def definetti_state(
@@ -488,6 +482,10 @@ def definetti_state(
     ``n_copies`` identically prepared systems; a posterior ensemble yields
     the state of the unmeasured copies after conditioning.  Supported on the
     symmetric subspace by construction.
+
+    The real Gram of the tensor-power rows is summed over blocks of
+    ``_block_rows(dim**n_copies)`` samples and read out once by ``_gram_state``,
+    so the weighted copy it multiplies is one block, not the whole ensemble.
     """
     if n_copies < 0:
         raise ShapeError("n_copies must be nonnegative")
@@ -498,54 +496,20 @@ def definetti_state(
     full_dim = dim**n_copies
     if full_dim > _DIM_GUARD:
         raise DimensionGuardError(f"dim^N = {full_dim} exceeds the guard {_DIM_GUARD}")
-
     if posterior is None:
         posterior = WeightedStateEnsemble.from_prior(dim, n_samples, seed)
 
-    normalized = _normalized_weights(posterior)
-    out = np.zeros((full_dim, full_dim), dtype=complex)
-    chunk = max(1, int(_CHUNK * 4 // max(1, full_dim)))
-    for start in range(0, posterior.n_samples, chunk):
-        amps = posterior.amplitudes[start : start + chunk]
-        weights = normalized[start : start + chunk]
+    weights = _normalized_weights(posterior)
+    rows = _block_rows(full_dim)
+    gram = np.zeros((2 * full_dim, 2 * full_dim))
+    for start in range(0, posterior.n_samples, rows):
+        amps = posterior.amplitudes[start : start + rows]
         power = amps
         for _ in range(n_copies - 1):
             power = np.einsum("ni,nj->nij", power, amps).reshape(amps.shape[0], -1)
-        out += (power.T * weights) @ power.conj()
-    return (out + dagger(out)) / 2
-
-
-@dataclass(frozen=True)
-class AuditEntry:
-    """One audited quantity: computed value vs the published one, if any."""
-
-    quantity: str
-    parameters: str
-    computed_exact: str
-    computed: tuple
-    published: str | None = None
-    symmetry_prediction: str | None = None
-    matches_published: bool | None = None
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "computed": list(self.computed)}
-
-
-@dataclass(frozen=True)
-class EstimationAudit:
-    """Full audit of the published two-observer estimation example."""
-
-    entries: tuple
-    symmetry_note: str
-    conclusion: str
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "symmetry_note": self.symmetry_note,
-            "conclusion": self.conclusion,
-        }
+        block = np.ascontiguousarray(power).view(np.float64)
+        gram += (block.T * weights[start : start + rows]) @ block
+    return _gram_state(gram)
 
 
 _SYMMETRY_NOTE = (
@@ -584,21 +548,22 @@ _AUDIT_TABLE = {
 }
 
 
-def _audit_entry(quantity, parameters, values, published=None, **fields) -> AuditEntry:
-    """One entry; a state's ``values`` are its two populations, a scalar's a 1-tuple."""
+def _audit_entry(quantity, parameters, values, published=None, symmetry_prediction=None, note="") -> dict:
+    """One report entry; a state's ``values`` are its two populations, a scalar's a 1-tuple."""
     exact = str(values[0]) if len(values) == 1 else f"diag({values[0]}, {values[1]})"
     matches = None
     if published is not None:
         matches = exact == published or (published == "I/2" and values[0] == Fraction(1, 2))
-    return AuditEntry(
-        quantity=quantity,
-        parameters=parameters,
-        computed_exact=exact,
-        computed=tuple(float(v) for v in values),
-        published=published,
-        matches_published=matches,
-        **fields,
-    )
+    return {
+        "quantity": quantity,
+        "parameters": parameters,
+        "computed_exact": exact,
+        "computed": [float(v) for v in values],
+        "published": published,
+        "symmetry_prediction": symmetry_prediction,
+        "matches_published": matches,
+        "note": note,
+    }
 
 
 def _audit_parameter_set(alpha, gamma, quantities: dict) -> list:
@@ -620,8 +585,11 @@ def _audit_parameter_set(alpha, gamma, quantities: dict) -> list:
     return [_audit_entry(q, label, values[q], **fields) for q, fields in quantities.items()]
 
 
-def audit_published_example() -> EstimationAudit:
+def audit_published_example() -> dict:
     """Recompute every number of the published two-observer example exactly.
+
+    Returns the report's ``entries`` (one dict per audited quantity),
+    ``symmetry_note`` and ``conclusion``.
 
     The primary parameter set (alpha = 1/2, gamma = 1/4, hence beta = 3/4)
     reproduces the published marginals and single-measurement pooled state,
@@ -633,11 +601,11 @@ def audit_published_example() -> EstimationAudit:
     entries = []
     for (alpha, gamma), quantities in _AUDIT_TABLE.items():
         entries += _audit_parameter_set(alpha, gamma, quantities)
-    gap = next(e.computed[0] for e in entries if e.quantity == "population_gap")
+    gap = next(e["computed"][0] for e in entries if e["quantity"] == "population_gap")
     conclusion = (
         "Equal marginal states with different measurement records can yield "
         f"different pooled states (population gap {gap:.6f} at the derived "
         "parameters): the pooled state is not determined by the two density "
         "matrices alone."
     )
-    return EstimationAudit(tuple(entries), _SYMMETRY_NOTE, conclusion)
+    return {"entries": entries, "symmetry_note": _SYMMETRY_NOTE, "conclusion": conclusion}

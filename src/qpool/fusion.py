@@ -5,8 +5,8 @@ every such pair can be decomposed around a common term sigma, and a three-
 system measurement scenario realizes the pair with sigma as the state held
 by an observer who sees both outcome records.  Because sigma may be any
 state supported inside the intersection, the pooled state is not fixed by
-the two marginals alone; ``averaged_fusion`` explores one pluggable choice
-of measure over the realizations, weighting each pure common state x in the
+the two marginals alone; ``averaged_fusion`` explores one non-canonical
+measure over the realizations, weighting each pure common state x in the
 intersection basis, in log space, by the realized squared norm <x|M|x>.
 It streams the samples in blocks of a fixed size and keeps only a running
 real Gram matrix, read out by the helper ``estimation.predictive_state``
@@ -176,15 +176,16 @@ class TripartiteScenario:
     unnormalized; its squared norm is ``1 + (1-alpha)/alpha + (1-beta)/beta``.
     """
 
-    dim_s: int
-    dim_a: int
-    dim_b: int
-    n_common: int
     alpha: float
     beta: float
-    psi: np.ndarray = field(repr=False)
+    psi: np.ndarray = field(repr=False)  # shape (dim_s, dim_a, dim_b)
     sigma_eigvals: np.ndarray = field(repr=False)
     sigma_eigvecs: np.ndarray = field(repr=False)
+
+    dim_s = property(lambda self: self.psi.shape[0])
+    dim_a = property(lambda self: self.psi.shape[1])
+    dim_b = property(lambda self: self.psi.shape[2])
+    n_common = property(lambda self: self.sigma_eigvals.size)
 
     @property
     def norm_sq(self) -> float:
@@ -194,7 +195,7 @@ class TripartiteScenario:
 def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
     """Build the three-system pure state whose local measurements realize ``dec``.
 
-    Viewed as a ``(dim_s, dim_a, dim_b)`` array, ``psi`` holds three blocks with
+    The ``(dim_s, dim_a, dim_b)`` array ``psi`` holds three blocks with
     disjoint supports, each written in place (N is the rank of sigma and ``u``
     the uniform superposition of the first N auxiliary basis states):
 
@@ -202,12 +203,11 @@ def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
     * ``psi[:, :N, N+k] = sqrt(p_k / alpha) |phi_k^A>|u^A>`` for A-remainders,
     * ``psi[:, N+l, :N] = sqrt(p_l / beta) |phi_l^B>|u^B>`` for B-remainders.
 
-    Raises ``DegenerateConstructionError`` for a weight that is not strictly
-    positive, an empty support of sigma, or a realized state whose squared
-    norm is not finite (a weight so small that ``sqrt(p / weight)`` overflows).
+    The weights are already in (0, 1], as ``CommonTermDecomposition`` requires.
+    Raises ``DegenerateConstructionError`` for an empty support of sigma or a
+    realized state whose squared norm is not finite (a weight so small that
+    ``sqrt(p / weight)`` overflows).
     """
-    if dec.alpha <= 0.0 or dec.beta <= 0.0:
-        raise DegenerateConstructionError("common-term weights must be strictly positive")
     lam, phi = dec.sigma_support
     n_common = int(lam.size)
     if n_common < 1:
@@ -228,13 +228,9 @@ def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
             psi[:, n_common + l, :n_common] = (np.sqrt(p / dec.beta) * (vec * uniform))[:, None]
 
     scenario = TripartiteScenario(
-        dim_s=dim_s,
-        dim_a=dim_a,
-        dim_b=dim_b,
-        n_common=n_common,
         alpha=dec.alpha,
         beta=dec.beta,
-        psi=psi.reshape(-1) + 0.0,  # stores exact zeros as +0.0
+        psi=psi + 0.0,  # stores exact zeros as +0.0
         sigma_eigvals=lam,
         sigma_eigvecs=phi,
     )
@@ -269,7 +265,7 @@ def simulate_tripartite(sc: TripartiteScenario) -> TripartiteReport:
     averaging their post-selected states recovers rho_a (rho_b); the observer
     who sees both keeps matched results ``n = m`` and so holds sigma.
     """
-    psi3 = sc.psi.reshape(sc.dim_s, sc.dim_a, sc.dim_b)
+    psi = sc.psi
     norm_sq = sc.norm_sq
     n_common = sc.n_common
 
@@ -278,17 +274,17 @@ def simulate_tripartite(sc: TripartiteScenario) -> TripartiteReport:
     a_accum, b_accum, c_accum = np.zeros((3, sc.dim_s, sc.dim_s), dtype=complex)
     a_weight = b_weight = c_weight = 0.0
     for n in range(n_common):
-        block = psi3[:, n, :]  # amplitudes on S x S_B given Alice outcome n
+        block = psi[:, n, :]  # amplitudes on S x S_B given Alice outcome n
         weight = float(np.vdot(block, block).real)
         outcome_probs[n] = weight / norm_sq
         term = block @ dagger(block)
         alice_states.append(term / weight)
         a_accum += term
         a_weight += weight
-        block = psi3[:, :, n]  # amplitudes on S x S_A given Bob outcome n
+        block = psi[:, :, n]  # amplitudes on S x S_A given Bob outcome n
         b_accum += block @ dagger(block)
         b_weight += float(np.vdot(block, block).real)
-        vec = psi3[:, n, n]  # amplitudes on S given matched outcomes
+        vec = psi[:, n, n]  # amplitudes on S given matched outcomes
         c_accum += np.outer(vec, vec.conj())
         c_weight += float(np.vdot(vec, vec).real)
 
@@ -358,37 +354,31 @@ def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:
     )
 
 
-DEFAULT_FAMILY = "haar-pure-intersection"
-
-
 @dataclass(frozen=True)
 class HistoryMeasureConfig:
     """An exploratory measure over the measurement histories behind a pair.
 
-    The default family draws the common state uniformly (invariant measure)
-    from the pure states of the support intersection and weights each draw
-    by the probability that both observers land on matched outcomes in the
-    realized scenario.  No canonical measure is claimed; results are labeled
-    exploratory.
+    The measure, named ``config.FUSE_FAMILY`` in reports, draws the common state
+    uniformly (invariant measure) from the pure states of the support
+    intersection and weights each draw by the probability that both
+    observers land on matched outcomes in the realized scenario.  No
+    canonical measure is claimed; results are labeled exploratory.
     """
 
     n_samples: int
     seed: int = 0
-    family: str = DEFAULT_FAMILY
     weight_exponent: float = 1.0
 
     def __post_init__(self):
         if int(self.n_samples) < 1:
             raise ConfigError("n_samples must be at least 1")
-        if self.family != DEFAULT_FAMILY:
-            raise ConfigError(f"unknown measure family {self.family!r}; known: {DEFAULT_FAMILY!r}")
         # An integer exponent beyond the float range acts as the infinity it rounds to.
         if abs(self.weight_exponent) > sys.float_info.max:
             object.__setattr__(self, "weight_exponent", np.inf if self.weight_exponent > 0 else -np.inf)
 
 
 def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
-    """Monte-Carlo average of pooled states over the configured measure family.
+    """Monte-Carlo average of pooled states over the configured measure.
 
     A sample is a unit vector x in the intersection basis B.  With C = (V^dag B) / sqrt(lam)
     from each state's support eigenpairs, the realized squared norm at half the admissible

@@ -175,13 +175,10 @@ def psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 class Subspace:
     """A subspace of C^ambient_dim, spanned by orthonormal basis columns."""
 
-    ambient_dim: int
     basis: np.ndarray  # shape (ambient_dim, dimension); may have zero columns
 
     def __post_init__(self):
-        basis = as_matrix(np.reshape(self.basis, (self.ambient_dim, -1)), name="subspace basis")
-        if basis.shape[1] > self.ambient_dim:
-            raise ShapeError("subspace dimension exceeds ambient dimension")
+        basis = as_matrix(self.basis, name="subspace basis")
         if basis.shape[1]:
             gram = dagger(basis) @ basis
             if float(np.abs(gram - np.eye(basis.shape[1])).max()) > TOL_ORTH:
@@ -191,7 +188,11 @@ class Subspace:
 
     @classmethod
     def empty(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
+        return cls(np.zeros((ambient_dim, 0), dtype=complex))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dimension(self) -> int:
@@ -203,8 +204,8 @@ class Subspace:
 
 def support(rho, tol: float = TOL_RANK) -> Subspace:
     """Span of the eigenvectors of ``rho`` with eigenvalue above ``tol * lambda_max``."""
-    arr, vals, vecs = ensure_density_matrix(rho)
-    return Subspace(arr.shape[0], support_cutoff(vals, vecs, tol)[1])
+    _, vals, vecs = ensure_density_matrix(rho)
+    return Subspace(support_cutoff(vals, vecs, tol)[1])
 
 
 def subspace_intersection(u: Subspace, v: Subspace, tol: float = TOL_RANK) -> Subspace:
@@ -219,7 +220,7 @@ def subspace_intersection(u: Subspace, v: Subspace, tol: float = TOL_RANK) -> Su
         return Subspace.empty(u.ambient_dim)
     _, svals, vh = np.linalg.svd(u.projector() @ v.projector())
     mask = svals > 1.0 - tol
-    return Subspace(u.ambient_dim, dagger(vh[mask, :]))
+    return Subspace(dagger(vh[mask, :]))
 
 
 def trace_distance(a, b) -> float:

@@ -57,9 +57,9 @@ def _require_complete_family(effects, what: str) -> None:
 class KrausPovm:
     """Measurement operators ``M_i`` with ``sum M_i^dag M_i = I``.
 
-    ``from_effects`` builds the default operators ``M_i = U_i sqrt(E_i)``;
-    the per-outcome unitaries default to the identity, which loses nothing
-    about the information-gathering itself.
+    ``from_effects`` builds the operators ``M_i = sqrt(E_i)``, which lose
+    nothing about the information-gathering itself; any other operators
+    ``U_i sqrt(E_i)`` are passed to the constructor as they are.
     """
 
     ops: tuple
@@ -71,27 +71,18 @@ class KrausPovm:
         object.__setattr__(self, "ops", ops)
 
     @classmethod
-    def from_effects(cls, effects: Sequence, unitaries: Sequence | None = None) -> "KrausPovm":
-        """The operators ``U_i sqrt(E_i)`` of a complete family of effects.
+    def from_effects(cls, effects: Sequence) -> "KrausPovm":
+        """The operators ``sqrt(E_i)`` of a complete family of effects.
 
         Each effect passes the effect rule, and completeness is decided once,
-        on the effects themselves, and on each unitary as a one-operator
-        family (``U^dag U = I``).  The roots are not judged again:
+        on the effects themselves.  The roots are not judged again:
         ``psd_root`` clips eigenvalues in [-TOL_PSD, 0) to 0, and the clipped
         parts add up across effects.
         """
         checked = [ensure_effect(e, name=f"effect {k}") for k, e in enumerate(effects)]
         _require_complete_family([e for e, _, _ in checked], "effects")
-        roots = [psd_root(vals, vecs) for _, vals, vecs in checked]
-        if unitaries is not None:
-            if len(unitaries) != len(roots):
-                raise ShapeError("one unitary per outcome is required")
-            unitaries = [as_square_matrix(u, name=f"unitary {k}") for k, u in enumerate(unitaries)]
-            for k, u in enumerate(unitaries):
-                _require_complete_family([dagger(u) @ u], f"unitary {k}")
-            roots = [u @ r for u, r in zip(unitaries, roots)]
         povm = cls.__new__(cls)
-        object.__setattr__(povm, "ops", tuple(roots))
+        object.__setattr__(povm, "ops", tuple(psd_root(vals, vecs) for _, vals, vecs in checked))
         return povm
 
     @property
@@ -154,16 +145,19 @@ class FlatPovm:
     ``ops[i, j, e]`` is the product operator for that joint outcome.
     """
 
-    dim: int
     ops: np.ndarray = field(repr=False)  # shape (i_max, j_max, e_max, dim, dim)
 
     def __post_init__(self):
         ops = np.asarray(self.ops, dtype=complex)
-        if ops.ndim != 5 or ops.shape[-2:] != (self.dim, self.dim):
-            raise ShapeError(f"ops must have shape (i_max, j_max, e_max, {self.dim}, {self.dim})")
+        if ops.ndim != 5 or ops.shape[-1] != ops.shape[-2]:
+            raise ShapeError("ops must have shape (i_max, j_max, e_max, dim, dim)")
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
         require_complete(self.completeness_residual(), "flattened operators")
+
+    @property
+    def dim(self) -> int:
+        return self.ops.shape[-1]
 
     @property
     def i_max(self) -> int:
@@ -198,7 +192,7 @@ def flatten_history(history: MeasurementHistory) -> FlatPovm:
         ops = np.moveaxis(grown, 0, axis + 1).reshape(shape)
     # Adding 0.0 turns -0.0 into +0.0 and changes nothing else: an exactly
     # zero entry is always stored as +0.0, so its sign cannot reach a report.
-    return FlatPovm(dim, ops + 0.0)
+    return FlatPovm(ops + 0.0)
 
 
 _INDEX_OWNERS = {"i": "alice", "j": "bob", "e": "eve"}

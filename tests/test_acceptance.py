@@ -124,25 +124,25 @@ def test_criterion_3_published_numbers_at_alpha_half():
 def test_criterion_4_discrepancy_audit_and_substitute():
     with _Stopwatch(4, "published pooled state refuted; substitute preserves it", 1.0):
         audit = audit_published_example()
-        entries = {(e.quantity, e.parameters): e for e in audit.entries}
+        entries = {(e["quantity"], e["parameters"]): e for e in audit["entries"]}
         primary = "alpha=1/2, gamma=1/4"
         entry = entries["sigma_prime", primary]
         # Exact integrator: I/2, contradicting the published matrix; the
         # report must state both values and carry the symmetry sketch.
-        assert entry.computed_exact == "diag(1/2, 1/2)"
-        assert entry.published == "diag(299/406, 107/406)"
-        assert entry.matches_published is False
-        assert "r -> 1 - r" in entry.note and entry.symmetry_prediction == "I/2"
+        assert entry["computed_exact"] == "diag(1/2, 1/2)"
+        assert entry["published"] == "diag(299/406, 107/406)"
+        assert entry["matches_published"] is False
+        assert "r -> 1 - r" in entry["note"] and entry["symmetry_prediction"] == "I/2"
 
         alt = "alpha=3/4, gamma=3/10"
-        assert entries["beta", alt].computed_exact == "59/64"
+        assert entries["beta", alt]["computed_exact"] == "59/64"
         for name in ("rho_a", "rho_a_prime"):
-            populations = entries[name, alt].computed
+            populations = entries[name, alt]["computed"]
             assert abs(populations[0] - 7 / 12) <= 1e-12
             assert abs(populations[1] - 5 / 12) <= 1e-12
-        sigma = entries["sigma", alt].computed
+        sigma = entries["sigma", alt]["computed"]
         assert abs(sigma[0] - 17 / 26) <= 1e-12
-        sigma_prime = entries["sigma_prime", alt].computed
+        sigma_prime = entries["sigma_prime", alt]["computed"]
         assert abs(sigma_prime[0] - 0.636624) <= 1e-6
         assert abs(sigma[0] - sigma_prime[0]) >= 0.015
 

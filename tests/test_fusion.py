@@ -185,23 +185,22 @@ class TestRealizeTripartite:
         sigma = proj(KET_PLUS)
         dec = decompose_common(sigma, sigma, sigma, 1.0, 1.0)
         sc = realize_tripartite(dec)
-        assert (sc.dim_s, sc.dim_a, sc.dim_b) == (2, 1, 1)
-        np.testing.assert_allclose(sc.psi, KET_PLUS.astype(complex), atol=1e-12)
+        assert (sc.dim_s, sc.dim_a, sc.dim_b) == sc.psi.shape == (2, 1, 1)
+        np.testing.assert_allclose(sc.psi[:, 0, 0], KET_PLUS.astype(complex), atol=1e-12)
 
     def test_full_weight_mixed_sigma(self):
         dec = decompose_common(np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2, 1.0, 1.0)
         sc = realize_tripartite(dec)
-        assert sc.n_common == 2
+        assert sc.n_common == sc.sigma_eigvals.size == 2
         report = simulate_tripartite(sc)
         for n, state in enumerate(report.alice_outcome_states):
             np.testing.assert_allclose(state, proj(sc.sigma_eigvecs[:, n]), atol=1e-12)
         np.testing.assert_allclose(report.rho_a_recovered, np.eye(2) / 2, atol=1e-12)
 
     def test_zero_weight_rejected(self):
-        dec = decompose_common(np.eye(2) / 2, np.eye(2) / 2, proj(KET0), 0.5, 0.5)
-        object.__setattr__(dec, "alpha", 0.0)
-        with pytest.raises(DegenerateConstructionError):
-            realize_tripartite(dec)
+        # The (0, 1] rule is applied once, when the decomposition is built.
+        with pytest.raises(DegenerateConstructionError, match="alpha"):
+            decompose_common(np.eye(2) / 2, np.eye(2) / 2, proj(KET0), 0.0, 0.5)
 
 
 class TestSimulateTripartite:
@@ -312,10 +311,6 @@ class TestAveragedFusion:
         with pytest.raises(ImpossibleOutcomeError):
             averaged_fusion(np.eye(2) / 2, np.eye(2) / 2, cfg)
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            HistoryMeasureConfig(n_samples=10, family="not-a-family")
-
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             HistoryMeasureConfig(n_samples=0)
@@ -354,7 +349,7 @@ def reference_realize(dec) -> TripartiteScenario:
     uniform_a[:n_common] = 1.0 / np.sqrt(n_common)
     uniform_b = np.zeros(dim_b, dtype=complex)
     uniform_b[:n_common] = 1.0 / np.sqrt(n_common)
-    psi = np.zeros(dim_s * dim_a * dim_b, dtype=complex)
+    psi = np.zeros(dim_s * dim_a * dim_b, dtype=complex)  # S (x) S_A (x) S_B, S most significant
 
     def add(coeff, sys_vec, a_vec, b_vec):
         psi[:] += coeff * np.kron(np.kron(sys_vec, a_vec), b_vec)
@@ -367,12 +362,12 @@ def reference_realize(dec) -> TripartiteScenario:
         add(np.sqrt(p / dec.alpha), vec, uniform_a, basis_b[n_common + k])
     for l, (p, vec) in enumerate(dec.remainder_b):
         add(np.sqrt(p / dec.beta), vec, basis_a[n_common + l], uniform_b)
-    return TripartiteScenario(dim_s, dim_a, dim_b, n_common, dec.alpha, dec.beta, psi, lam, phi)
+    return TripartiteScenario(dec.alpha, dec.beta, psi.reshape(dim_s, dim_a, dim_b), lam, phi)
 
 
 def reference_simulate(sc: TripartiteScenario) -> TripartiteReport:
     """The report arrays by definition: one pass per observer over the common outcomes."""
-    psi3 = sc.psi.reshape(sc.dim_s, sc.dim_a, sc.dim_b)
+    psi3 = sc.psi
     norm_sq = sc.norm_sq
     outcome_probs = np.zeros(sc.n_common)
     alice_states = []

@@ -162,30 +162,30 @@ class TestSupport:
 class TestSubspaceIntersection:
     def test_rejects_basis_that_is_not_orthonormal(self):
         with pytest.raises(NotNormalizedError):
-            Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+            Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_basis_that_is_not_finite(self, bad):
         # NaN fails every comparison, so the orthonormality check alone lets it through.
         with pytest.raises(NonFiniteError):
-            Subspace(2, [[bad], [0.0]])
+            Subspace([[bad], [0.0]])
 
     def test_same_span(self):
-        sub = Subspace(2, KET0.reshape(2, 1))
+        sub = Subspace(KET0.reshape(2, 1))
         out = subspace_intersection(sub, sub)
         assert out.dimension == 1
         assert residual_outside(out.basis, KET0) <= 1e-12
 
     def test_orthogonal(self):
-        a = Subspace(2, KET0.reshape(2, 1))
-        b = Subspace(2, KET1.reshape(2, 1))
+        a = Subspace(KET0.reshape(2, 1))
+        b = Subspace(KET1.reshape(2, 1))
         assert subspace_intersection(a, b).dimension == 0
 
     def test_three_dim_overlap(self):
         # span{e0,e1} and span{e1,e2} share exactly span{e1}.
         eye = np.eye(3)
-        a = Subspace(3, eye[:, :2])
-        b = Subspace(3, eye[:, 1:])
+        a = Subspace(eye[:, :2])
+        b = Subspace(eye[:, 1:])
         out = subspace_intersection(a, b)
         assert out.dimension == 1
         assert residual_outside(out.basis, eye[:, 1:2]) <= 1e-12
@@ -197,8 +197,8 @@ class TestSubspaceIntersection:
             frame = random_unitary(rng, dim)
             ka = int(rng.integers(1, dim + 1))
             kb = int(rng.integers(1, dim + 1))
-            a = Subspace(dim, frame[:, :ka])
-            b = Subspace(dim, frame[:, dim - kb :])
+            a = Subspace(frame[:, :ka])
+            b = Subspace(frame[:, dim - kb :])
             ab = subspace_intersection(a, b)
             ba = subspace_intersection(b, a)
             assert ab.dimension == ba.dimension == max(0, ka + kb - dim)

@@ -1,4 +1,5 @@
 import itertools
+import json
 from typing import Mapping
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpool.cli import run_scenario
+from qpool.cli import main, run_scenario
 from qpool.config import matrix_to_literal
 from qpool.errors import (
     HermiticityError,
@@ -66,8 +67,9 @@ class TestKrausPovm:
             KrausPovm((np.diag([0.5, 0.5]),))
 
     def test_unitaries_fold_in(self):
+        # Operators U sqrt(E) are a Kraus family like any other; a projector is its own root.
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        kp = KrausPovm.from_effects([proj(KET0), proj(KET1)], unitaries=[swap, swap])
+        kp = KrausPovm((swap @ proj(KET0), swap @ proj(KET1)))
         post, _ = update(np.eye(2) / 2, kp, 0)
         np.testing.assert_allclose(post, proj(KET1), atol=1e-12)
 
@@ -549,10 +551,16 @@ def test_from_effects_decides_completeness_on_the_effects():
         assert_same_bytes(op, psd_root(*hermitian_eig(e)))
 
 
-def test_from_effects_checks_each_unitary():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(IncompleteMeasurementError, match="unitary 1"):
-        KrausPovm.from_effects([proj(KET0), proj(KET1)], unitaries=[swap, 2 * swap])
+def test_clipped_root_history_is_judged_once_per_step(tmp_path):
+    # The step's effects pass the completeness rule; the flat family's 1.8e-9 is reported, not judged again.
+    steps = [{"owner": "alice", "povm": [matrix_to_literal(e) for e in CLIPPED_FAMILY]}]
+    path = tmp_path / "clipped.json"
+    path.write_text(json.dumps({"kind": "history", "payload": {"steps": steps, "known": {"i": 2}}}))
+    out_file = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out_file)]) == 0
+    outputs = json.loads(out_file.read_text())["outputs"]
+    assert outputs["completeness_residual"] == pytest.approx(1.8e-9, rel=1e-6)
+    assert outputs["probability"] == pytest.approx((0.5 + 1.8e-9 + 0.25) / 2, rel=0.0, abs=1e-15)
 
 
 @st.composite
