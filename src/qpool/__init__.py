@@ -9,77 +9,98 @@ polynomial path for diagonal qubit effects, whose posteriors have
 nonnegative coefficients in the basis r^k (1 - r)^(n - k).
 """
 
-from . import classical, estimation, fusion, haar, linalg, measurement
-from .classical import (
-    LikelihoodModel,
-    ProbDist,
-    bayes_update,
-    matrix_bayes_update,
-    pool_classical,
-    pool_commuting_density,
-    sequential_update,
-)
-from .errors import (
-    AmbiguityPreconditionError,
-    ConfigError,
-    DegenerateConstructionError,
-    DimensionGuardError,
-    HermiticityError,
-    ImpossibleOutcomeError,
-    IncompatibleKnowledgeError,
-    IncompleteMeasurementError,
-    InconsistentStatesError,
-    InvalidEffectError,
-    NoncommutingError,
-    NonFiniteError,
-    NotNormalizedError,
-    PositivityError,
-    QpoolError,
-    ShapeError,
-    SingularConstraintError,
-)
-from .estimation import (
-    DiagonalEffect,
-    PolynomialDensity,
-    WeightedStateEnsemble,
-    audit_published_example,
-    definetti_state,
-    matching_beta,
-    polynomial_predictive,
-    pooled_predictive,
-    posterior_update,
-    predictive_state,
-    predictive_populations,
-    qubit_diagonal_posterior,
-)
-from .fusion import (
-    CommonTermDecomposition,
-    HistoryMeasureConfig,
-    TripartiteScenario,
-    averaged_fusion,
-    check_consistency,
-    decompose_common,
-    demonstrate_ambiguity,
-    max_common_weight,
-    realize_pair,
-    realize_tripartite,
-    simulate_tripartite,
-)
-from .haar import sample_amplitudes
-from .linalg import (
-    Subspace,
-    hermitian_eig,
-    subspace_intersection,
-    support,
-    trace_distance,
-)
-from .measurement import (
-    FlatPovm,
-    KrausPovm,
-    MeasurementHistory,
-    conditional_state,
-    flatten_history,
-    outcome_probability,
-)
+from importlib import import_module as _import_module
+
+# Exported names by the module they are imported from.  Each module, and numpy
+# behind it, is imported the first time it or one of its names is read (PEP 562),
+# so the exact scenarios and ``import qpool.errors`` start without numpy.
+_EXPORTS = {
+    "classical": (
+        "LikelihoodModel",
+        "ProbDist",
+        "bayes_update",
+        "matrix_bayes_update",
+        "pool_classical",
+        "pool_commuting_density",
+        "sequential_update",
+    ),
+    "errors": (
+        "AmbiguityPreconditionError",
+        "ConfigError",
+        "DegenerateConstructionError",
+        "DimensionGuardError",
+        "HermiticityError",
+        "ImpossibleOutcomeError",
+        "IncompatibleKnowledgeError",
+        "IncompleteMeasurementError",
+        "InconsistentStatesError",
+        "InvalidEffectError",
+        "NoncommutingError",
+        "NonFiniteError",
+        "NotNormalizedError",
+        "PositivityError",
+        "QpoolError",
+        "ShapeError",
+        "SingularConstraintError",
+    ),
+    "estimation": (
+        "DiagonalEffect",
+        "PolynomialDensity",
+        "WeightedStateEnsemble",
+        "audit_published_example",
+        "definetti_state",
+        "matching_beta",
+        "polynomial_predictive",
+        "pooled_predictive",
+        "posterior_update",
+        "predictive_state",
+        "predictive_populations",
+        "qubit_diagonal_posterior",
+    ),
+    "fusion": (
+        "CommonTermDecomposition",
+        "HistoryMeasureConfig",
+        "TripartiteScenario",
+        "averaged_fusion",
+        "check_consistency",
+        "decompose_common",
+        "demonstrate_ambiguity",
+        "max_common_weight",
+        "realize_pair",
+        "realize_tripartite",
+        "simulate_tripartite",
+    ),
+    "haar": ("sample_amplitudes",),
+    "linalg": (
+        "Subspace",
+        "hermitian_eig",
+        "subspace_intersection",
+        "support",
+        "trace_distance",
+    ),
+    "measurement": (
+        "FlatPovm",
+        "KrausPovm",
+        "MeasurementHistory",
+        "conditional_state",
+        "flatten_history",
+        "outcome_probability",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_EXPORTS, *_ORIGIN})

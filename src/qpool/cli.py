@@ -11,6 +11,10 @@ unwritable ``--out`` path, 2 numerical failures, invalid physics that passes
 the schema and reports that cannot be serialized (the error name is embedded
 in the emitted failure report).
 
+Each handler imports the modules it runs when it runs, so ``validate``,
+``reproduce-paper`` and an ``estimate`` without ``mc_samples`` never import
+numpy.
+
 ``QPOOL_OUT_DIR`` sets the directory against which relative ``--out`` paths
 are resolved.
 """
@@ -24,13 +28,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import classical, estimation, fusion, measurement
 from .config import FUSE_FAMILY, literal_to_matrix, load_config, matrix_to_literal, validate_config
 from .errors import ConfigError, QpoolError
-from .linalg import TOL_RANK
 from .reporting import emit_report, render_text
+from .tolerances import TOL_RANK
 
 _EXPLORATORY_NOTE = (
     "EXPLORATORY: no canonical measure over measurement histories is claimed; "
@@ -39,17 +40,23 @@ _EXPLORATORY_NOTE = (
 
 
 def _stream_seed(seed: int, stream: int) -> int:
+    import numpy as np
+
     return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
 
 
 def _run_pool_classical(payload: dict, seed: int):
+    from . import classical
+
     result = classical.pool_classical(
         classical.ProbDist(payload["p"]), classical.ProbDist(payload["q"])
     )
     return {"result": [float(x) for x in result.probs]}, []
 
 
-def _build_history(steps: list) -> measurement.MeasurementHistory:
+def _build_history(steps: list):
+    from . import measurement
+
     built = []
     for step in steps:
         if "kraus" in step:
@@ -63,6 +70,8 @@ def _build_history(steps: list) -> measurement.MeasurementHistory:
 
 
 def _run_history(payload: dict, seed: int):
+    from . import measurement
+
     history = _build_history(payload["steps"])
     residual = history.completeness_residual()
     # One propagation gives both the conditional state and its probability.
@@ -79,6 +88,8 @@ def _run_history(payload: dict, seed: int):
 
 
 def _run_consistency(payload: dict, seed: int):
+    from . import fusion
+
     verdict, intersection = fusion.check_consistency(
         literal_to_matrix(payload["rho_a"]),
         literal_to_matrix(payload["rho_b"]),
@@ -93,6 +104,8 @@ def _run_consistency(payload: dict, seed: int):
 
 
 def _run_realize(payload: dict, seed: int):
+    from . import fusion
+
     rho_a = literal_to_matrix(payload["rho_a"])
     rho_b = literal_to_matrix(payload["rho_b"])
     sigma = literal_to_matrix(payload["sigma"])
@@ -115,6 +128,8 @@ def _run_realize(payload: dict, seed: int):
 
 
 def _run_ambiguity(payload: dict, seed: int):
+    from . import fusion
+
     report = fusion.demonstrate_ambiguity(
         literal_to_matrix(payload["rho_a"]),
         literal_to_matrix(payload["rho_b"]),
@@ -131,6 +146,8 @@ def _run_ambiguity(payload: dict, seed: int):
 
 
 def _run_fuse(payload: dict, seed: int):
+    from . import fusion
+
     cfg = fusion.HistoryMeasureConfig(
         n_samples=payload["n_samples"],
         seed=_stream_seed(seed, 0),
@@ -148,18 +165,30 @@ def _run_fuse(payload: dict, seed: int):
     return outputs, [_EXPLORATORY_NOTE]
 
 
+def _predictive_literal(q) -> list:
+    """``matrix_to_literal(estimation.polynomial_predictive(q))``, byte for byte, without numpy."""
+    from .exact import predictive_populations
+
+    top, bottom = predictive_populations(q)
+    return [[[float(top), 0.0], [0.0, 0.0]], [[0.0, 0.0], [float(bottom), 0.0]]]
+
+
 def _run_estimate(payload: dict, seed: int):
-    q_a = estimation.qubit_diagonal_posterior(payload["effects_a"])
-    q_b = estimation.qubit_diagonal_posterior(payload.get("effects_b", []))
+    from .exact import qubit_diagonal_posterior
+
+    q_a = qubit_diagonal_posterior(payload["effects_a"])
+    q_b = qubit_diagonal_posterior(payload.get("effects_b", []))
     outputs = {
         "posterior_coeffs_a": [float(c) for c in q_a.coeffs],
         "posterior_coeffs_b": [float(c) for c in q_b.coeffs],
-        "predictive_a": matrix_to_literal(estimation.polynomial_predictive(q_a)),
-        "predictive_b": matrix_to_literal(estimation.polynomial_predictive(q_b)),
-        "pooled": matrix_to_literal(estimation.pooled_predictive(q_a, q_b)),
+        "predictive_a": _predictive_literal(q_a),
+        "predictive_b": _predictive_literal(q_b),
+        "pooled": _predictive_literal(q_a.multiply(q_b)),
     }
     provenance = ["predictive states: exact polynomial integration (derived)"]
     if "mc_samples" in payload:
+        from . import estimation
+
         ens = estimation.WeightedStateEnsemble.from_prior(
             2, payload["mc_samples"], _stream_seed(seed, 0)
         )
@@ -171,11 +200,13 @@ def _run_estimate(payload: dict, seed: int):
 
 
 def _run_reproduce_paper(payload: dict, seed: int):
+    from .exact import audit_published_example
+
     provenance = [
         "entries with a 'published' field audit printed values; others are derived",
         "exact rational integration distinguishes discrepancies from round-off",
     ]
-    return estimation.audit_published_example(), provenance
+    return audit_published_example(), provenance
 
 
 _HANDLERS = {

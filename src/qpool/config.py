@@ -6,6 +6,8 @@ are nested row-major arrays of ``[re, im]`` pairs; probability vectors are
 plain arrays of decimals.  The schemas are plain JSON Schema 2020-12 dicts.  An
 accept-only walker checks a config on exact types; only a config it is not sure
 of imports jsonschema, whose ``Draft202012Validator`` gives verdict and message.
+Only the two matrix-literal converters import numpy, so validating a config
+never does.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, NonFiniteError, ShapeError
 
@@ -235,8 +235,10 @@ def load_config(path) -> dict:
     return validate_config(cfg)
 
 
-def literal_to_matrix(literal) -> np.ndarray:
-    """Nested [re, im] rows -> complex matrix."""
+def literal_to_matrix(literal):
+    """Nested [re, im] rows -> complex numpy matrix."""
+    import numpy as np  # here, so validating a config never imports numpy
+
     widths = [len(row) for row in literal]
     for r, width in enumerate(widths):
         if width != widths[0]:
@@ -250,6 +252,8 @@ def literal_to_matrix(literal) -> np.ndarray:
 
 def matrix_to_literal(mat) -> list:
     """Complex matrix -> nested row-major [re, im] pairs."""
+    import numpy as np
+
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {arr.shape}")

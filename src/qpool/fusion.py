@@ -105,7 +105,8 @@ class CommonTermDecomposition:
 
     ``rho_a = alpha * sigma + sum_k p_k |phi_k><phi_k|`` and likewise for B;
     the remainders are the eigendecompositions of ``rho - weight * sigma``.
-    ``sigma`` is validated and ``sigma_support`` holds its support eigenpairs.
+    ``sigma`` is the support part ``V diag(lam) V^dag`` of the validated common
+    state, and ``sigma_support`` holds its eigenpairs ``(lam, V)``.
     """
 
     sigma: np.ndarray = field(repr=False)
@@ -146,15 +147,24 @@ class CommonTermDecomposition:
 
 
 def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTermDecomposition:
-    """Decompose both states around the common term ``alpha/beta * sigma``."""
+    """Decompose both states around the common term ``alpha/beta * sigma``.
+
+    The common term is sigma's support part, the eigenpairs above its rank
+    cutoff that ``realize_tripartite`` builds the realized state from, so the
+    remainders, the reconstruction and the realization rest on one rank
+    decision for sigma.  An eigenvalue of sigma below that cutoff would
+    otherwise leave the remainders but not the realization.
+    """
     a, b, sig = ensure_states(rho_a=rho_a, rho_b=rho_b, sigma=sigma)
+    lam, phi = support_cutoff(sig.vals, sig.vecs, TOL_RANK)
+    common = (phi * lam) @ dagger(phi)
     dec = CommonTermDecomposition(
-        sigma=sig.rho,
-        sigma_support=support_cutoff(sig.vals, sig.vecs, TOL_RANK),
+        sigma=common,
+        sigma_support=(lam, phi),
         alpha=float(alpha),
         beta=float(beta),
-        remainder_a=_remainder_terms(a.rho, sig.rho, float(alpha), name="rho_a"),
-        remainder_b=_remainder_terms(b.rho, sig.rho, float(beta), name="rho_b"),
+        remainder_a=_remainder_terms(a.rho, common, float(alpha), name="rho_a"),
+        remainder_b=_remainder_terms(b.rho, common, float(beta), name="rho_b"),
     )
     for label, original, rebuilt in (
         ("rho_a", a.rho, dec.reconstruct_a()),

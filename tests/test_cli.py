@@ -1,17 +1,26 @@
 import copy
+import importlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_kraus_povm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
+import qpool
 from qpool import measurement
-from qpool.cli import _HANDLERS, _build_history, main, run_scenario
+from qpool.cli import _HANDLERS, _build_history, _predictive_literal, main, run_scenario
 from qpool.config import (
     _MATRIX,
     literal_to_matrix,
@@ -20,8 +29,10 @@ from qpool.config import (
     validate_config,
 )
 from qpool.errors import ConfigError
+from qpool.estimation import polynomial_predictive, qubit_diagonal_posterior
 from qpool.reporting import canonical_json, emit_report, render_csv, render_text
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
 
@@ -734,3 +745,101 @@ def test_extreme_scalars_exit_cleanly(path, tmp_path, capsys):
             assert code in (0, 1, 2), case
             if code != 1:
                 json.loads(out, parse_constant=_reject_constant)
+
+
+# The exact scenarios: validating any config, auditing the published example and
+# an estimate without Monte-Carlo samples use ints, Fractions and floats alone.
+EXACT_ESTIMATE = {"kind": "estimate", "seed": 11, "payload": {"effects_a": [0.75, 0.3], "effects_b": [0.75, 0.3]}}
+NUMPY_FREE_RUNS = {
+    **{f"validate-{p.stem}": ["validate", str(p)] for p in SHIPPED},
+    "reproduce-paper": ["reproduce-paper"],
+    "exact-estimate": ["run", "exact.json", "--out", "report.json"],
+}
+
+
+def _imported_packages(importtime_log: str) -> set:
+    """Top-level package of every module that ``-X importtime`` logged as imported."""
+    names = (line.rpartition("|")[2].strip() for line in importtime_log.splitlines())
+    return {name.split(".")[0] for name in names if name and name != "imported package"}
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_RUNS.values(), ids=NUMPY_FREE_RUNS)
+def test_exact_runs_import_neither_numpy_nor_jsonschema(argv, tmp_path):
+    (tmp_path / "exact.json").write_text(json.dumps(EXACT_ESTIMATE))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qpool.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = _imported_packages(proc.stderr)
+    assert "qpool" in imported
+    assert not imported & {"numpy", "jsonschema"}
+
+
+def test_importing_the_errors_leaves_numpy_unloaded():
+    code = "import sys, qpool.errors; print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# Every name ``qpool`` exports, by the module it is defined in or re-exported from.
+EXPORTS = {
+    "classical": "LikelihoodModel ProbDist bayes_update matrix_bayes_update pool_classical "
+    "pool_commuting_density sequential_update",
+    "errors": "AmbiguityPreconditionError ConfigError DegenerateConstructionError DimensionGuardError "
+    "HermiticityError ImpossibleOutcomeError IncompatibleKnowledgeError IncompleteMeasurementError "
+    "InconsistentStatesError InvalidEffectError NoncommutingError NonFiniteError NotNormalizedError "
+    "PositivityError QpoolError ShapeError SingularConstraintError",
+    "estimation": "DiagonalEffect PolynomialDensity WeightedStateEnsemble audit_published_example "
+    "definetti_state matching_beta polynomial_predictive pooled_predictive posterior_update "
+    "predictive_state predictive_populations qubit_diagonal_posterior",
+    "fusion": "CommonTermDecomposition HistoryMeasureConfig TripartiteScenario averaged_fusion "
+    "check_consistency decompose_common demonstrate_ambiguity max_common_weight realize_pair "
+    "realize_tripartite simulate_tripartite",
+    "haar": "sample_amplitudes",
+    "linalg": "Subspace hermitian_eig subspace_intersection support trace_distance",
+    "measurement": "FlatPovm KrausPovm MeasurementHistory conditional_state flatten_history outcome_probability",
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
+
+
+def test_every_export_resolves_to_its_module_object():
+    assert len(EXPORTED) == 59
+    for module, name in EXPORTED:
+        assert getattr(qpool, name) is getattr(importlib.import_module(f"qpool.{module}"), name), name
+    for module in EXPORTS:
+        assert getattr(qpool, module) is importlib.import_module(f"qpool.{module}")
+
+
+def test_dir_lists_every_export_and_its_module():
+    public = {name for name in dir(qpool) if not name.startswith("_")}
+    modules = {name for name in public if isinstance(getattr(qpool, name), types.ModuleType)}
+    assert public - modules == {name for _, name in EXPORTED}
+    assert set(EXPORTS) <= modules
+    assert "__version__" in dir(qpool)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qpool.no_such_name  # noqa: B018
+
+
+EFFECT_VALUES = st.one_of(
+    st.sampled_from([0, 1, Fraction(0), Fraction(1), 0.0, 1.0]),
+    st.fractions(0, 1, max_denominator=64),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(EFFECT_VALUES, max_size=12), st.lists(EFFECT_VALUES, max_size=12))
+def test_predictive_literals_are_the_numpy_literals_byte_for_byte(effects_a, effects_b):
+    q_a, q_b = qubit_diagonal_posterior(effects_a), qubit_diagonal_posterior(effects_b)
+    for q in (q_a, q_b, q_a.multiply(q_b)):
+        assert repr(_predictive_literal(q)) == repr(matrix_to_literal(polynomial_predictive(q)))

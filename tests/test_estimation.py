@@ -28,8 +28,6 @@ from qpool.errors import (
 )
 from qpool.estimation import (
     _block_rows,
-    _is_exact,
-    _AUDIT_TABLE,
     _likelihood_coefficients,
     _sample_features,
     DiagonalEffect,
@@ -45,6 +43,7 @@ from qpool.estimation import (
     predictive_state,
     qubit_diagonal_posterior,
 )
+from qpool.exact import _AUDIT_TABLE, _is_exact
 from qpool.haar import sample_amplitudes
 from qpool.linalg import TOL_SINGULAR, trace_distance
 from qpool.measurement import ensure_effect

@@ -331,6 +331,19 @@ class TestRealizePair:
         assert (dec.alpha, dec.beta) == (0.25, 0.5)
         np.testing.assert_allclose(report.rho_a_recovered, half, atol=1e-12)
 
+    @pytest.mark.parametrize("eps", [3e-10, 1.5e-10])
+    def test_sigma_below_its_rank_cutoff_realizes_at_every_returned_weight(self, eps):
+        # sigma's eps lies below its own rank cutoff (5e-10) and outside rho_b's
+        # support, whose 4.8e-13 is below rho_b's cutoff: one rank decision for
+        # sigma must serve the remainders, the reconstruction and the realization.
+        sigma = np.diag([0.5, 0.5 - eps, eps])
+        rho_b = np.diag([0.6, 0.4 - 4.8e-13, 4.8e-13])
+        _, alpha_max, beta_max, at_half = realize_pair(sigma, rho_b, sigma)
+        at_max = realize_pair(sigma, rho_b, sigma, alpha_max, beta_max)[-1]
+        for report in (at_half, at_max):
+            np.testing.assert_allclose(report.rho_a_recovered, sigma, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(report.rho_b_recovered, rho_b, rtol=0, atol=1e-10)
+
     def test_sigma_outside_a_support_rejected(self):
         with pytest.raises(AmbiguityPreconditionError):
             realize_pair(np.outer(KET0, KET0), np.eye(2) / 2, np.outer(KET1, KET1))
@@ -339,8 +352,12 @@ class TestRealizePair:
 
 
 def reference_realize(dec) -> TripartiteScenario:
-    """The realization by definition: each term a Kronecker product summed into psi."""
-    lam, phi = support_cutoff(*hermitian_eig(dec.sigma), TOL_RANK)
+    """The realization by definition: each term a Kronecker product summed into psi.
+
+    ``dec.sigma`` is the support part built from ``dec.sigma_support``, so those
+    eigenpairs are sigma's by definition.
+    """
+    lam, phi = dec.sigma_support
     n_common = int(lam.size)
     dim_s = dec.dim
     dim_a = n_common + len(dec.remainder_b)
@@ -576,7 +593,9 @@ def test_fusion_reuses_the_validation_eigenpairs_bit_for_bit(pair):
         rho, *eig = ensure_density_matrix(state)
         assert_same_tree(tuple(eig), hermitian_eig(rho))
     dec = realize_pair(*pair)[0]
-    assert_same_tree(dec.sigma_support, support_cutoff(*hermitian_eig(dec.sigma), TOL_RANK))
+    lam, phi = support_cutoff(*hermitian_eig(pair[2]), TOL_RANK)
+    assert_same_tree(dec.sigma_support, (lam, phi))
+    assert_same_bytes(dec.sigma, (phi * lam) @ dagger(phi))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -269,12 +269,12 @@ def test_trace_distance_pure_states():
 
 
 def test_tolerance_literals_live_in_the_block():
-    """No float literal in (0, 1e-6] appears in src/qpool outside linalg's TOL_* block."""
+    """No float literal in (0, 1e-6] appears in src/qpool outside the TOL_* block of ``tolerances``."""
     offenders = []
     for path in sorted(Path(qpool.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = set()
-        if path.name == "linalg.py":
+        if path.name == "tolerances.py":
             for node in tree.body:
                 if isinstance(node, ast.Assign) and all(
                     isinstance(t, ast.Name) and t.id.startswith("TOL_") for t in node.targets
