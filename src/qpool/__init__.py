@@ -11,9 +11,12 @@ nonnegative coefficients in the basis r^k (1 - r)^(n - k).
 
 from importlib import import_module as _import_module
 
-# Exported names by the module they are imported from.  Each module, and numpy
-# behind it, is imported the first time it or one of its names is read (PEP 562),
-# so the exact scenarios and ``import qpool.errors`` start without numpy.
+# The submodules ``import qpool`` binds, and the exported names by the module that
+# defines them.  Each module, and numpy behind all but ``errors`` and ``exact``, is
+# imported the first time it or one of its names is read (PEP 562), so the exact
+# scenarios and ``import qpool.errors`` start without numpy.  ``estimation``
+# re-exports the names defined in ``exact``.
+_SUBMODULES = ("classical", "errors", "estimation", "fusion", "haar", "linalg", "measurement")
 _EXPORTS = {
     "classical": (
         "LikelihoodModel",
@@ -44,16 +47,18 @@ _EXPORTS = {
         "SingularConstraintError",
     ),
     "estimation": (
-        "DiagonalEffect",
-        "PolynomialDensity",
         "WeightedStateEnsemble",
-        "audit_published_example",
         "definetti_state",
-        "matching_beta",
         "polynomial_predictive",
         "pooled_predictive",
         "posterior_update",
         "predictive_state",
+    ),
+    "exact": (
+        "DiagonalEffect",
+        "PolynomialDensity",
+        "audit_published_example",
+        "matching_beta",
         "predictive_populations",
         "qubit_diagonal_posterior",
     ),
@@ -93,7 +98,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
+    if name in _SUBMODULES:
         return _import_module(f"{__name__}.{name}")
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -103,4 +108,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *_EXPORTS, *_ORIGIN})
+    return sorted({*globals(), *_SUBMODULES, *_ORIGIN})

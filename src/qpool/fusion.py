@@ -106,7 +106,9 @@ class CommonTermDecomposition:
     ``rho_a = alpha * sigma + sum_k p_k |phi_k><phi_k|`` and likewise for B;
     the remainders are the eigendecompositions of ``rho - weight * sigma``.
     ``sigma`` is the support part ``V diag(lam) V^dag`` of the validated common
-    state, and ``sigma_support`` holds its eigenpairs ``(lam, V)``.
+    state, and ``sigma_support`` holds its eigenpairs ``(lam, V)``.  Its trace
+    ``sum(lam)`` falls short of 1 by sigma's eigenvalues below the rank cutoff,
+    so ``weight * sum(lam) + sum_k p_k`` is the total that must be 1.
     """
 
     sigma: np.ndarray = field(repr=False)
@@ -124,10 +126,10 @@ class CommonTermDecomposition:
         ):
             if not 0.0 < weight <= 1.0:
                 raise DegenerateConstructionError(f"{label} must lie in (0, 1], got {weight!r}")
-            total = weight + sum(p for p, _ in terms)
+            total = weight * float(np.sum(self.sigma_support[0])) + sum(p for p, _ in terms)
             if any(p < 0 for p, _ in terms):
                 raise PositivityError("remainder weights must be nonnegative")
-            require_normalized(total, TOL_TRACE, f"{label} + remainder weights")
+            require_normalized(total, TOL_TRACE, f"{label} * Tr sigma + remainder weights")
 
     @property
     def dim(self) -> int:
@@ -183,7 +185,8 @@ class TripartiteScenario:
     significant.  The auxiliary bases are the computational bases of S_A and
     S_B: index ``n < n_common`` carries the n-th eigenvector of sigma, and
     the remaining indices carry one remainder term each.  ``psi`` is kept
-    unnormalized; its squared norm is ``1 + (1-alpha)/alpha + (1-beta)/beta``.
+    unnormalized; its squared norm is ``1 + delta + (1-alpha)/alpha + (1-beta)/beta``,
+    where ``delta`` is the weight of sigma's eigenvalues below its rank cutoff.
     """
 
     alpha: float

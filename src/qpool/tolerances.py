@@ -7,7 +7,7 @@ that apply it.
 
 # Tolerances, relative to the largest magnitude involved unless marked absolute.
 TOL_HERM = 1e-9  # max|A - A^dag| <= TOL_HERM * max(1, max|A|)
-TOL_TRACE = 1e-9  # absolute: |Tr rho - 1|, and common-term weights summing to 1
+TOL_TRACE = 1e-9  # absolute: |Tr rho - 1|, and a common-term decomposition's total weight
 TOL_PSD = 1e-9  # lambda_min >= -TOL_PSD * max(1, lambda_max); effects: lambda_max <= 1 + TOL_PSD
 TOL_ORTH = 1e-10  # absolute: max|B^dag B - I| for a subspace basis
 TOL_RANK = 1e-9  # support: lambda > TOL_RANK * lambda_max; intersection: s > 1 - TOL_RANK

@@ -747,6 +747,16 @@ def test_extreme_scalars_exit_cleanly(path, tmp_path, capsys):
                 json.loads(out, parse_constant=_reject_constant)
 
 
+# The names ``qpool`` and ``estimation`` export from the numpy-free ``exact``.
+EXACT_EXPORTS = (
+    "DiagonalEffect",
+    "PolynomialDensity",
+    "audit_published_example",
+    "matching_beta",
+    "predictive_populations",
+    "qubit_diagonal_posterior",
+)
+
 # The exact scenarios: validating any config, auditing the published example and
 # an estimate without Monte-Carlo samples use ints, Fractions and floats alone.
 EXACT_ESTIMATE = {"kind": "estimate", "seed": 11, "payload": {"effects_a": [0.75, 0.3], "effects_b": [0.75, 0.3]}}
@@ -779,8 +789,15 @@ def test_exact_runs_import_neither_numpy_nor_jsonschema(argv, tmp_path):
     assert not imported & {"numpy", "jsonschema"}
 
 
-def test_importing_the_errors_leaves_numpy_unloaded():
-    code = "import sys, qpool.errors; print(sorted({'numpy', 'jsonschema'} & set(sys.modules)))"
+NUMPY_FREE_IMPORTS = {
+    "errors": "import qpool.errors",
+    "exact-exports": "import qpool; qpool." + "; qpool.".join(EXACT_EXPORTS),
+}
+
+
+@pytest.mark.parametrize("statement", NUMPY_FREE_IMPORTS.values(), ids=NUMPY_FREE_IMPORTS)
+def test_numpy_free_imports_leave_numpy_unloaded(statement):
+    code = f"import sys; {statement}; print(sorted({{'numpy', 'jsonschema'}} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True
     )
@@ -843,3 +860,36 @@ def test_predictive_literals_are_the_numpy_literals_byte_for_byte(effects_a, eff
     q_a, q_b = qubit_diagonal_posterior(effects_a), qubit_diagonal_posterior(effects_b)
     for q in (q_a, q_b, q_a.multiply(q_b)):
         assert repr(_predictive_literal(q)) == repr(matrix_to_literal(polynomial_predictive(q)))
+
+
+# Reports the qpool modules, and numpy itself, first imported after the first
+# ``time.perf_counter`` call of ``run_scenario``: the start of ``wall_clock_s``.
+CLOCK_PROBE = """
+import json, sys, time
+from qpool.cli import run_scenario
+cfg = json.loads(sys.argv[1])
+counter, loaded = time.perf_counter, []
+def clock():
+    loaded.append(set(sys.modules))
+    return counter()
+time.perf_counter = clock
+run_scenario(cfg)
+late = set(sys.modules) - loaded[0]
+print(sorted(m for m in late if m == "numpy" or m.split(".")[0] == "qpool"))
+"""
+CLOCKED_RUNS = {
+    **{p.stem: json.loads(p.read_text()) for p in SHIPPED},
+    "exact-estimate": EXACT_ESTIMATE,
+}
+
+
+@pytest.mark.parametrize("cfg", CLOCKED_RUNS.values(), ids=CLOCKED_RUNS)
+def test_wall_clock_starts_after_the_scenario_imports(cfg):
+    proc = subprocess.run(
+        [sys.executable, "-c", CLOCK_PROBE, json.dumps(cfg)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -331,17 +331,29 @@ class TestRealizePair:
         assert (dec.alpha, dec.beta) == (0.25, 0.5)
         np.testing.assert_allclose(report.rho_a_recovered, half, atol=1e-12)
 
-    @pytest.mark.parametrize("eps", [3e-10, 1.5e-10])
-    def test_sigma_below_its_rank_cutoff_realizes_at_every_returned_weight(self, eps):
-        # sigma's eps lies below its own rank cutoff (5e-10) and outside rho_b's
-        # support, whose 4.8e-13 is below rho_b's cutoff: one rank decision for
-        # sigma must serve the remainders, the reconstruction and the realization.
-        sigma = np.diag([0.5, 0.5 - eps, eps])
-        rho_b = np.diag([0.6, 0.4 - 4.8e-13, 4.8e-13])
-        _, alpha_max, beta_max, at_half = realize_pair(sigma, rho_b, sigma)
-        at_max = realize_pair(sigma, rho_b, sigma, alpha_max, beta_max)[-1]
+    @pytest.mark.parametrize(
+        "rho_a, rho_b, sigma",
+        [
+            # sigma's eps lies below its own rank cutoff (5e-10) and outside rho_b's
+            # support, whose 4.8e-13 is below rho_b's cutoff.
+            (np.diag([0.5, 0.5 - eps, eps]), np.diag([0.6, 0.4 - 4.8e-13, 4.8e-13]), np.diag([0.5, 0.5 - eps, eps]))
+            for eps in (3e-10, 1.5e-10)
+        ]
+        + [
+            # Several eigenvalues of sigma below its cutoff, inside both supports: together
+            # they weigh more than TOL_TRACE, so the common term's trace is below 1.
+            (np.diag([1 - 3e-8] + [1e-8] * 3),) * 2 + (np.diag([1 - 2.7e-9] + [0.9e-9] * 3),),
+            (np.diag([1 - 2e-8] + [1e-8] * 2),) * 2 + (np.diag([1 - 1.9e-9] + [0.95e-9] * 2),),
+        ],
+        ids=["one-below-3e-10", "one-below-1.5e-10", "three-below-d4", "two-below-d3"],
+    )
+    def test_sigma_below_its_rank_cutoff_realizes_at_every_returned_weight(self, rho_a, rho_b, sigma):
+        # One rank decision for sigma must serve the remainders, the weight total,
+        # the reconstruction and the realization.
+        _, alpha_max, beta_max, at_half = realize_pair(rho_a, rho_b, sigma)
+        at_max = realize_pair(rho_a, rho_b, sigma, alpha_max, beta_max)[-1]
         for report in (at_half, at_max):
-            np.testing.assert_allclose(report.rho_a_recovered, sigma, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(report.rho_a_recovered, rho_a, rtol=0, atol=1e-10)
             np.testing.assert_allclose(report.rho_b_recovered, rho_b, rtol=0, atol=1e-10)
 
     def test_sigma_outside_a_support_rejected(self):
