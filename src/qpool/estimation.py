@@ -11,11 +11,11 @@ Two evaluation paths are provided and cross-checked against each other:
   valid for any effects.  ``posterior_update`` folds any number of effects
   into one pass over the samples, a block at a time: each likelihood is one
   real matrix-vector product with the block's table of populations and
-  coherences, and the weights stay the unnormalized product of the
-  likelihoods.  Readout normalizes the weights as reals before any complex
-  sum, so a subnormal or huge total weight still gives a density matrix,
-  and sums the real Gram matrix of the samples' tensor powers over blocks
-  of ``_BLOCK_FLOATS`` floats, so it copies one block, not the ensemble;
+  coherences, whose log is added to the sample's log weight, so a long record
+  cannot underflow.  Readout is ``_weighted_state``, the package's one weighted
+  sum, shared with ``fusion.averaged_fusion``: it sums the real Gram matrix of
+  blocks of ``_BLOCK_FLOATS`` floats against their running top log weight and
+  reads the state out once, so it copies one block, not the ensemble;
   ``predictive_state`` is the one-copy ``definetti_state``; and
 * an exact path for diagonal qubit effects, where the posterior reduces to
   a polynomial in the excited-state population r (the population is
@@ -37,7 +37,6 @@ from .errors import (
     DimensionGuardError,
     ImpossibleOutcomeError,
     NonFiniteError,
-    PositivityError,
     ShapeError,
 )
 from .exact import (  # re-exported: the exact path is defined in ``exact``
@@ -72,42 +71,45 @@ def pooled_predictive(q_a: PolynomialDensity, q_b: PolynomialDensity) -> np.ndar
 
 @dataclass(frozen=True)
 class WeightedStateEnsemble:
-    """Weighted pure-state samples representing a (possibly updated) density.
+    """Log-weighted pure-state samples representing a (possibly updated) density.
 
-    Amplitude rows carry the samples; weights are unnormalized and only
-    normalized at readout.  At least one weight is positive, so every
-    ensemble has a positive total weight.
+    Amplitude rows carry the samples; the log weights are unnormalized, so a
+    long record of likelihoods cannot underflow them.  At least one is finite,
+    so every ensemble has a positive total weight.
     """
 
     amplitudes: np.ndarray = field(repr=False)  # shape (n_samples, dim)
-    weights: np.ndarray = field(repr=False)  # shape (n_samples,)
+    log_weights: np.ndarray = field(repr=False)  # shape (n_samples,), -inf for weight zero
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        weights = np.asarray(self.weights, dtype=float)
+        log_w = np.asarray(self.log_weights, dtype=float)
         if amps.ndim != 2:
             raise ShapeError("amplitudes must have shape (n, dim)")
-        if weights.shape != (amps.shape[0],):
+        if log_w.shape != (amps.shape[0],):
             raise ShapeError("one weight per sample is required")
-        if weights.size == 0:
+        if log_w.size == 0:
             raise ShapeError("an ensemble needs at least one sample")
-        if not np.all(np.isfinite(weights)):
-            raise NonFiniteError("weights must be finite")
-        if weights.min() < 0.0:
-            raise PositivityError("weights must be nonnegative")
-        if not np.any(weights > 0.0):
+        if not np.all(log_w < np.inf):
+            raise NonFiniteError("log weights must be below +inf and not NaN")
+        if not np.any(log_w > -np.inf):
             raise ImpossibleOutcomeError("no sample has positive weight: the outcome is impossible")
         amps.setflags(write=False)
-        weights.setflags(write=False)
+        log_w.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "log_weights", log_w)
 
     @classmethod
     def from_prior(cls, dim: int, n_samples: int, seed: int) -> "WeightedStateEnsemble":
         """Uniform-weight samples from the invariant (zero knowledge) measure."""
         rng = np.random.default_rng(seed)
         amps = sample_amplitudes(dim, n_samples, rng)
-        return cls(amps, np.ones(int(n_samples)))
+        return cls(amps, np.zeros(int(n_samples)))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weights relative to the largest, exp(log_w - max)."""
+        return np.exp(self.log_weights - self.log_weights.max())
 
     @property
     def dim(self) -> int:
@@ -152,13 +154,13 @@ def _sample_features(amps: np.ndarray) -> np.ndarray:
 
 
 def posterior_update(ens: WeightedStateEnsemble, *effects) -> WeightedStateEnsemble:
-    """Multiply every sample weight by its outcome likelihood Tr[E rho_sample] for each effect.
+    """Add log max(Tr[E rho_sample], 0) to every sample's log weight for each effect.
 
     The effects are validated in argument order and applied in one pass over
     blocks of ``_block_rows(dim * dim)`` samples: each likelihood is one real
-    matrix-vector product with the block's features, clipped at 0 and
-    multiplied into one copy of the weights, so the feature table is one block,
-    not the whole ensemble.  With no effects the weights are unchanged.
+    matrix-vector product with the block's features, clipped at 0 and its log
+    added into one copy of the log weights, so the feature table is one block,
+    not the whole ensemble.  With no effects the log weights are unchanged.
     """
     coeffs = []
     for effect in effects:
@@ -168,23 +170,17 @@ def posterior_update(ens: WeightedStateEnsemble, *effects) -> WeightedStateEnsem
         if effect.shape[0] != ens.dim:
             raise ShapeError(f"effect dim {effect.shape[0]} != ensemble dim {ens.dim}")
         coeffs.append(_likelihood_coefficients(effect))
-    weights = np.array(ens.weights)
+    log_w = np.array(ens.log_weights)
     rows = _block_rows(ens.dim * ens.dim)
-    for start in range(0, ens.n_samples if coeffs else 0, rows):
-        features = _sample_features(ens.amplitudes[start : start + rows])
-        block = weights[start : start + rows]
-        likelihood = np.empty(block.size)
-        for c in coeffs:
-            np.matmul(c, features, out=likelihood)
-            block *= np.maximum(likelihood, 0.0, out=likelihood)
-    return WeightedStateEnsemble(ens.amplitudes, weights)
-
-
-def _normalized_weights(ens: WeightedStateEnsemble) -> np.ndarray:
-    """The weights scaled to sum to 1, in reals, so a subnormal or huge total divides nothing complex."""
-    w = ens.weights / ens.weights.max()
-    w /= w.sum()
-    return w
+    with np.errstate(divide="ignore"):  # a zero likelihood gives log weight -inf
+        for start in range(0, ens.n_samples if coeffs else 0, rows):
+            features = _sample_features(ens.amplitudes[start : start + rows])
+            block = log_w[start : start + rows]
+            likelihood = np.empty(block.size)
+            for c in coeffs:
+                np.matmul(c, features, out=likelihood)
+                block += np.log(np.maximum(likelihood, 0.0, out=likelihood), out=likelihood)
+    return WeightedStateEnsemble(ens.amplitudes, log_w)
 
 
 def _block_rows(dim: int) -> int:
@@ -192,13 +188,36 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_FLOATS // (2 * dim))
 
 
-def _gram_state(gram: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix sum_n w_n a_n a_n^dag read from G = sum_n w_n c_n c_n^T.
+def _weighted_state(blocks, context: str) -> np.ndarray:
+    """sum_n w_n a_n a_n^dag / sum_n w_n from ``(parts, log_w)`` blocks, with w_n = exp(log_w_n).
 
-    Each real row c_n interleaves (Re a_i, Im a_i), so one real Gram matrix
-    holds every product: Re(a_i conj(a_j)) = G[re_i, re_j] + G[im_i, im_j] and
-    Im(a_i conj(a_j)) = G[im_i, re_j] - G[re_i, im_j].
+    Each real row c_n of parts interleaves (Re a_i, Im a_i).  A block adds its weighted real Gram to a
+    running G = sum_n w_n c_n c_n^T, after scaling G and the weight total by exp(old top - new
+    top) if it holds a new top log weight.  A top of +inf or NaN ends the sum, and one not finite
+    raises ``ImpossibleOutcomeError`` naming ``context``.  The state is read out of G once:
+    Re(a_i conj(a_j)) = G[re_i, re_j] + G[im_i, im_j], Im(a_i conj(a_j)) = G[im_i, re_j] - G[re_i, im_j].
+    The blocks are drawn under an ``np.errstate`` in which an overflowing log weight is infinite.
     """
+    gram, total, top = 0.0, 0.0, -np.inf
+    with np.errstate(over="ignore"):
+        for parts, log_w in blocks:
+            block_top = log_w.max()
+            if not block_top <= top:  # a new top, +inf or NaN
+                if not block_top < np.inf:
+                    top = block_top
+                    break
+                scale = np.exp(top - block_top)
+                gram *= scale
+                total *= scale
+                top = block_top
+            if top == -np.inf:  # every weight so far is zero
+                continue
+            weights = np.exp(log_w - top)
+            gram += (parts.T * weights) @ parts
+            total += weights.sum()
+    if not np.isfinite(top):
+        raise ImpossibleOutcomeError(f"top log-weight {float(top)!r} at {context}")
+    gram = gram / total
     out = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     return (out + dagger(out)) / 2
 
@@ -222,9 +241,9 @@ def definetti_state(
     the state of the unmeasured copies after conditioning.  Supported on the
     symmetric subspace by construction.
 
-    The real Gram of the tensor-power rows is summed over blocks of
-    ``_block_rows(dim**n_copies)`` samples and read out once by ``_gram_state``,
-    so the weighted copy it multiplies is one block, not the whole ensemble.
+    The tensor-power rows go to ``_weighted_state`` in blocks of
+    ``_block_rows(dim**n_copies)`` samples with their log weights, so the
+    weighted copy it multiplies is one block, not the whole ensemble.
     """
     if n_copies < 0:
         raise ShapeError("n_copies must be nonnegative")
@@ -237,15 +256,14 @@ def definetti_state(
         raise DimensionGuardError(f"dim^N = {full_dim} exceeds the guard {_DIM_GUARD}")
     if posterior is None:
         posterior = WeightedStateEnsemble.from_prior(dim, n_samples, seed)
-
-    weights = _normalized_weights(posterior)
     rows = _block_rows(full_dim)
-    gram = np.zeros((2 * full_dim, 2 * full_dim))
-    for start in range(0, posterior.n_samples, rows):
-        amps = posterior.amplitudes[start : start + rows]
-        power = amps
-        for _ in range(n_copies - 1):
-            power = np.einsum("ni,nj->nij", power, amps).reshape(amps.shape[0], -1)
-        block = np.ascontiguousarray(power).view(np.float64)
-        gram += (block.T * weights[start : start + rows]) @ block
-    return _gram_state(gram)
+
+    def blocks():
+        for start in range(0, posterior.n_samples, rows):
+            amps = posterior.amplitudes[start : start + rows]
+            power = amps
+            for _ in range(n_copies - 1):
+                power = np.einsum("ni,nj->nij", power, amps).reshape(amps.shape[0], -1)
+            yield np.ascontiguousarray(power).view(np.float64), posterior.log_weights[start : start + rows]
+
+    return _weighted_state(blocks(), "ensemble readout")

@@ -8,9 +8,10 @@ state supported inside the intersection, the pooled state is not fixed by
 the two marginals alone; ``averaged_fusion`` explores one non-canonical
 measure over the realizations, weighting each pure common state x in the
 intersection basis, in log space, by the realized squared norm <x|M|x>.
-It streams the samples in blocks of a fixed size and keeps only a running
-real Gram matrix, read out by the helper ``estimation.predictive_state``
-uses, so its memory does not grow with the sample count.
+It streams the samples in blocks of a fixed size into
+``estimation._weighted_state``, the weighted sum that ``estimation``'s
+ensembles are read out by, which keeps only a running real Gram matrix, so
+its memory does not grow with the sample count.
 
 Each public function validates its matrices with ``linalg.ensure_states``
 into ``State``s that carry their eigenpairs and passes them on to the public
@@ -29,11 +30,10 @@ from .errors import (
     AmbiguityPreconditionError,
     ConfigError,
     DegenerateConstructionError,
-    ImpossibleOutcomeError,
     InconsistentStatesError,
     PositivityError,
 )
-from .estimation import _block_rows, _gram_state
+from .estimation import _block_rows, _weighted_state
 from .haar import sample_amplitudes
 from .linalg import (
     TOL_PSD,
@@ -400,12 +400,10 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
 
     The samples are streamed: one generator seeded with ``cfg.seed`` draws blocks of
     ``estimation._block_rows(k)`` rows in turn, which are the rows one draw of all
-    ``n_samples`` would give, byte for byte.  Each block adds its weighted real (2k x 2k)
-    Gram to a running sum; when a block holds a new top log-weight, the sum and the weight
-    total are first scaled by exp(old top - new top).  The state is read out of the Gram once,
-    at the end, so memory does not grow with ``n_samples``.  The fixed block size sets the
-    order of summation, so the result depends on it at the level of rounding.  Deterministic
-    per seed.
+    ``n_samples`` would give, byte for byte.  The blocks and their log-weights go to
+    ``estimation._weighted_state``, which sums them against a running top and reads the state
+    out once, so memory does not grow with ``n_samples``.  The fixed block size sets the order
+    of summation, so the result depends on it at the level of rounding.  Deterministic per seed.
     """
     a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
     consistent, intersection = check_consistency(a, b)
@@ -421,27 +419,11 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     real_quad = np.kron(quad.real, np.eye(2)) + np.kron(quad.imag, [[0.0, -1.0], [1.0, 0.0]])
     rng = np.random.default_rng(cfg.seed)
     n_samples, rows = int(cfg.n_samples), _block_rows(k)
-    gram, total, top = np.zeros((2 * k, 2 * k)), 0.0, -np.inf
-    for start in range(0, n_samples, rows):
-        parts = sample_amplitudes(k, min(rows, n_samples - start), rng).view(np.float64)
-        norm_sq = np.einsum("ij,ij->i", parts @ real_quad, parts)
-        with np.errstate(over="ignore"):  # an overflow gives -inf (weight 0) or an infinite top
-            log_w = -cfg.weight_exponent * np.log(norm_sq)
-        block_top = log_w.max()
-        if not block_top <= top:  # a new top, +inf or NaN
-            if not block_top < np.inf:
-                top = block_top
-                break
-            scale = np.exp(top - block_top)
-            gram *= scale
-            total *= scale
-            top = block_top
-        if top == -np.inf:  # every weight so far is zero
-            continue
-        weights = np.exp(log_w - top)
-        gram += (parts.T * weights) @ parts
-        total += weights.sum()
-    if not np.isfinite(top):
-        raise ImpossibleOutcomeError(f"top log-weight {float(top)!r} at exponent {cfg.weight_exponent!r}")
-    fused = basis @ _gram_state(gram / total) @ dagger(basis)
+
+    def blocks():  # an overflow of the log-weight gives -inf (weight 0) or an infinite top
+        for start in range(0, n_samples, rows):
+            parts = sample_amplitudes(k, min(rows, n_samples - start), rng).view(np.float64)
+            yield parts, -cfg.weight_exponent * np.log(np.einsum("ij,ij->i", parts @ real_quad, parts))
+
+    fused = basis @ _weighted_state(blocks(), f"exponent {cfg.weight_exponent!r}") @ dagger(basis)
     return (fused + dagger(fused)) / 2

@@ -2,6 +2,7 @@ import copy
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -893,3 +894,111 @@ def test_wall_clock_starts_after_the_scenario_imports(cfg):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _shipped_with(name: str, **payload) -> dict:
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg["payload"].update(payload)
+    return cfg
+
+
+_Z = [PROJ0, PROJ1]
+_X = [PROJ_PLUS, [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]]]
+
+
+def _uniform_effects(seed: int, *counts) -> list:
+    """Lists of ``counts`` effects drawn in turn from one ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [[rng.random() for _ in range(n)] for n in counts]
+
+
+# CLI runs, each in a process of its own, at sizes and edges where the bound is a time limit or
+# the whole process matters: (config, exit code, stderr fragment for a failure, timeout in
+# seconds).  Each runs as ``python -W error::RuntimeWarning -m qpool.cli run``, so a numpy
+# warning is a traceback.
+CONSOLE_RUNS = {
+    # Fuse weights are taken in log space against a running top: +-600 runs with no warning
+    # over the blocks of 100000 samples, and log-weights that overflow exit 2 naming the error.
+    **{
+        f"fuse_exponent_{exponent:g}": (
+            _shipped_with("fuse", n_samples=100_000, weight_exponent=exponent),
+            0 if abs(exponent) < 1e300 else 2,
+            "error: ImpossibleOutcomeError:",
+            60,
+        )
+        for exponent in (600.0, -600.0, 1e308)
+    },
+    # A d = 16 pair whose supports meet in k = 8 dimensions, at the schema's largest n_samples.
+    "fuse_d16_k8_1e6_samples": (
+        {
+            "kind": "fuse",
+            "seed": 3,
+            "payload": {
+                "rho_a": _diag(*[(i + 1) / 78 for i in range(12)], *[0] * 4),
+                "rho_b": _diag(*[(i + 1) / 78 for i in range(8)], *[0] * 4, *[(i + 9) / 78 for i in range(4)]),
+                "n_samples": 1_000_000,
+            },
+        },
+        0,
+        None,
+        60,
+    ),
+    # 2**30 joint outcomes, propagated step by step.
+    "history_30_steps": (
+        {
+            "kind": "history",
+            "payload": {
+                "steps": [{"owner": ("alice", "bob")[k % 2], "kraus": (_Z, _X)[k // 2 % 2]} for k in range(30)],
+                "known": {"i": 0, "j": 0},
+            },
+        },
+        0,
+        None,
+        20,
+    ),
+    # Effects just inside -TOL_PSD: the clipped roots' 1.8e-9 past the identity is reported.
+    "history_clipped_roots": (
+        _history(
+            {"povm": [_diag(-0.9e-9, 0.2), _diag(-0.9e-9, 0.3), _diag(0.5000000018, 0.25), _diag(0.5, 0.25)]},
+            known={"i": 2},
+        ),
+        0,
+        None,
+        20,
+    ),
+    # Exact posteriors whose unscaled moments underflow.
+    "estimate_1100_half": ({"kind": "estimate", "payload": {"effects_a": [0.5] * 1100}}, 0, None, 20),
+    "estimate_600_plus_600": (
+        {"kind": "estimate", "payload": dict(zip(("effects_a", "effects_b"), _uniform_effects(7, 600, 600)))},
+        0,
+        None,
+        20,
+    ),
+    # A Monte-Carlo cross-check whose linear product of 1200 likelihoods would underflow.
+    "estimate_1200_monte_carlo": (
+        {"kind": "estimate", "payload": {"effects_a": _uniform_effects(5, 1200)[0], "mc_samples": 1000}},
+        0,
+        None,
+        20,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSOLE_RUNS))
+def test_console_run_exits_cleanly_in_time(case, tmp_path):
+    cfg, code, error, timeout = CONSOLE_RUNS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qpool.cli", "run", str(path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["kind"] == cfg["kind"]
+    else:
+        assert error in proc.stderr

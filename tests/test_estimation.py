@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import struct
 import sys
 import tracemalloc
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ, ZZ, Poly, symbols
 
-from qpool.cli import main
+from qpool.cli import _stream_seed, main
+from qpool.config import matrix_to_literal
 from qpool.errors import (
     DimensionGuardError,
     ImpossibleOutcomeError,
@@ -319,6 +321,9 @@ def test_scaled_posteriors_keep_the_reference_bytes(effects_a, effects_b):
         assert [type(v) for v in got] == [type(v) for v in populations]
 
 
+MC_SIGMAS = 6.0  # as in perfbench/oracles.py: a Monte-Carlo entry lies within this many standard errors
+
+
 def _estimate_populations(tmp_path, payload) -> dict:
     """Run an ``estimate`` config through the CLI; the two populations of each reported state."""
     cfg = tmp_path / "cfg.json"
@@ -398,6 +403,23 @@ class TestOracles:
         for key, xs in (("predictive_a", xs_a), ("predictive_b", xs_b), ("pooled", xs_a + xs_b)):
             top = mpmath_top_population(xs)
             assert abs(pops[key][0] - top) <= 1e-13 and abs(pops[key][1] - (1 - top)) <= 1e-13
+
+    def test_cli_monte_carlo_runs_1200_random_effects(self, tmp_path):
+        """1200 likelihoods of about 1/2 multiply to below the smallest subnormal, so a linear
+        product of weights leaves none positive.  The log weights give the exact top population
+        within MC_SIGMAS Kish standard errors sqrt(Var / ESS), as in ``test_fusion.py``: ESS is
+        (sum w)^2 / sum w^2, and Var the w^2-weighted variance of the sample populations about it."""
+        rng = random.Random(5)
+        effects = [rng.random() for _ in range(1200)]
+        outputs, pops = _estimate_populations(tmp_path, {"effects_a": effects, "mc_samples": 1000})
+        ens = WeightedStateEnsemble.from_prior(2, 1000, _stream_seed(0, 0))
+        ens = posterior_update(ens, *map(DiagonalEffect, effects))
+        assert outputs["mc_predictive_a"] == matrix_to_literal(predictive_state(ens))
+        exact, got = pops["predictive_a"][0], outputs["mc_predictive_a"][0][0][0]
+        w, top = ens.weights, np.abs(ens.amplitudes[:, 0]) ** 2
+        ess = w.sum() ** 2 / (w**2).sum()
+        se = np.sqrt((w**2 @ (top - exact) ** 2) / (w**2).sum() / ess)
+        assert abs(got - exact) <= MC_SIGMAS * se
 
     def test_beyond_the_float_range_is_a_named_error(self, tmp_path):
         # A mass of 2^-3000 is past what the scaled floats resolve.
@@ -486,10 +508,10 @@ def test_matching_beta_matches_reference(alpha, gamma):
     assert _beta_outcome(matching_beta, alpha, gamma) == _beta_outcome(reference_matching_beta, alpha, gamma)
 
 
-def ensemble(*rows, weights=None) -> WeightedStateEnsemble:
-    """An ensemble of the given amplitude rows, with unit weights by default."""
+def ensemble(*rows, log_weights=None) -> WeightedStateEnsemble:
+    """An ensemble of the given amplitude rows, with unit weights (log weights 0) by default."""
     amps = np.array(rows, dtype=complex)
-    return WeightedStateEnsemble(amps, np.ones(len(rows)) if weights is None else weights)
+    return WeightedStateEnsemble(amps, np.zeros(len(rows)) if log_weights is None else log_weights)
 
 
 # A qubit pure state with populations (0.3, 0.7) and relative phase 1.1.
@@ -510,13 +532,14 @@ class TestEnsemblePath:
     def test_unbiased_effect_scales_all_weights(self):
         ens = WeightedStateEnsemble.from_prior(2, 500, seed=1)
         updated = posterior_update(ens, DiagonalEffect(0.5))
-        np.testing.assert_allclose(updated.weights, 0.5 * ens.weights, atol=1e-12)
+        np.testing.assert_allclose(updated.log_weights, ens.log_weights + np.log(0.5), rtol=0.0, atol=1e-12)
 
     def test_diagonal_likelihood_arithmetic(self):
         ens = ensemble([np.sqrt(0.5), np.sqrt(0.5)])
         updated = posterior_update(ens, np.diag([0.8, 0.4]))
         # Tr[diag(0.8, 0.4) rho] with populations (0.5, 0.5).
-        assert updated.weights[0] == pytest.approx(0.6, abs=1e-12)
+        assert updated.log_weights[0] == pytest.approx(np.log(0.6), abs=1e-12)
+        assert updated.weights[0] == 1.0
 
     def test_impossible_outcome(self):
         ens = ensemble([0.0, 1.0])
@@ -547,7 +570,7 @@ class TestEnsemblePath:
 # The per-effect update before effects were folded into one pass, kept as
 # the reference for the fold.
 def reference_posterior_update(ens: WeightedStateEnsemble, effect) -> WeightedStateEnsemble:
-    """Multiply every sample weight by its outcome likelihood Tr[E rho_sample]."""
+    """Add the log of every sample's outcome likelihood Tr[E rho_sample] to its log weight."""
     if isinstance(effect, DiagonalEffect):
         effect = effect.matrix()
     effect = ensure_effect(effect)[0]
@@ -556,8 +579,9 @@ def reference_posterior_update(ens: WeightedStateEnsemble, effect) -> WeightedSt
     likelihood = np.einsum(
         "ni,ij,nj->n", ens.amplitudes.conj(), effect, ens.amplitudes
     ).real
-    weights = ens.weights * np.clip(likelihood, 0.0, None)
-    return WeightedStateEnsemble(ens.amplitudes, weights)
+    with np.errstate(divide="ignore"):
+        log_weights = ens.log_weights + np.log(np.clip(likelihood, 0.0, None))
+    return WeightedStateEnsemble(ens.amplitudes, log_weights)
 
 
 def _outcome(call):
@@ -582,7 +606,7 @@ def updates(draw):
     amps = sample_amplitudes(dim, n, rng)
     basis = draw(st.integers(0, min(3, n)))
     amps[:basis] = np.eye(dim)[rng.integers(0, dim, basis)]
-    ens = WeightedStateEnsemble(amps, rng.uniform(0.5, 2.0, n))
+    ens = WeightedStateEnsemble(amps, np.log(rng.uniform(0.5, 2.0, n)))
     kinds = ["random", "projector", "diagonal"] + ["qubit"] * (dim == 2)
     invalid = draw(st.sampled_from([None, None, None, "too large", "negative", "wrong dim"]))
     effects = []
@@ -618,24 +642,25 @@ def test_folded_update_matches_per_effect_reference(case):
         assert got == want
     else:
         # A likelihood near zero loses its relative accuracy to cancellation in
-        # either form, so the weights are compared relative to the largest one.
+        # either form, so its log does too; the weights are compared relative to
+        # the largest one, where that loss is at most 1e-13.
         assert got.amplitudes is ens.amplitudes
-        np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-13 * want.weights.max())
-        assert np.all(got.weights[want.weights == 0.0] == 0.0)
+        np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-13)
+        assert np.all(got.log_weights[want.log_weights == -np.inf] == -np.inf)
 
 
 class TestFoldedUpdate:
     def test_no_effects_keeps_weights(self):
         ens = WeightedStateEnsemble.from_prior(3, 100, seed=9)
-        assert_same_bytes(posterior_update(ens).weights, ens.weights)
+        assert_same_bytes(posterior_update(ens).log_weights, ens.log_weights)
 
     def test_fold_equals_sequential_calls(self):
         ens = WeightedStateEnsemble.from_prior(2, 1000, seed=10)
         effects = [DiagonalEffect(x) for x in (0.2, 0.9, 0.5, 0.35)]
         effects.append(random_effects(np.random.default_rng(11), 2, 3)[1])
         assert_same_bytes(
-            posterior_update(ens, *effects).weights,
-            reduce(posterior_update, effects, ens).weights,
+            posterior_update(ens, *effects).log_weights,
+            reduce(posterior_update, effects, ens).log_weights,
         )
 
     def test_first_invalid_effect_is_reported(self):
@@ -647,11 +672,11 @@ class TestFoldedUpdate:
 
 
 class TestTinyAndHugeWeights:
-    """Readout normalizes the weights as reals first, so no complex product divides by their sum."""
+    """Weights are kept as logs and taken against the largest at readout, so no total under- or overflows."""
 
     @pytest.mark.parametrize("weight", [1e-320, 5e-324, 1e308])
     def test_equal_weights_give_the_sample_projector(self, weight):
-        ens = ensemble(SKEWED, SKEWED, weights=[weight, weight])
+        ens = ensemble(SKEWED, SKEWED, log_weights=[np.log(weight)] * 2)
         projector = np.outer(SKEWED, SKEWED.conj())
         np.testing.assert_allclose(predictive_state(ens), projector, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(definetti_state(1, posterior=ens), projector, rtol=0.0, atol=1e-15)
@@ -660,9 +685,13 @@ class TestTinyAndHugeWeights:
         ens = WeightedStateEnsemble.from_prior(2, 2000, seed=13)
         for _ in range(1060):
             ens = posterior_update(ens, DiagonalEffect(0.5))
-        assert 0.0 < ens.weights.sum() < np.finfo(float).tiny
-        # Scaling by 2**1074 is exact, and brings the weights into the normal range.
-        w = np.ldexp(ens.weights, 1074)
+        # Each likelihood is 1/2 within an ulp or so, and each of the 1060 additions rounds by at
+        # most half an ulp of a sum below 1060 log 2, so one ulp of that sum per update bounds both.
+        want_log = 1060 * np.log(0.5)
+        np.testing.assert_allclose(ens.log_weights, want_log, rtol=0.0, atol=1060 * np.spacing(-want_log))
+        # The linear product of the likelihoods would be subnormal; the log weights keep every digit.
+        assert 0.0 < np.exp(ens.log_weights).sum() < np.finfo(float).tiny
+        w = ens.weights
         amps = ens.amplitudes
         want = (amps.T * w) @ amps.conj() / w.sum()
         np.testing.assert_allclose(predictive_state(ens), want, rtol=0.0, atol=1e-15)
@@ -690,8 +719,7 @@ def blocked_ensembles(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     ens = WeightedStateEnsemble.from_prior(dim, n_samples, seed)
     effect = random_effects(np.random.default_rng(seed), dim, 2)[0]
-    updated = posterior_update(ens, effect)
-    return updated if updated.weights.max() > 0 else ens
+    return posterior_update(ens, effect)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -722,14 +750,15 @@ def test_readout_memory_is_a_block_not_a_copy_of_the_ensemble():
 
 
 def one_table_posterior_update(ens: WeightedStateEnsemble, *effects) -> np.ndarray:
-    """The weights ``posterior_update`` gives, from one (d^2, n) feature table of every sample."""
-    weights = np.array(ens.weights)
+    """The log weights ``posterior_update`` gives, from one (d^2, n) feature table of every sample."""
+    log_weights = np.array(ens.log_weights)
     features = _sample_features(ens.amplitudes)
     likelihood = np.empty(ens.n_samples)
     for effect in effects:
         np.matmul(_likelihood_coefficients(ensure_effect(effect)[0]), features, out=likelihood)
-        weights *= np.maximum(likelihood, 0.0, out=likelihood)
-    return weights
+        with np.errstate(divide="ignore"):
+            log_weights += np.log(np.maximum(likelihood, 0.0, out=likelihood))
+    return log_weights
 
 
 @st.composite
@@ -750,16 +779,17 @@ def feature_blocked_updates(draw):
 @given(feature_blocked_updates())
 def test_blocked_update_matches_the_one_table_reference(case):
     """Each likelihood is the same dot product in either form; only where BLAS meets a block's
-    last columns may it round one differently, by an ulp or so."""
+    last columns may it round one differently, by an ulp or so.  That ulp is relative to the
+    terms, not to a likelihood near zero, so the weights are compared relative to the largest."""
     ens, effects = case
     want = one_table_posterior_update(ens, *effects)
     got = posterior_update(ens, *effects).weights
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * want.max())
+    np.testing.assert_allclose(got, np.exp(want - want.max()), rtol=0.0, atol=1e-13)
 
 
 def test_update_memory_is_a_block_not_the_feature_table():
     """d = 8 and 100k samples: one feature table of every sample is 51.2 MB.  The blocked update
-    allocates the weights' copy (0.8 MB) and one block's table and likelihoods (260 kB)."""
+    allocates the log weights' copy (0.8 MB) and one block's table and likelihoods (260 kB)."""
     ens = WeightedStateEnsemble.from_prior(8, 100_000, seed=16)
     effects = random_effects(np.random.default_rng(16), 8, 3)
     want = one_table_posterior_update(ens, *effects)
@@ -771,7 +801,7 @@ def test_update_memory_is_a_block_not_the_feature_table():
         tracemalloc.stop()
     assert peak < 4e6
     # 195 blocks of 512 samples and one of 160: here the blocks give the one-table bytes.
-    assert_same_bytes(got.weights, want)
+    assert_same_bytes(got.log_weights, want)
 
 
 def test_one_copy_of_a_posterior_is_its_predictive_state():
@@ -885,16 +915,35 @@ class TestAudit:
         assert json.loads(json.dumps(audit)) == audit
 
 
+def test_log_weights_match_the_linear_product_in_the_normal_range():
+    """20 random d = 3 effects over 5000 samples keep every linear weight normal (the smallest is
+    about 1e-9), so the linear product is a reference for exp(log_w - max).  That product errs by
+    at most 20 roundings relative; the log weight is a sum of 20 logs of magnitude up to about 20,
+    whose recursive-summation bound (Higham, ch. 4) is about 800 ulps of 1.  Those roundings mostly
+    cancel: draws of this kind at seeds 0-19 differ by at most 28.5 ulps of 1, so 64 is the bound."""
+    rng = np.random.default_rng(23)
+    effects = [e for _ in range(10) for e in random_effects(rng, 3, 2)]
+    ens = WeightedStateEnsemble.from_prior(3, 5000, seed=23)
+    features = _sample_features(ens.amplitudes)
+    linear = np.ones(ens.n_samples)
+    for effect in effects:
+        linear *= np.maximum(_likelihood_coefficients(ensure_effect(effect)[0]) @ features, 0.0)
+    assert linear.min() > np.finfo(float).tiny
+    got = posterior_update(ens, *effects).weights
+    np.testing.assert_allclose(got, linear / linear.max(), rtol=0.0, atol=64 * np.finfo(float).eps)
+
+
 def test_ensemble_validation():
     amps = np.ones((2, 2), dtype=complex)
     with pytest.raises(ShapeError):
-        WeightedStateEnsemble(np.zeros((3, 2), dtype=complex), np.ones(2))
-    with pytest.raises(ImpossibleOutcomeError):
-        WeightedStateEnsemble(amps, np.zeros(2))
-    with pytest.raises(NonFiniteError):
-        WeightedStateEnsemble(amps, np.array([1.0, np.nan]))
-    with pytest.raises(PositivityError):
-        WeightedStateEnsemble(amps, np.array([1.0, -0.5]))
+        WeightedStateEnsemble(np.zeros((3, 2), dtype=complex), np.zeros(2))
+    with pytest.raises(ImpossibleOutcomeError, match="no sample has positive weight"):
+        WeightedStateEnsemble(amps, np.full(2, -np.inf))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            WeightedStateEnsemble(amps, np.array([0.0, bad]))
+    # A negative log weight is a weight below 1, and -inf a weight of zero.
+    np.testing.assert_array_equal(WeightedStateEnsemble(amps, np.array([-0.5, -np.inf])).weights, [1.0, 0.0])
     with pytest.raises(ShapeError):
         definetti_state(-1)
 

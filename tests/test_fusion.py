@@ -901,3 +901,108 @@ def test_averaged_fusion_converges_to_the_laplace_integral(pair, fraction, seed)
     var = np.einsum("n,nij->ij", w2, np.abs(y[:, :, None] * y[:, None, :].conj() - exact[None]) ** 2)
     se = np.sqrt(var / ess)
     assert np.all(np.abs(fused - exact) <= MC_SIGMAS * se)
+
+
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# Relative; closer knots make the recursion's 1 / (t_j+r - t_j) lose digits.  At k = 2 a pair of
+# knots 1e-6 apart costs up to 1.1e-10 in the closed forms below, and 1e-9 apart up to 1e-7.
+MIN_KNOT_GAP = 1e-6
+
+
+def log_spline_moment(knots, w) -> float:
+    """log int x^-w M(x | knots) dx, M the B-spline density with integral 1 on sorted knots t_0..t_n.
+
+    M is evaluated by the Cox-de Boor recursion M_j,1 = 1 / (t_j+1 - t_j) on [t_j, t_j+1) and
+    M_j,r = r ((x - t_j) M_j,r-1 + (t_j+r - x) M_j+1,r-1) / ((r - 1) (t_j+r - t_j)), whose terms
+    are all >= 0, at 64 Gauss-Legendre nodes on each knot interval of positive length; the
+    integral is their log-sum-exp, so it holds for any real w.
+    """
+    t = np.sort(np.asarray(knots, dtype=float))
+    step = np.diff(t)
+    lo, hi = t[:-1][step > 0], t[1:][step > 0]
+    half = (hi - lo)[:, None] / 2
+    x = ((lo + hi)[:, None] / 2 + half * GAUSS_NODES).ravel()
+    # A doubled knot's empty interval holds no node, so its M_j,1 is 0 whatever it is divided by.
+    spline = [((t[j] <= x) & (x < t[j + 1])) / max(step[j], np.finfo(float).tiny) for j in range(step.size)]
+    for r in range(2, t.size):
+        spline = [
+            r * ((x - t[j]) * spline[j] + (t[j + r] - x) * spline[j + 1]) / ((r - 1) * (t[j + r] - t[j]))
+            for j in range(t.size - r)
+        ]
+    with np.errstate(divide="ignore"):
+        terms = np.log((half * GAUSS_WEIGHTS).ravel()) - w * np.log(x) + np.log(spline[0])
+    top = terms.max()
+    return float(top + np.log(np.exp(terms - top).sum()))
+
+
+def spline_spectrum(m, w) -> np.ndarray:
+    """f_i = E[p_i (m.p)^-w] / E[(m.p)^-w] for p uniform on the simplex, at any real w and k >= 2.
+
+    m.p has the B-spline density M(x | m_1..m_k) (Curry and Schoenberg), and p_i times the flat
+    density is 1/k times the Dirichlet density with alpha_i = 2, which is the spline with knot
+    m_i doubled, so f_i = (1/k) int x^-w M(x | m, m_i) dx / int x^-w M(x | m) dx.
+    """
+    m = np.asarray(m, dtype=float)
+    gaps = np.diff(np.sort(m))
+    assert gaps.min() >= MIN_KNOT_GAP * m.max()
+    total = log_spline_moment(m, w)
+    return np.array([np.exp(log_spline_moment(np.append(m, mi), w) - total) / m.size for mi in m])
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_spline_spectrum_matches_the_closed_forms(k):
+    """w = 0 gives f_i = 1/k; w = -1 gives E[p_i m.p] / E[m.p] = (sum m + m_i) / ((k + 1) sum m),
+    from E[p_i^2] = 2 / (k (k + 1)) and E[p_i p_j] = 1 / (k (k + 1)).  Only rounding separates
+    the spline integral from either, 1e-14 at most."""
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        m = rng.uniform(3.0, 40.0, k)
+        np.testing.assert_allclose(spline_spectrum(m, 0.0), np.full(k, 1 / k), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(spline_spectrum(m, -1.0), (m.sum() + m) / ((k + 1) * m.sum()), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_spline_spectrum_matches_the_laplace_integral(k):
+    """Two independent routes for 0 < w < k: the spline integral and mpmath's ``laplace_spectrum``."""
+    m = np.random.default_rng(10 + k).uniform(3.0, 40.0, k)
+    for w in (0.3, k / 2, k - 0.3):
+        np.testing.assert_allclose(spline_spectrum(m, w), laplace_spectrum(m, w), rtol=0, atol=1e-12)
+
+
+# The weight exponents of the spline check, as functions of the intersection dimension k.
+SPLINE_EXPONENTS = {
+    "-2": lambda k: -2.0,
+    "0": lambda k: 0.0,
+    "k-1/2": lambda k: k - 0.5,
+    "k": float,
+    "k+3": lambda k: k + 3.0,
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("exponent_of_k", SPLINE_EXPONENTS.values(), ids=SPLINE_EXPONENTS)
+def test_averaged_fusion_converges_to_the_spline_integral(k, exponent_of_k):
+    """As ``test_averaged_fusion_converges_to_the_laplace_integral``, at w = -2, 0, k - 1/2, k and
+    k + 3, where the Laplace route does not reach.  The random states' M spectra have gaps of at
+    least MIN_KNOT_GAP relative, which ``spline_spectrum`` checks."""
+    exponent = exponent_of_k(k)
+    seed = 100 * k + list(SPLINE_EXPONENTS.values()).index(exponent_of_k)
+    rng = np.random.default_rng(seed)
+    rho_a, rho_b, _ = random_consistent_pair(rng, k + int(rng.integers(0, 7 - k)), overlap=k)
+    basis = intersection_basis(rho_a, rho_b)
+    pinv = np.linalg.pinv(rho_a, rcond=1e-9, hermitian=True) + np.linalg.pinv(rho_b, rcond=1e-9, hermitian=True)
+    m, frame = np.linalg.eigh(-np.eye(k) + 2 * dagger(basis) @ pinv @ basis)
+    exact = np.diag(spline_spectrum(m, exponent))
+    assert abs(np.trace(exact) - 1) <= 1e-12
+
+    cfg = HistoryMeasureConfig(n_samples=100_000, seed=seed, weight_exponent=exponent)
+    fused = dagger(basis @ frame) @ averaged_fusion(rho_a, rho_b, cfg) @ (basis @ frame)
+
+    y = sample_amplitudes(k, cfg.n_samples, np.random.default_rng(seed))  # Haar in any basis
+    log_w = -exponent * np.log(np.abs(y) ** 2 @ m)
+    w = np.exp(log_w - log_w.max())
+    ess = w.sum() ** 2 / (w**2).sum()
+    w2 = w**2 / (w**2).sum()
+    var = np.einsum("n,nij->ij", w2, np.abs(y[:, :, None] * y[:, None, :].conj() - exact[None]) ** 2)
+    se = np.sqrt(var / ess)
+    assert np.all(np.abs(fused - exact) <= MC_SIGMAS * se)
