@@ -53,7 +53,9 @@ class ProbDist:
         if arr.min() < -TOL_PROB_SUM:
             raise PositivityError(f"negative probability {float(arr.min())!r}")
         arr = np.clip(arr, 0.0, None)
-        require_normalized(float(arr.sum()), TOL_PROB_SUM, "probability sum")
+        with np.errstate(over="ignore"):  # a sum past the float range fails the check below
+            total = float(arr.sum())
+        require_normalized(total, TOL_PROB_SUM, "probability sum")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 

@@ -166,26 +166,18 @@ def _run_fuse(payload: dict, seed: int):
     return outputs, [_EXPLORATORY_NOTE]
 
 
-def _predictive_literal(q) -> list:
-    """``matrix_to_literal(estimation.polynomial_predictive(q))``, byte for byte, without numpy."""
-    from .exact import predictive_populations
-
-    top, bottom = predictive_populations(q)
-    return [[[float(top), 0.0], [0.0, 0.0]], [[0.0, 0.0], [float(bottom), 0.0]]]
-
-
 def _run_estimate(payload: dict, seed: int):
-    from .exact import qubit_diagonal_posterior
+    from .exact import predictive_populations, qubit_diagonal_posterior
 
     q_a = qubit_diagonal_posterior(payload["effects_a"])
     q_b = qubit_diagonal_posterior(payload.get("effects_b", []))
     outputs = {
         "posterior_coeffs_a": [float(c) for c in q_a.coeffs],
         "posterior_coeffs_b": [float(c) for c in q_b.coeffs],
-        "predictive_a": _predictive_literal(q_a),
-        "predictive_b": _predictive_literal(q_b),
-        "pooled": _predictive_literal(q_a.multiply(q_b)),
     }
+    for name, q in (("predictive_a", q_a), ("predictive_b", q_b), ("pooled", q_a.multiply(q_b))):
+        top, bottom = predictive_populations(q)  # the diagonal of polynomial_predictive(q)
+        outputs[name] = matrix_to_literal([[top, 0], [0, bottom]])
     provenance = ["predictive states: exact polynomial integration (derived)"]
     if "mc_samples" in payload:
         from . import estimation
@@ -210,43 +202,31 @@ def _run_reproduce_paper(payload: dict, seed: int):
     return audit_published_example(), provenance
 
 
-_HANDLERS = {
-    "pool-classical": _run_pool_classical,
-    "history": _run_history,
-    "consistency": _run_consistency,
-    "realize": _run_realize,
-    "ambiguity": _run_ambiguity,
-    "fuse": _run_fuse,
-    "estimate": _run_estimate,
-    "reproduce-paper": _run_reproduce_paper,
-}
-
-
-# The library modules each kind's handler runs, and numpy behind all but ``exact``.
-# ``run_scenario`` imports them before its clock starts, so ``wall_clock_s`` times
-# the scenario, not the first import.
-_MODULES = {
-    "pool-classical": ("classical",),
-    "history": ("measurement",),
-    "consistency": ("fusion",),
-    "realize": ("fusion",),
-    "ambiguity": ("fusion",),
-    "fuse": ("fusion",),
-    "estimate": ("exact",),
-    "reproduce-paper": ("exact",),
+# Each kind's handler, and the library modules it runs (numpy behind all but
+# ``exact``).  ``run_scenario`` imports them before its clock starts, so
+# ``wall_clock_s`` times the scenario, not the first import.
+_KINDS = {
+    "pool-classical": (_run_pool_classical, ("classical",)),
+    "history": (_run_history, ("measurement",)),
+    "consistency": (_run_consistency, ("fusion",)),
+    "realize": (_run_realize, ("fusion",)),
+    "ambiguity": (_run_ambiguity, ("fusion",)),
+    "fuse": (_run_fuse, ("fusion",)),
+    "estimate": (_run_estimate, ("exact",)),
+    "reproduce-paper": (_run_reproduce_paper, ("exact",)),
 }
 
 
 def run_scenario(cfg: dict) -> dict:
     """Validate, dispatch, and wrap the scenario outputs in a run report."""
     cfg = validate_config(cfg)
-    modules = _MODULES[cfg["kind"]]
+    handler, modules = _KINDS[cfg["kind"]]
     if cfg["kind"] == "estimate" and "mc_samples" in cfg["payload"]:
         modules += ("estimation",)
     for name in modules:
         import_module(f"{__package__}.{name}")
     start = time.perf_counter()
-    outputs, provenance = _HANDLERS[cfg["kind"]](cfg["payload"], cfg["seed"])
+    outputs, provenance = handler(cfg["payload"], cfg["seed"])
     return {
         "kind": cfg["kind"],
         "seed": cfg["seed"],

@@ -3,16 +3,15 @@
 Configs are strict JSON objects ``{"kind": ..., "seed": ..., "payload": ...}``;
 unknown fields anywhere are rejected rather than ignored.  Matrix literals
 are nested row-major arrays of ``[re, im]`` pairs; probability vectors are
-plain arrays of decimals.  The schemas are plain JSON Schema 2020-12 dicts.  An
-accept-only walker checks a config on exact types; only a config it is not sure
-of imports jsonschema, whose ``Draft202012Validator`` gives verdict and message.
-Only the two matrix-literal converters import numpy, so validating a config
-never does.
+plain arrays of decimals.  The schemas are plain JSON Schema 2020-12 dicts; one
+walker of their 12 keywords judges a config and words a rejection as the Python
+reference validator's ``best_match`` does.  Only ``literal_to_matrix`` imports numpy.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -21,6 +20,12 @@ from .errors import ConfigError, NonFiniteError, ShapeError
 FUSE_FAMILY = "haar-pure-intersection"  # the one measure ``fusion.averaged_fusion`` draws from
 
 _TYPES = {"object": (dict,), "array": (list,), "integer": (int,), "number": (int, float)}
+_IS = {  # the 2020-12 type checks, for what the exact types above miss
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "integer": lambda x: type(x) is not bool and isinstance(x, int) or isinstance(x, float) and x.is_integer(),
+    "number": lambda x: type(x) is not bool and isinstance(x, numbers.Real),
+}
 _PAIR = {
     "type": "array",
     "items": {"type": "number"},
@@ -153,9 +158,9 @@ def validate_config(cfg: dict) -> dict:
     Returns a normalized copy with explicit ``seed`` and ``payload`` fields.
     Raises :class:`ConfigError` carrying a field-path diagnostic.
     """
-    _check_schema(cfg, CONFIG_SCHEMA, root="$")
+    _raise_best_match(cfg, CONFIG_SCHEMA, "$")
     payload = cfg.get("payload", {})
-    _check_schema(payload, PAYLOAD_SCHEMAS[cfg["kind"]], root="$.payload")
+    _raise_best_match(payload, PAYLOAD_SCHEMAS[cfg["kind"]], "$.payload")
     # The schema cannot demand a finite tol: NaN fails every comparison, so
     # exclusiveMinimum lets it through, and Infinity and integers beyond the
     # float range satisfy it.  All three fail this comparison.
@@ -167,55 +172,79 @@ def validate_config(cfg: dict) -> dict:
     return {"kind": cfg["kind"], "seed": int(cfg.get("seed", 0)), "payload": payload}
 
 
-def _surely_valid(instance, schema: dict) -> bool:
-    """True if ``instance`` surely meets ``schema``; False means "not sure", never "invalid"."""
+def _violations(instance, schema: dict) -> tuple:
+    """Every rule of ``schema`` that ``instance`` breaks, as ``(path, keyword, message)``.
+
+    The path is relative to ``instance``; the order and the wording are those of
+    the Python reference validator, 4.26.  A valid instance gets the empty tuple
+    back, and nothing is allocated for it.  A keyword not known here raises.
+    """
+    found = ()
     kind = type(instance)
     for key, rule in schema.items():
         if key == "type":
-            ok = kind in _TYPES.get(rule, ())
+            if kind not in _TYPES[rule] and not _IS[rule](instance):
+                found += (((), key, f"{instance!r} is not of type {rule!r}"),)
         elif key == "items":
-            bare = len(rule) == 1 and _TYPES.get(rule.get("type"))  # no call per element
-            ok = kind is list
-            for item in instance if ok else ():
-                if not (type(item) in bare if bare else _surely_valid(item, rule)):
-                    return False
+            if kind is list or isinstance(instance, list):
+                bare = len(rule) == 1 and _TYPES.get(rule.get("type"))  # no call per element
+                for k, item in enumerate(instance):
+                    if not (bare and type(item) in bare) and (broken := _violations(item, rule)):
+                        found += _under(k, broken)
         elif key == "minItems":
-            ok = kind is list and len(instance) >= rule
+            if (kind is list or isinstance(instance, list)) and len(instance) < rule:
+                found += (((), key, f"{instance!r} {'should be non-empty' if rule == 1 else 'is too short'}"),)
         elif key == "maxItems":
-            ok = kind is list and len(instance) <= rule
+            if (kind is list or isinstance(instance, list)) and len(instance) > rule:
+                found += (((), key, f"{instance!r} {'is expected to be empty' if rule == 0 else 'is too long'}"),)
         elif key == "minimum":
-            ok = kind in _TYPES["number"] and instance >= rule
+            if (kind in _TYPES["number"] or _IS["number"](instance)) and instance < rule:
+                found += (((), key, f"{instance!r} is less than the minimum of {rule!r}"),)
         elif key == "maximum":
-            ok = kind in _TYPES["number"] and instance <= rule
+            if (kind in _TYPES["number"] or _IS["number"](instance)) and instance > rule:
+                found += (((), key, f"{instance!r} is greater than the maximum of {rule!r}"),)
         elif key == "exclusiveMinimum":
-            ok = kind in _TYPES["number"] and instance > rule
+            if (kind in _TYPES["number"] or _IS["number"](instance)) and instance <= rule:
+                found += (((), key, f"{instance!r} is less than or equal to the minimum of {rule!r}"),)
         elif key == "enum":
-            ok = any(type(value) is kind and value == instance for value in rule)
+            if instance not in rule:  # the schemas enumerate strings, which == compares exactly
+                found += (((), key, f"{instance!r} is not one of {rule!r}"),)
         elif key == "anyOf":
-            ok = any(_surely_valid(instance, option) for option in rule)
-        elif key == "required":
-            ok = kind is dict and all(name in instance for name in rule)
+            if all(_violations(instance, option) for option in rule):
+                found += (((), key, f"{instance!r} is not valid under any of the given schemas"),)
         elif key == "properties":
-            ok = kind is dict and all(_surely_valid(v, rule[k]) for k, v in instance.items() if k in rule)
+            if kind is dict or isinstance(instance, dict):
+                for name, sub in rule.items():
+                    if name in instance and (broken := _violations(instance[name], sub)):
+                        found += _under(name, broken)
+        elif key == "required":
+            if kind is dict or isinstance(instance, dict):
+                for name in rule:
+                    if name not in instance:
+                        found += (((), key, f"{name!r} is a required property"),)
         elif key == "additionalProperties":
-            ok = rule is False and kind is dict and instance.keys() <= schema.get("properties", {}).keys()
+            if (kind is dict or isinstance(instance, dict)) and not instance.keys() <= schema["properties"].keys():
+                extras = sorted(instance.keys() - schema["properties"].keys(), key=str)
+                names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                found += (((), key, f"Additional properties are not allowed ({names} {verb} unexpected)"),)
         else:
-            ok = False
-        if not ok:
-            return False
-    return True
+            raise NotImplementedError(f"schema keyword {key!r}")
+    return found
 
 
-def _check_schema(instance, schema: dict, *, root: str) -> None:
-    if _surely_valid(instance, schema):
-        return
-    import jsonschema
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        path = err.json_path.replace("$", root, 1)
-        raise ConfigError(f"{path}: {err.message}")
+def _under(key, broken: tuple) -> tuple:
+    return tuple(((key, *path), keyword, message) for path, keyword, message in broken)
+
+
+def _raise_best_match(instance, schema: dict, root: str) -> None:
+    """Raise the violation ``best_match`` names: the shallowest path, then the last, then
+    any keyword over ``anyOf``, then the first found.  Every ``anyOf`` here picks among
+    ``required`` lists, whose errors tie, so ``best_match`` names the ``anyOf`` itself."""
+    found = _violations(instance, schema)
+    if found:
+        path, _, message = max(found, key=lambda v: (-len(v[0]), v[0], v[1] != "anyOf"))
+        steps = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+        raise ConfigError(f"{root}{steps}: {message}")
 
 
 def load_config(path) -> dict:
@@ -251,10 +280,8 @@ def literal_to_matrix(literal):
 
 
 def matrix_to_literal(mat) -> list:
-    """Complex matrix -> nested row-major [re, im] pairs."""
-    import numpy as np
-
-    arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {arr.shape}")
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    """Complex matrix -> nested row-major [re, im] pairs: numpy, float and Fraction entries alike."""
+    shape = getattr(mat, "shape", None)  # nested rows are taken to be two-dimensional
+    if shape is not None and len(shape) != 2:
+        raise ShapeError(f"expected a matrix, got shape {shape}")
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]

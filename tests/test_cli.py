@@ -21,7 +21,7 @@ from jsonschema.exceptions import best_match
 
 import qpool
 from qpool import measurement
-from qpool.cli import _HANDLERS, _build_history, _predictive_literal, main, run_scenario
+from qpool.cli import _KINDS, _build_history, main, run_scenario
 from qpool.config import (
     _MATRIX,
     literal_to_matrix,
@@ -317,7 +317,7 @@ class TestMainExitCodes:
         def nan_outputs(payload, seed):
             return {"result": [float("nan")]}, []
 
-        monkeypatch.setitem(_HANDLERS, "pool-classical", nan_outputs)
+        monkeypatch.setitem(_KINDS, "pool-classical", (nan_outputs, ("classical",)))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "pool-classical", "payload": {"p": [1.0], "q": [1.0]}}))
         assert main(["run", str(path)]) == 2
@@ -858,9 +858,11 @@ EFFECT_VALUES = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(EFFECT_VALUES, max_size=12), st.lists(EFFECT_VALUES, max_size=12))
 def test_predictive_literals_are_the_numpy_literals_byte_for_byte(effects_a, effects_b):
+    # The exact path writes its literals without numpy; they are the numpy path's, byte for byte.
+    outputs = run_scenario({"kind": "estimate", "payload": {"effects_a": effects_a, "effects_b": effects_b}})["outputs"]
     q_a, q_b = qubit_diagonal_posterior(effects_a), qubit_diagonal_posterior(effects_b)
-    for q in (q_a, q_b, q_a.multiply(q_b)):
-        assert repr(_predictive_literal(q)) == repr(matrix_to_literal(polynomial_predictive(q)))
+    for name, q in (("predictive_a", q_a), ("predictive_b", q_b), ("pooled", q_a.multiply(q_b))):
+        assert repr(outputs[name]) == repr(matrix_to_literal(polynomial_predictive(q)))
 
 
 # Reports the qpool modules, and numpy itself, first imported after the first
