@@ -43,6 +43,7 @@ _EXPORTS = {
         "NotNormalizedError",
         "PositivityError",
         "QpoolError",
+        "ReportError",
         "ShapeError",
         "SingularConstraintError",
     ),
@@ -65,7 +66,6 @@ _EXPORTS = {
     "fusion": (
         "CommonTermDecomposition",
         "HistoryMeasureConfig",
-        "TripartiteScenario",
         "averaged_fusion",
         "check_consistency",
         "decompose_common",

@@ -1,15 +1,15 @@
 """Batch front door: scenario configs in, deterministic reports out.
 
-All randomness flows from the config's single top-level seed; the k-th
-random stream of a scenario uses ``numpy.random.SeedSequence([seed, k])``
-(stream 0: sampling in ``fuse`` and the Monte-Carlo ensemble in
-``estimate``).  Re-running a config with the same seed reproduces the
-``outputs`` section of the report bit-for-bit in canonical JSON.
+All randomness flows from the config's single top-level seed; a scenario
+that samples (``fuse``, and ``estimate`` with ``mc_samples``) draws from one
+stream seeded by ``numpy.random.SeedSequence([seed, 0])``.  Re-running a
+config with the same seed reproduces the ``outputs`` section of the report
+bit-for-bit in canonical JSON.
 
 Exit codes: 0 success, 1 configuration/validation problems and an
 unwritable ``--out`` path, 2 numerical failures, invalid physics that passes
-the schema and reports that cannot be serialized (the error name is embedded
-in the emitted failure report).
+the schema and reports that cannot be serialized (``NonFiniteError`` or
+``ReportError``; the error name is embedded in the emitted failure report).
 
 Each scenario imports the modules it runs when it runs, before the clock
 behind ``wall_clock_s`` starts, so ``validate``, ``reproduce-paper`` and an
@@ -40,10 +40,10 @@ _EXPLORATORY_NOTE = (
 )
 
 
-def _stream_seed(seed: int, stream: int) -> int:
+def _stream_seed(seed: int) -> int:
     import numpy as np
 
-    return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
+    return int(np.random.SeedSequence([int(seed), 0]).generate_state(1)[0])
 
 
 def _run_pool_classical(payload: dict, seed: int):
@@ -151,7 +151,7 @@ def _run_fuse(payload: dict, seed: int):
 
     cfg = fusion.HistoryMeasureConfig(
         n_samples=payload["n_samples"],
-        seed=_stream_seed(seed, 0),
+        seed=_stream_seed(seed),
         weight_exponent=payload.get("weight_exponent", 1.0),
     )
     fused = fusion.averaged_fusion(
@@ -183,7 +183,7 @@ def _run_estimate(payload: dict, seed: int):
         from . import estimation
 
         ens = estimation.WeightedStateEnsemble.from_prior(
-            2, payload["mc_samples"], _stream_seed(seed, 0)
+            2, payload["mc_samples"], _stream_seed(seed)
         )
         effects = [estimation.DiagonalEffect(x) for x in payload["effects_a"]]
         ens = estimation.posterior_update(ens, *effects)

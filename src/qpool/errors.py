@@ -67,3 +67,7 @@ class DimensionGuardError(QpoolError, ValueError):
 
 class ConfigError(QpoolError, ValueError):
     """A scenario configuration failed validation, or a report cannot be written to ``--out``."""
+
+
+class ReportError(QpoolError, TypeError):
+    """A report holds a non-string key or a value that canonical JSON cannot write."""

@@ -232,14 +232,15 @@ def definetti_state(
     n_samples: int = 100_000,
     seed: int = 0,
     posterior: WeightedStateEnsemble | None = None,
-    dim: int = 2,
 ) -> np.ndarray:
     """Monte-Carlo estimate of the density-weighted average of N-fold copies.
 
     With no posterior this is the exchangeable zero-knowledge state of
-    ``n_copies`` identically prepared systems; a posterior ensemble yields
-    the state of the unmeasured copies after conditioning.  Supported on the
-    symmetric subspace by construction.
+    ``n_copies`` identically prepared qubits, over the prior
+    ``WeightedStateEnsemble.from_prior(2, n_samples, seed)``; a posterior
+    ensemble, of any dimension, yields the state of the unmeasured copies
+    after conditioning (pass ``from_prior(d, n, seed)`` for the prior of
+    another dimension).  Supported on the symmetric subspace by construction.
 
     The tensor-power rows go to ``_weighted_state`` in blocks of
     ``_block_rows(dim**n_copies)`` samples with their log weights, so the
@@ -249,8 +250,7 @@ def definetti_state(
         raise ShapeError("n_copies must be nonnegative")
     if n_copies == 0:
         return np.eye(1, dtype=complex)
-    if posterior is not None:
-        dim = posterior.dim
+    dim = 2 if posterior is None else posterior.dim
     full_dim = dim**n_copies
     if full_dim > _DIM_GUARD:
         raise DimensionGuardError(f"dim^N = {full_dim} exceeds the guard {_DIM_GUARD}")

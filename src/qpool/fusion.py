@@ -91,55 +91,55 @@ def _remainder_terms(rho: np.ndarray, sigma: np.ndarray, weight: float, *, name:
             f"{name}: weight {weight:g} exceeds the admissible maximum "
             f"(remainder eigenvalue {vals[-1]:.3e})"
         )
-    kept = [
-        (float(v), vecs[:, k].copy())
-        for k, v in enumerate(vals)
-        if float(v) > TOL_REMAINDER
-    ]
-    return tuple(kept)
+    kept = vals > TOL_REMAINDER
+    return vals[kept], vecs[:, kept]
 
 
 @dataclass(frozen=True)
 class CommonTermDecomposition:
     """Both states written as a weighted common term plus pure remainders.
 
-    ``rho_a = alpha * sigma + sum_k p_k |phi_k><phi_k|`` and likewise for B;
-    the remainders are the eigendecompositions of ``rho - weight * sigma``.
-    ``sigma`` is the support part ``V diag(lam) V^dag`` of the validated common
-    state, and ``sigma_support`` holds its eigenpairs ``(lam, V)``.  Its trace
-    ``sum(lam)`` falls short of 1 by sigma's eigenvalues below the rank cutoff,
-    so ``weight * sum(lam) + sum_k p_k`` is the total that must be 1.
+    ``rho_a = alpha * sigma + sum_k p_k |phi_k><phi_k|`` and likewise for B.
+    Sigma's support and both remainders are eigenpairs ``(weights, columns)``,
+    the form ``support_cutoff`` returns: ``sigma_support`` is ``(lam, V)``, the
+    eigenpairs of the validated common state above its rank cutoff, and each
+    remainder is ``(p, phi)``, the eigenpairs of ``rho - weight * sigma`` above
+    ``TOL_REMAINDER``.  ``sigma`` is built from ``sigma_support`` once, as the
+    read-only ``V diag(lam) V^dag``.  Its trace ``sum(lam)`` falls short of 1
+    by sigma's eigenvalues below the rank cutoff, so ``weight * sum(lam) +
+    sum(p)`` is the total that must be 1.
     """
 
-    sigma: np.ndarray = field(repr=False)
     sigma_support: tuple = field(repr=False)  # (lam, phi), descending
     alpha: float
     beta: float
-    remainder_a: tuple = field(repr=False)  # of (weight, unit vector)
+    remainder_a: tuple = field(repr=False)  # (p, phi), descending
     remainder_b: tuple = field(repr=False)
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.sigma.setflags(write=False)
-        for label, weight, terms in (
+        lam, phi = self.sigma_support
+        sigma = (phi * lam) @ dagger(phi)
+        sigma.setflags(write=False)
+        object.__setattr__(self, "sigma", sigma)
+        for label, weight, (p, _) in (
             ("alpha", self.alpha, self.remainder_a),
             ("beta", self.beta, self.remainder_b),
         ):
             if not 0.0 < weight <= 1.0:
                 raise DegenerateConstructionError(f"{label} must lie in (0, 1], got {weight!r}")
-            total = weight * float(np.sum(self.sigma_support[0])) + sum(p for p, _ in terms)
-            if any(p < 0 for p, _ in terms):
+            if np.any(p < 0):
                 raise PositivityError("remainder weights must be nonnegative")
+            total = weight * float(np.sum(lam)) + sum(p)
             require_normalized(total, TOL_TRACE, f"{label} * Tr sigma + remainder weights")
 
     @property
     def dim(self) -> int:
         return self.sigma.shape[0]
 
-    def _reconstruct(self, weight: float, terms) -> np.ndarray:
-        out = weight * self.sigma.astype(complex)
-        for p, vec in terms:
-            out = out + p * np.outer(vec, vec.conj())
-        return out
+    def _reconstruct(self, weight: float, remainder) -> np.ndarray:
+        p, phi = remainder
+        return weight * self.sigma + (phi * p) @ dagger(phi)
 
     def reconstruct_a(self) -> np.ndarray:
         return self._reconstruct(self.alpha, self.remainder_a)
@@ -161,7 +161,6 @@ def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTe
     lam, phi = support_cutoff(sig.vals, sig.vecs, TOL_RANK)
     common = (phi * lam) @ dagger(phi)
     dec = CommonTermDecomposition(
-        sigma=common,
         sigma_support=(lam, phi),
         alpha=float(alpha),
         beta=float(beta),
@@ -177,79 +176,46 @@ def decompose_common(rho_a, rho_b, sigma, alpha: float, beta: float) -> CommonTe
     return dec
 
 
-@dataclass(frozen=True)
-class TripartiteScenario:
-    """The three-system pure state realizing a common-term decomposition.
+def realize_tripartite(dec: CommonTermDecomposition) -> np.ndarray:
+    """The three-system pure state ``psi`` whose local measurements realize ``dec``.
 
-    The state lives on ``S (x) S_A (x) S_B`` with subsystem S most
-    significant.  The auxiliary bases are the computational bases of S_A and
-    S_B: index ``n < n_common`` carries the n-th eigenvector of sigma, and
-    the remaining indices carry one remainder term each.  ``psi`` is kept
-    unnormalized; its squared norm is ``1 + delta + (1-alpha)/alpha + (1-beta)/beta``,
-    where ``delta`` is the weight of sigma's eigenvalues below its rank cutoff.
-    """
-
-    alpha: float
-    beta: float
-    psi: np.ndarray = field(repr=False)  # shape (dim_s, dim_a, dim_b)
-    sigma_eigvals: np.ndarray = field(repr=False)
-    sigma_eigvecs: np.ndarray = field(repr=False)
-
-    dim_s = property(lambda self: self.psi.shape[0])
-    dim_a = property(lambda self: self.psi.shape[1])
-    dim_b = property(lambda self: self.psi.shape[2])
-    n_common = property(lambda self: self.sigma_eigvals.size)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.psi, self.psi).real)
-
-
-def realize_tripartite(dec: CommonTermDecomposition) -> TripartiteScenario:
-    """Build the three-system pure state whose local measurements realize ``dec``.
-
-    The ``(dim_s, dim_a, dim_b)`` array ``psi`` holds three blocks with
-    disjoint supports, each written in place (N is the rank of sigma and ``u``
-    the uniform superposition of the first N auxiliary basis states):
+    ``psi`` is a read-only ``(dim_s, dim_a, dim_b)`` array on ``S (x) S_A (x) S_B``,
+    with subsystem S most significant.  The auxiliary bases are the
+    computational bases of S_A and S_B: index ``n < N`` carries the n-th
+    eigenvector of sigma (N is the rank of sigma), and the remaining indices
+    carry one remainder term each.  Three blocks with disjoint supports are
+    written in place (``u`` is the uniform superposition of the first N
+    auxiliary basis states):
 
     * ``psi[:, n, n] = sqrt(lam_n) |phi_n>`` for each eigenpair of sigma,
     * ``psi[:, :N, N+k] = sqrt(p_k / alpha) |phi_k^A>|u^A>`` for A-remainders,
     * ``psi[:, N+l, :N] = sqrt(p_l / beta) |phi_l^B>|u^B>`` for B-remainders.
 
-    The weights are already in (0, 1], as ``CommonTermDecomposition`` requires.
-    Raises ``DegenerateConstructionError`` for an empty support of sigma or a
-    realized state whose squared norm is not finite (a weight so small that
-    ``sqrt(p / weight)`` overflows).
+    ``psi`` is unnormalized; its squared norm is ``1 + delta + (1-alpha)/alpha
+    + (1-beta)/beta``, where ``delta`` is the weight of sigma's eigenvalues below
+    its rank cutoff.  The weights are already in (0, 1], as
+    ``CommonTermDecomposition`` requires.  Raises ``DegenerateConstructionError``
+    for an empty support of sigma or a realized state whose squared norm is not
+    finite (a weight so small that ``sqrt(p / weight)`` overflows).
     """
     lam, phi = dec.sigma_support
+    (p_a, phi_a), (p_b, phi_b) = dec.remainder_a, dec.remainder_b
     n_common = int(lam.size)
     if n_common < 1:
         raise DegenerateConstructionError("sigma has empty support")
 
-    dim_s = dec.dim
-    dim_a = n_common + len(dec.remainder_b)
-    dim_b = n_common + len(dec.remainder_a)
     uniform = 1.0 / np.sqrt(n_common)
-
-    psi = np.zeros((dim_s, dim_a, dim_b), dtype=complex)
+    psi = np.zeros((dec.dim, n_common + p_b.size, n_common + p_a.size), dtype=complex)
     diag = np.arange(n_common)
     psi[:, diag, diag] = phi * np.sqrt(lam)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        for k, (p, vec) in enumerate(dec.remainder_a):
-            psi[:, :n_common, n_common + k] = (np.sqrt(p / dec.alpha) * (vec * uniform))[:, None]
-        for l, (p, vec) in enumerate(dec.remainder_b):
-            psi[:, n_common + l, :n_common] = (np.sqrt(p / dec.beta) * (vec * uniform))[:, None]
-
-    scenario = TripartiteScenario(
-        alpha=dec.alpha,
-        beta=dec.beta,
-        psi=psi + 0.0,  # stores exact zeros as +0.0
-        sigma_eigvals=lam,
-        sigma_eigvecs=phi,
-    )
-    if not np.isfinite(scenario.norm_sq):
+        psi[:, :n_common, n_common:] = (np.sqrt(p_a / dec.alpha) * (phi_a * uniform))[:, None, :]
+        psi[:, n_common:, :n_common] = (np.sqrt(p_b / dec.beta) * (phi_b * uniform))[:, :, None]
+    psi = psi + 0.0  # stores exact zeros as +0.0
+    if not np.isfinite(np.vdot(psi, psi).real):
         raise DegenerateConstructionError("the realized state's squared norm is not finite")
-    return scenario
+    psi.setflags(write=False)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -270,21 +236,22 @@ class TripartiteReport:
     norm_psi_sq: float
 
 
-def simulate_tripartite(sc: TripartiteScenario) -> TripartiteReport:
-    """Run both observers' projective measurements on the realized state.
+def simulate_tripartite(dec: CommonTermDecomposition) -> TripartiteReport:
+    """Realize ``dec`` and run both observers' projective measurements on ``psi``.
 
     One loop over the common outcomes ``n < N`` updates three accumulators:
     Alice projects S_A onto its basis and traces out S_B (Bob vice versa), and
     averaging their post-selected states recovers rho_a (rho_b); the observer
     who sees both keeps matched results ``n = m`` and so holds sigma.
     """
-    psi = sc.psi
-    norm_sq = sc.norm_sq
-    n_common = sc.n_common
+    psi = realize_tripartite(dec)  # looked up in the module at call time, where a tracer wraps it
+    norm_sq = float(np.vdot(psi, psi).real)
+    lam = dec.sigma_support[0]
+    n_common = lam.size
 
     outcome_probs = np.zeros(n_common)
     alice_states = []
-    a_accum, b_accum, c_accum = np.zeros((3, sc.dim_s, sc.dim_s), dtype=complex)
+    a_accum, b_accum, c_accum = np.zeros((3, dec.dim, dec.dim), dtype=complex)
     a_weight = b_weight = c_weight = 0.0
     for n in range(n_common):
         block = psi[:, n, :]  # amplitudes on S x S_B given Alice outcome n
@@ -301,7 +268,7 @@ def simulate_tripartite(sc: TripartiteScenario) -> TripartiteReport:
         c_accum += np.outer(vec, vec.conj())
         c_weight += float(np.vdot(vec, vec).real)
 
-    predicted = (sc.sigma_eigvals + (1.0 - sc.alpha) / (sc.alpha * n_common)) / norm_sq
+    predicted = (lam + (1.0 - dec.alpha) / (dec.alpha * n_common)) / norm_sq
     return TripartiteReport(
         outcome_probs=outcome_probs,
         predicted_probs=predicted,
@@ -338,7 +305,7 @@ def realize_pair(rho_a, rho_b, sigma, alpha=None, beta=None):
     alpha = a_max / 2.0 if alpha is None else alpha
     beta = b_max / 2.0 if beta is None else beta
     dec = decompose_common(a, b, sig, alpha, beta)
-    return dec, a_max, b_max, simulate_tripartite(realize_tripartite(dec))
+    return dec, a_max, b_max, simulate_tripartite(dec)
 
 
 def demonstrate_ambiguity(rho_a, rho_b, sigma_1, sigma_2) -> AmbiguityReport:

@@ -40,17 +40,15 @@ from .linalg import (
 OWNERS = ("alice", "bob", "eve")
 
 
-def _require_complete_family(effects, what: str) -> None:
-    """Shape and completeness rules for effects, or for the ``M^dag M`` of Kraus operators."""
-    if not effects:
+def _stack_family(mats: list, what: str) -> np.ndarray:
+    """A family's matrices as one read-only ``(n, d, d)`` array, under the family's shape rules."""
+    if not mats:
         raise ShapeError(f"a measurement needs at least one of its {what}")
-    dim = effects[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for e in effects:
-        if e.shape[0] != dim:
-            raise ShapeError(f"all {what} must share one dimension")
-        total += e
-    require_complete(completeness_residual(total), what)
+    if any(m.shape != mats[0].shape for m in mats):
+        raise ShapeError(f"all {what} must share one dimension")
+    ops = np.stack(mats)
+    ops.setflags(write=False)
+    return ops
 
 
 @dataclass(frozen=True)
@@ -62,12 +60,14 @@ class KrausPovm:
     ``U_i sqrt(E_i)`` are passed to the constructor as they are.
     """
 
-    ops: tuple
+    ops: np.ndarray = field(repr=False)  # shape (n_outcomes, dim, dim), read-only
 
     def __post_init__(self):
-        ops = tuple(as_square_matrix(m, name=f"operator {k}") for k, m in enumerate(self.ops))
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails the rules
-            _require_complete_family([dagger(m) @ m for m in ops], "operators")
+        ops = [as_square_matrix(m, name=f"operator {k}") for k, m in enumerate(self.ops)]
+        ops = _stack_family(ops, "operators")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails the rule
+            total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+            require_complete(completeness_residual(total), "operators")
         object.__setattr__(self, "ops", ops)
 
     @classmethod
@@ -80,18 +80,20 @@ class KrausPovm:
         parts add up across effects.
         """
         checked = [ensure_effect(e, name=f"effect {k}") for k, e in enumerate(effects)]
-        _require_complete_family([e for e, _, _ in checked], "effects")
+        effects = _stack_family([e for e, _, _ in checked], "effects")
+        require_complete(completeness_residual(effects.sum(axis=0)), "effects")
         povm = cls.__new__(cls)
-        object.__setattr__(povm, "ops", tuple(psd_root(vals, vecs) for _, vals, vecs in checked))
+        roots = [psd_root(vals, vecs) for _, vals, vecs in checked]
+        object.__setattr__(povm, "ops", _stack_family(roots, "operators"))
         return povm
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.ops)
+        return self.ops.shape[0]
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,7 @@ class MeasurementHistory:
         """The flat family's residual: dual channels applied to I, last step first."""
         total = np.eye(self.dim, dtype=complex)
         for _, povm in reversed(self.steps):
-            ops = np.stack(povm.ops)
-            total = (ops.conj().transpose(0, 2, 1) @ total @ ops).sum(axis=0)
+            total = (povm.ops.conj().transpose(0, 2, 1) @ total @ povm.ops).sum(axis=0)
         return completeness_residual(total)
 
 
@@ -186,7 +187,7 @@ def flatten_history(history: MeasurementHistory) -> FlatPovm:
     ops = np.eye(dim, dtype=complex).reshape(1, 1, 1, dim, dim)
     for owner, povm in history.steps:
         axis = OWNERS.index(owner)
-        grown = np.matmul(np.stack(povm.ops)[:, None, None, None], ops[None])
+        grown = np.matmul(povm.ops[:, None, None, None], ops[None])
         shape = list(ops.shape)
         shape[axis] *= povm.n_outcomes
         ops = np.moveaxis(grown, 0, axis + 1).reshape(shape)
@@ -224,7 +225,7 @@ def _propagate(history: MeasurementHistory, known: Mapping[str, int], initial_st
         for k in reversed([k for k, (o, _) in enumerate(history.steps) if o == owner]):
             val, digits[k] = divmod(val, history.steps[k][1].n_outcomes)
     for k, (_, povm) in enumerate(history.steps):
-        ops = np.stack(povm.ops if k not in digits else povm.ops[digits[k] : digits[k] + 1])
+        ops = povm.ops if k not in digits else povm.ops[digits[k] : digits[k] + 1]
         rho = (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
     return rho
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import NonFiniteError
+from .errors import ConfigError, NonFiniteError, ReportError
 
 
 def _format_float(value: float) -> str:
@@ -24,20 +24,20 @@ def canonical_json(obj) -> str:
 
     Floats go through ``_format_float``; ``None``, bools, ints, strings and
     keys through ``json.dumps``.  A non-string key or any other type raises
-    ``TypeError``.
+    ``ReportError``, which is a ``TypeError``.
     """
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(canonical_json, obj)) + "]"
     if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise ReportError(f"report keys must be strings, got {list(obj)!r}")
         keys = sorted(obj)
-        if not all(isinstance(key, str) for key in keys):
-            raise TypeError(f"report keys must be strings, got {keys!r}")
         return "{" + ",".join([json.dumps(k) + ":" + canonical_json(obj[k]) for k in keys]) + "}"
     if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+    raise ReportError(f"cannot serialize {type(obj).__name__} canonically")
 
 
 def _is_matrix_literal(value) -> bool:
@@ -108,7 +108,10 @@ def _render_audit_table(entries: list, lines: list) -> None:
 
 
 def render_text(report: dict) -> str:
-    """Human-readable rendering of a run report."""
+    """Human-readable rendering of a run report, the same bytes on every run.
+
+    ``wall_clock_s`` is left out; the JSON report carries it.
+    """
     lines = [f"qpool report: {report.get('kind', '?')}", f"seed: {report.get('seed')}"]
     if "error" in report:
         lines.append(f"error: {report['error']['name']}: {report['error']['message']}")
@@ -128,8 +131,6 @@ def render_text(report: dict) -> str:
     if provenance:
         lines.append("provenance:")
         lines.extend(f"  - {note}" for note in provenance)
-    if "wall_clock_s" in report:
-        lines.append(f"wall clock: {report['wall_clock_s']:.3f} s")
     return "\n".join(lines) + "\n"
 
 
@@ -174,4 +175,4 @@ def emit_report(report: dict, fmt: str = "json") -> bytes:
         return render_text(report).encode()
     if fmt == "csv":
         return render_csv(report).encode()
-    raise ValueError(f"unknown format {fmt!r} (expected json, text, or csv)")
+    raise ConfigError(f"unknown format {fmt!r} (expected json, text, or csv)")

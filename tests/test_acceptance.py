@@ -31,7 +31,6 @@ from qpool.fusion import (
     decompose_common,
     demonstrate_ambiguity,
     max_common_weight,
-    realize_tripartite,
     simulate_tripartite,
 )
 from qpool.haar import sample_amplitudes
@@ -171,7 +170,7 @@ def test_criterion_6_realizability_round_trip():
             alpha = max_common_weight(rho_a, sigma) / 2
             beta = max_common_weight(rho_b, sigma) / 2
             dec = decompose_common(rho_a, rho_b, sigma, alpha, beta)
-            report = simulate_tripartite(realize_tripartite(dec))
+            report = simulate_tripartite(dec)
             assert np.abs(report.rho_a_recovered - rho_a).max() <= 1e-10
             assert np.abs(report.rho_b_recovered - rho_b).max() <= 1e-10
             assert np.abs(report.charlie_state - sigma).max() <= 1e-10

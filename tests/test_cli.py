@@ -325,6 +325,17 @@ class TestMainExitCodes:
         assert json.loads(captured.out)["error"]["name"] == "NonFiniteError"
         assert captured.err.startswith("error: NonFiniteError:")
 
+    @pytest.mark.parametrize("outputs", [{1: 0.5}, {"x": np.array([1.0])}], ids=["int_key", "ndarray"])
+    def test_report_canonical_json_cannot_write_exits_two(self, outputs, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(_KINDS, "pool-classical", (lambda payload, seed: (outputs, []), ("classical",)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "pool-classical", "payload": {"p": [1.0], "q": [1.0]}}))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["name"] == "ReportError"
+        assert captured.err.startswith("error: ReportError:")
+        assert "Traceback" not in captured.out + captured.err
+
     def test_reproduce_paper_command(self, tmp_path, capsys):
         out_file = tmp_path / "audit.json"
         assert main(["reproduce-paper", "--out", str(out_file)]) == 0
@@ -813,11 +824,11 @@ EXPORTS = {
     "errors": "AmbiguityPreconditionError ConfigError DegenerateConstructionError DimensionGuardError "
     "HermiticityError ImpossibleOutcomeError IncompatibleKnowledgeError IncompleteMeasurementError "
     "InconsistentStatesError InvalidEffectError NoncommutingError NonFiniteError NotNormalizedError "
-    "PositivityError QpoolError ShapeError SingularConstraintError",
+    "PositivityError QpoolError ReportError ShapeError SingularConstraintError",
     "estimation": "DiagonalEffect PolynomialDensity WeightedStateEnsemble audit_published_example "
     "definetti_state matching_beta polynomial_predictive pooled_predictive posterior_update "
     "predictive_state predictive_populations qubit_diagonal_posterior",
-    "fusion": "CommonTermDecomposition HistoryMeasureConfig TripartiteScenario averaged_fusion "
+    "fusion": "CommonTermDecomposition HistoryMeasureConfig averaged_fusion "
     "check_consistency decompose_common demonstrate_ambiguity max_common_weight realize_pair "
     "realize_tripartite simulate_tripartite",
     "haar": "sample_amplitudes",

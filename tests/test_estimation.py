@@ -412,7 +412,7 @@ class TestOracles:
         rng = random.Random(5)
         effects = [rng.random() for _ in range(1200)]
         outputs, pops = _estimate_populations(tmp_path, {"effects_a": effects, "mc_samples": 1000})
-        ens = WeightedStateEnsemble.from_prior(2, 1000, _stream_seed(0, 0))
+        ens = WeightedStateEnsemble.from_prior(2, 1000, _stream_seed(0))
         ens = posterior_update(ens, *map(DiagonalEffect, effects))
         assert outputs["mc_predictive_a"] == matrix_to_literal(predictive_state(ens))
         exact, got = pops["predictive_a"][0], outputs["mc_predictive_a"][0][0][0]

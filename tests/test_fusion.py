@@ -29,9 +29,9 @@ from qpool.errors import (
     ShapeError,
 )
 from qpool.fusion import (
+    CommonTermDecomposition,
     HistoryMeasureConfig,
     TripartiteReport,
-    TripartiteScenario,
     averaged_fusion,
     check_consistency,
     decompose_common,
@@ -142,17 +142,17 @@ class TestMaxCommonWeight:
 class TestDecomposeCommon:
     def test_hand_subtraction(self):
         dec = decompose_common(np.eye(2) / 2, np.eye(2) / 2, proj(KET0), 0.5, 0.5)
-        for terms in (dec.remainder_a, dec.remainder_b):
-            assert len(terms) == 1
-            weight, vec = terms[0]
-            assert weight == pytest.approx(0.5, abs=1e-12)
-            np.testing.assert_allclose(proj(vec), proj(KET1), atol=1e-12)
+        for p, phi in (dec.remainder_a, dec.remainder_b):
+            assert p.shape == (1,) and phi.shape == (2, 1)
+            assert p[0] == pytest.approx(0.5, abs=1e-12)
+            np.testing.assert_allclose(proj(phi[:, 0]), proj(KET1), atol=1e-12)
 
     def test_full_weight_leaves_no_remainder(self):
         rng = np.random.default_rng(4)
         rho = random_density(rng, 3)
         dec = decompose_common(rho, rho, rho, 1.0, 1.0)
-        assert dec.remainder_a == () and dec.remainder_b == ()
+        for p, phi in (dec.remainder_a, dec.remainder_b):
+            assert p.shape == (0,) and phi.shape == (3, 0)
 
     def test_excessive_weight_rejected(self):
         # rho - 0.6 sigma has eigenvalue -0.1.
@@ -170,31 +170,31 @@ class TestDecomposeCommon:
             dec = decompose_common(rho_a, rho_b, sigma, alpha, beta)
             np.testing.assert_allclose(dec.reconstruct_a(), rho_a, atol=1e-10)
             np.testing.assert_allclose(dec.reconstruct_b(), rho_b, atol=1e-10)
-            assert abs(dec.alpha + sum(p for p, _ in dec.remainder_a) - 1.0) <= 1e-9
+            assert abs(dec.alpha + sum(dec.remainder_a[0]) - 1.0) <= 1e-9
 
 
 class TestRealizeTripartite:
     def test_qubit_example_dimensions_and_norm(self):
         dec = decompose_common(np.eye(2) / 2, np.eye(2) / 2, proj(KET0), 0.5, 0.5)
-        sc = realize_tripartite(dec)
-        assert (sc.dim_s, sc.dim_a, sc.dim_b) == (2, 2, 2)
+        psi = realize_tripartite(dec)
+        assert psi.shape == (2, 2, 2)
         # lam_1 + p_A/alpha + p_B/beta = 1 + 1 + 1.
-        assert sc.norm_sq == pytest.approx(3.0, abs=1e-12)
+        assert np.vdot(psi, psi).real == pytest.approx(3.0, abs=1e-12)
 
     def test_pure_common_state_single_term(self):
         sigma = proj(KET_PLUS)
         dec = decompose_common(sigma, sigma, sigma, 1.0, 1.0)
-        sc = realize_tripartite(dec)
-        assert (sc.dim_s, sc.dim_a, sc.dim_b) == sc.psi.shape == (2, 1, 1)
-        np.testing.assert_allclose(sc.psi[:, 0, 0], KET_PLUS.astype(complex), atol=1e-12)
+        psi = realize_tripartite(dec)
+        assert psi.shape == (2, 1, 1)
+        np.testing.assert_allclose(psi[:, 0, 0], KET_PLUS.astype(complex), atol=1e-12)
 
     def test_full_weight_mixed_sigma(self):
         dec = decompose_common(np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2, 1.0, 1.0)
-        sc = realize_tripartite(dec)
-        assert sc.n_common == sc.sigma_eigvals.size == 2
-        report = simulate_tripartite(sc)
+        lam, phi = dec.sigma_support
+        assert realize_tripartite(dec).shape == (2, 2, 2) and lam.size == 2
+        report = simulate_tripartite(dec)
         for n, state in enumerate(report.alice_outcome_states):
-            np.testing.assert_allclose(state, proj(sc.sigma_eigvecs[:, n]), atol=1e-12)
+            np.testing.assert_allclose(state, proj(phi[:, n]), atol=1e-12)
         np.testing.assert_allclose(report.rho_a_recovered, np.eye(2) / 2, atol=1e-12)
 
     def test_zero_weight_rejected(self):
@@ -206,7 +206,7 @@ class TestRealizeTripartite:
 class TestSimulateTripartite:
     def test_qubit_example_numbers(self):
         dec = decompose_common(np.eye(2) / 2, np.eye(2) / 2, proj(KET0), 0.5, 0.5)
-        report = simulate_tripartite(realize_tripartite(dec))
+        report = simulate_tripartite(dec)
         assert report.outcome_probs[0] == pytest.approx(2 / 3, abs=1e-12)
         assert report.predicted_probs[0] == pytest.approx(2 / 3, abs=1e-12)
         np.testing.assert_allclose(report.rho_a_recovered, np.eye(2) / 2, atol=1e-12)
@@ -215,7 +215,7 @@ class TestSimulateTripartite:
 
     def test_pure_common_case(self):
         sigma = proj(KET_PLUS)
-        report = simulate_tripartite(realize_tripartite(decompose_common(sigma, sigma, sigma, 1.0, 1.0)))
+        report = simulate_tripartite(decompose_common(sigma, sigma, sigma, 1.0, 1.0))
         assert report.outcome_probs[0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(report.charlie_state, sigma, atol=1e-12)
 
@@ -228,7 +228,7 @@ class TestSimulateTripartite:
             alpha = max_common_weight(rho_a, sigma) / 2
             beta = max_common_weight(rho_b, sigma) / 2
             dec = decompose_common(rho_a, rho_b, sigma, alpha, beta)
-            report = simulate_tripartite(realize_tripartite(dec))
+            report = simulate_tripartite(dec)
             np.testing.assert_allclose(report.rho_a_recovered, rho_a, atol=1e-10)
             np.testing.assert_allclose(report.rho_b_recovered, rho_b, atol=1e-10)
             np.testing.assert_allclose(report.charlie_state, sigma, atol=1e-10)
@@ -363,7 +363,7 @@ class TestRealizePair:
             realize_pair(np.outer(KET0, KET0), np.eye(2) / 2, np.outer(KET1, KET1), 0.5, 0.5)
 
 
-def reference_realize(dec) -> TripartiteScenario:
+def reference_realize(dec) -> np.ndarray:
     """The realization by definition: each term a Kronecker product summed into psi.
 
     ``dec.sigma`` is the support part built from ``dec.sigma_support``, so those
@@ -372,8 +372,9 @@ def reference_realize(dec) -> TripartiteScenario:
     lam, phi = dec.sigma_support
     n_common = int(lam.size)
     dim_s = dec.dim
-    dim_a = n_common + len(dec.remainder_b)
-    dim_b = n_common + len(dec.remainder_a)
+    (p_a, phi_a), (p_b, phi_b) = dec.remainder_a, dec.remainder_b
+    dim_a = n_common + p_b.size
+    dim_b = n_common + p_a.size
     uniform_a = np.zeros(dim_a, dtype=complex)
     uniform_a[:n_common] = 1.0 / np.sqrt(n_common)
     uniform_b = np.zeros(dim_b, dtype=complex)
@@ -387,22 +388,23 @@ def reference_realize(dec) -> TripartiteScenario:
     basis_b = np.eye(dim_b, dtype=complex)
     for n in range(n_common):
         add(np.sqrt(lam[n]), phi[:, n], basis_a[n], basis_b[n])
-    for k, (p, vec) in enumerate(dec.remainder_a):
-        add(np.sqrt(p / dec.alpha), vec, uniform_a, basis_b[n_common + k])
-    for l, (p, vec) in enumerate(dec.remainder_b):
-        add(np.sqrt(p / dec.beta), vec, basis_a[n_common + l], uniform_b)
-    return TripartiteScenario(dec.alpha, dec.beta, psi.reshape(dim_s, dim_a, dim_b), lam, phi)
+    for k in range(p_a.size):
+        add(np.sqrt(p_a[k] / dec.alpha), phi_a[:, k], uniform_a, basis_b[n_common + k])
+    for l in range(p_b.size):
+        add(np.sqrt(p_b[l] / dec.beta), phi_b[:, l], basis_a[n_common + l], uniform_b)
+    return psi.reshape(dim_s, dim_a, dim_b)
 
 
-def reference_simulate(sc: TripartiteScenario) -> TripartiteReport:
+def reference_simulate(dec, psi3: np.ndarray) -> TripartiteReport:
     """The report arrays by definition: one pass per observer over the common outcomes."""
-    psi3 = sc.psi
-    norm_sq = sc.norm_sq
-    outcome_probs = np.zeros(sc.n_common)
+    lam = dec.sigma_support[0]
+    n_common, dim_s = lam.size, dec.dim
+    norm_sq = float(np.vdot(psi3, psi3).real)
+    outcome_probs = np.zeros(n_common)
     alice_states = []
-    a_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
+    a_accum = np.zeros((dim_s, dim_s), dtype=complex)
     a_weight = 0.0
-    for n in range(sc.n_common):
+    for n in range(n_common):
         block = psi3[:, n, :]
         weight = float(np.vdot(block, block).real)
         outcome_probs[n] = weight / norm_sq
@@ -410,19 +412,19 @@ def reference_simulate(sc: TripartiteScenario) -> TripartiteReport:
         alice_states.append(term / weight)
         a_accum += term
         a_weight += weight
-    b_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
+    b_accum = np.zeros((dim_s, dim_s), dtype=complex)
     b_weight = 0.0
-    for m in range(sc.n_common):
+    for m in range(n_common):
         block = psi3[:, :, m]
         b_accum += block @ dagger(block)
         b_weight += float(np.vdot(block, block).real)
-    c_accum = np.zeros((sc.dim_s, sc.dim_s), dtype=complex)
+    c_accum = np.zeros((dim_s, dim_s), dtype=complex)
     c_weight = 0.0
-    for n in range(sc.n_common):
+    for n in range(n_common):
         vec = psi3[:, n, n]
         c_accum += np.outer(vec, vec.conj())
         c_weight += float(np.vdot(vec, vec).real)
-    predicted = (sc.sigma_eigvals + (1.0 - sc.alpha) / (sc.alpha * sc.n_common)) / norm_sq
+    predicted = (lam + (1.0 - dec.alpha) / (dec.alpha * n_common)) / norm_sq
     return TripartiteReport(
         outcome_probs,
         predicted,
@@ -466,11 +468,11 @@ def decompositions(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(decompositions())
 def test_realization_matches_reference(dec):
-    sc, expected_sc = realize_tripartite(dec), reference_realize(dec)
-    report, expected_report = simulate_tripartite(sc), reference_simulate(expected_sc)
-    for actual, expected in ((sc, expected_sc), (report, expected_report)):
-        for f in dataclasses.fields(actual):
-            assert_same_bytes(getattr(actual, f.name), getattr(expected, f.name))
+    psi, expected_psi = realize_tripartite(dec), reference_realize(dec)
+    assert_same_bytes(psi, expected_psi)
+    report, expected_report = simulate_tripartite(dec), reference_simulate(dec, expected_psi)
+    for f in dataclasses.fields(report):
+        assert_same_bytes(getattr(report, f.name), getattr(expected_report, f.name))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -579,7 +581,7 @@ def test_realize_pair_matches_the_public_composition(pair, fraction):
     alpha = a_max / 2.0 if fraction is None else fraction * a_max
     beta = b_max / 2.0 if fraction is None else fraction * b_max
     dec = decompose_common(rho_a, rho_b, sigma, alpha, beta)
-    report = simulate_tripartite(realize_tripartite(dec))
+    report = simulate_tripartite(dec)
     weights = (None, None) if fraction is None else (alpha, beta)
     assert_same_tree(realize_pair(rho_a, rho_b, sigma, *weights), (dec, a_max, b_max, report))
 
@@ -596,6 +598,13 @@ def test_each_ambiguity_report_is_realize_pair_for_its_sigma(case):
     assert_same_bytes(
         ambiguity.distance, trace_distance(expected[0].charlie_state, expected[1].charlie_state)
     )
+
+
+def test_decomposition_builds_sigma_from_its_support():
+    dec = decompose_common(np.eye(2) / 2, np.eye(2) / 2, proj(KET0), 0.5, 0.5)
+    with pytest.raises(TypeError):
+        CommonTermDecomposition(np.eye(2) / 2, dec.sigma_support, 0.5, 0.5, dec.remainder_a, dec.remainder_b)
+    assert not dec.sigma.flags.writeable and not realize_tripartite(dec).flags.writeable
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

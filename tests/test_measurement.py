@@ -66,6 +66,12 @@ class TestKrausPovm:
         with pytest.raises(IncompleteMeasurementError):
             KrausPovm((np.diag([0.5, 0.5]),))
 
+    def test_operators_are_one_read_only_array(self):
+        effects = [np.diag([0.8, 0.4]), np.diag([0.2, 0.6])]
+        for povm in (KrausPovm.from_effects(effects), KrausPovm(tuple(np.sqrt(e) for e in effects))):
+            assert isinstance(povm.ops, np.ndarray) and povm.ops.shape == (2, 2, 2)
+            assert not povm.ops.flags.writeable
+
     def test_unitaries_fold_in(self):
         # Operators U sqrt(E) are a Kraus family like any other; a projector is its own root.
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])

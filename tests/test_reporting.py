@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from qpool.cli import run_scenario
 from qpool.config import load_config
-from qpool.errors import NonFiniteError
-from qpool.reporting import canonical_json, render_csv
+from qpool.errors import NonFiniteError, ReportError
+from qpool.reporting import canonical_json, render_csv, render_text
 
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -124,3 +124,15 @@ def test_non_string_key_raises_type_error(obj):
 def test_other_types_raise_type_error(obj):
     with pytest.raises(TypeError):
         canonical_json([obj])
+
+
+@pytest.mark.parametrize("obj", [{1: 0.5}, {"a": 1, 2: 0}, [np.array([1.0])]])
+def test_unwritable_reports_raise_report_error(obj):
+    with pytest.raises(ReportError):
+        canonical_json(obj)
+
+
+def test_text_report_is_the_same_for_every_wall_clock():
+    report = run_scenario({"kind": "reproduce-paper"})
+    texts = {render_text({**report, "wall_clock_s": seconds}) for seconds in (0.001, 0.002)}
+    assert len(texts) == 1
