@@ -11,6 +11,7 @@ reference validator's ``best_match`` does.  Only ``literal_to_matrix`` imports n
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from pathlib import Path
@@ -19,7 +20,12 @@ from .errors import ConfigError, NonFiniteError, ShapeError
 
 FUSE_FAMILY = "haar-pure-intersection"  # the one measure ``fusion.averaged_fusion`` draws from
 
-_TYPES = {"object": (dict,), "array": (list,), "integer": (int,), "number": (int, float)}
+_TYPES = {  # the exact types each JSON type admits with no further check
+    "object": frozenset({dict}),
+    "array": frozenset({list}),
+    "integer": frozenset({int}),
+    "number": frozenset({int, float}),
+}
 _IS = {  # the 2020-12 type checks, for what the exact types above miss
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
@@ -187,9 +193,14 @@ def _violations(instance, schema: dict) -> tuple:
                 found += (((), key, f"{instance!r} is not of type {rule!r}"),)
         elif key == "items":
             if kind is list or isinstance(instance, list):
-                bare = len(rule) == 1 and _TYPES.get(rule.get("type"))  # no call per element
+                bare, lo, hi = _unwalked(rule)  # what passes with no call per element
                 for k, item in enumerate(instance):
-                    if not (bare and type(item) in bare) and (broken := _violations(item, rule)):
+                    if lo is None:
+                        if type(item) in bare:
+                            continue
+                    elif type(item) is list and lo <= len(item) <= hi and bare.issuperset(map(type, item)):
+                        continue
+                    if broken := _violations(item, rule):
                         found += _under(k, broken)
         elif key == "minItems":
             if (kind is list or isinstance(instance, list)) and len(instance) < rule:
@@ -230,6 +241,27 @@ def _violations(instance, schema: dict) -> tuple:
         else:
             raise NotImplementedError(f"schema keyword {key!r}")
     return found
+
+
+_LENGTH_RULE = frozenset({"type", "items", "minItems", "maxItems"})
+_NOTHING = frozenset()
+
+
+def _unwalked(rule: dict) -> tuple:
+    """``(types, lo, hi)``: the elements an ``items`` rule accepts by exact type, with no walk.
+
+    A bare ``{"type": t}`` accepts an element of an exact type in ``types``
+    (``lo`` is None).  An array of bare ``{"type": t}`` items, with nothing
+    else but ``minItems``/``maxItems``, accepts a list of ``lo`` to ``hi``
+    elements whose exact types are all in ``types``: an ``[re, im]`` pair.
+    Any other rule accepts nothing unwalked.
+    """
+    if len(rule) == 1:
+        return _TYPES.get(rule.get("type"), _NOTHING), None, None
+    items = rule.get("items")
+    if items is not None and len(items) == 1 and rule.get("type") == "array" and rule.keys() <= _LENGTH_RULE:
+        return _TYPES.get(items.get("type"), _NOTHING), rule.get("minItems", 0), rule.get("maxItems", math.inf)
+    return _NOTHING, None, None
 
 
 def _under(key, broken: tuple) -> tuple:

@@ -58,13 +58,26 @@ class KrausPovm:
     ``from_effects`` builds the operators ``M_i = sqrt(E_i)``, which lose
     nothing about the information-gathering itself; any other operators
     ``U_i sqrt(E_i)`` are passed to the constructor as they are.
+
+    The constructor copies the operators into one complex ``(n, d, d)`` stack
+    and decides each rule once, on the whole stack: three axes, square, at
+    least one operator, finite, then complete.  Only a stack that fails one
+    of the shape or finiteness rules is taken apart again, operator by
+    operator, so that the rejection names the first operator at fault as
+    ``as_square_matrix`` words it.
     """
 
     ops: np.ndarray = field(repr=False)  # shape (n_outcomes, dim, dim), read-only
 
     def __post_init__(self):
-        ops = [as_square_matrix(m, name=f"operator {k}") for k, m in enumerate(self.ops)]
-        ops = _stack_family(ops, "operators")
+        try:
+            ops = np.array(self.ops, dtype=complex)
+        except (TypeError, ValueError):  # ragged, or entries that are not numbers
+            ops = np.empty(0)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size or not np.isfinite(ops).all():
+            checked = [as_square_matrix(m, name=f"operator {k}") for k, m in enumerate(self.ops)]
+            ops = _stack_family(checked, "operators")
+        ops.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails the rule
             total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
             require_complete(completeness_residual(total), "operators")

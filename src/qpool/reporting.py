@@ -24,11 +24,17 @@ def canonical_json(obj) -> str:
 
     Floats go through ``_format_float``; ``None``, bools, ints, strings and
     keys through ``json.dumps``.  A non-string key or any other type raises
-    ``ReportError``, which is a ``TypeError``.
+    ``ReportError``, which is a ``TypeError``.  A matrix literal's ``[re, im]``
+    pair of finite exact floats is written by one format call, to the same
+    bytes.
     """
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, (list, tuple)):
+        if len(obj) == 2:
+            re, im = obj
+            if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+                return "[%.17g,%.17g]" % (re + 0.0, im + 0.0)
         return "[" + ",".join(map(canonical_json, obj)) + "]"
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
@@ -168,11 +174,17 @@ def render_csv(report: dict) -> str:
 
 
 def emit_report(report: dict, fmt: str = "json") -> bytes:
-    """Serialize a report; identical reports produce identical bytes."""
-    if fmt == "json":
-        return canonical_json(report).encode()
+    """Serialize a report; identical reports produce identical bytes.
+
+    Every format first writes the report as canonical JSON, so a report that
+    canonical JSON refuses (``NonFiniteError``, ``ReportError``) is refused
+    in text and CSV too.
+    """
+    if fmt not in ("json", "text", "csv"):
+        raise ConfigError(f"unknown format {fmt!r} (expected json, text, or csv)")
+    canonical = canonical_json(report)
     if fmt == "text":
         return render_text(report).encode()
     if fmt == "csv":
         return render_csv(report).encode()
-    raise ConfigError(f"unknown format {fmt!r} (expected json, text, or csv)")
+    return canonical.encode()

@@ -336,6 +336,27 @@ class TestMainExitCodes:
         assert captured.err.startswith("error: ReportError:")
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    @pytest.mark.parametrize(
+        "outputs",
+        [{"x": np.array([1.0, 2.0]), "y": float("nan")}, {"x": 0.5, 1: 0.5}],
+        ids=["ndarray_and_nan", "mixed_keys"],
+    )
+    def test_every_format_gives_a_report_one_verdict(self, outputs, fmt, tmp_path, capsys, monkeypatch):
+        # Text and CSV would print the array and the NaN, or end in the sort's TypeError.
+        monkeypatch.setitem(_KINDS, "pool-classical", (lambda payload, seed: (outputs, []), ("classical",)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "pool-classical", "payload": {"p": [1.0], "q": [1.0]}}))
+        assert main(["run", "--format", fmt, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ReportError:")
+        named = {
+            "json": lambda out: json.loads(out)["error"]["name"] == "ReportError",
+            "text": lambda out: "\nerror: ReportError: " in out,
+            "csv": lambda out: out.endswith("\nerror.ReportError,,,,\n"),
+        }
+        assert named[fmt](captured.out)
+
     def test_reproduce_paper_command(self, tmp_path, capsys):
         out_file = tmp_path / "audit.json"
         assert main(["reproduce-paper", "--out", str(out_file)]) == 0

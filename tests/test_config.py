@@ -190,6 +190,19 @@ def test_walker_accepts_valid_literals(case, site):
         assert _violations(instance, schema) == ()
 
 
+def test_matrix_literal_pairs_cost_no_walk(monkeypatch):
+    # The number of walks does not grow with the pairs in a row: each [re, im] pair
+    # of exact ints and floats passes the pair rule by its exact types alone.
+    calls = []
+    monkeypatch.setattr("qpool.config._violations", lambda *args: calls.append(1) or _violations(*args))
+    counts = []
+    for width in (1, 40):
+        calls.clear()
+        validate_config({"kind": "consistency", "payload": {"rho_a": [[[0.5, 0]] * width], "rho_b": [[[1, 0]]]}})
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 FUSE = {"rho_a": [[[1, 0]]], "rho_b": [[[1, 0]]], "n_samples": 1}
 # Rejected configs and the stderr of ``qpool run`` on each, as jsonschema worded it.
 REJECTED = {

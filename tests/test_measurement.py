@@ -24,6 +24,7 @@ from qpool.errors import (
     ImpossibleOutcomeError,
     IncompleteMeasurementError,
     InvalidEffectError,
+    NonFiniteError,
     PositivityError,
     QpoolError,
     ShapeError,
@@ -71,6 +72,54 @@ class TestKrausPovm:
         for povm in (KrausPovm.from_effects(effects), KrausPovm(tuple(np.sqrt(e) for e in effects))):
             assert isinstance(povm.ops, np.ndarray) and povm.ops.shape == (2, 2, 2)
             assert not povm.ops.flags.writeable
+
+    @pytest.mark.parametrize(
+        "ops, error, message",
+        [
+            (
+                (np.eye(2) / np.sqrt(2), np.array([[1.0, np.nan], [0.0, 1.0]])),
+                NonFiniteError,
+                "operator 1 contains non-finite entries",
+            ),
+            ((np.diag([1.0, 1j * np.inf]), np.eye(2)), NonFiniteError, "operator 0 contains non-finite entries"),
+            ((np.eye(2) / np.sqrt(2), np.ones((2, 3))), ShapeError, "operator 1 must be square, got shape (2, 3)"),
+            ((np.ones(2), np.eye(2)), ShapeError, "operator 0 must be 2-D, got shape (2,)"),
+            ((np.zeros((1, 2, 2)),), ShapeError, "operator 0 must be 2-D, got shape (1, 2, 2)"),
+            ((np.ones((2, 3)) * np.nan, np.eye(2)), NonFiniteError, "operator 0 contains non-finite entries"),
+            ((np.eye(2), np.eye(3)), ShapeError, "all operators must share one dimension"),
+            ((), ShapeError, "a measurement needs at least one of its operators"),
+            ((np.diag([0.5, 0.5]),), IncompleteMeasurementError, "operators: completeness residual 7.500e-01"),
+        ],
+        ids=[
+            "nan",
+            "inf",
+            "non_square",
+            "one_dimensional",
+            "three_dimensional",
+            "nan_and_non_square",
+            "two_sizes",
+            "empty",
+            "incomplete",
+        ],
+    )
+    def test_a_rejected_stack_names_the_operator_at_fault(self, ops, error, message):
+        # The same classes and words as checking each operator in turn.
+        with pytest.raises(error) as info:
+            KrausPovm(ops)
+        assert type(info.value) is error and str(info.value) == message
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.booleans())
+    def test_operators_are_the_stacked_inputs_bit_for_bit(self, seed, dim, n, as_lists):
+        ops = list(random_kraus_povm(np.random.default_rng(seed), dim, n, hermitian=False).ops)
+        povm = KrausPovm(tuple(m.tolist() for m in ops) if as_lists else tuple(ops))
+        assert_same_bytes(povm.ops, np.stack(ops))
+        assert not povm.ops.flags.writeable
+        assert not np.shares_memory(povm.ops, ops[0])
+
+    def test_signed_zeros_stay_in_the_stack(self):
+        ops = (np.array([[1.0, -0.0], [-0.0, 0.0]]), np.array([[-0.0, 0.0], [0.0, -1.0]]))
+        assert_same_bytes(KrausPovm(ops).ops, np.stack(ops).astype(complex))
 
     def test_unitaries_fold_in(self):
         # Operators U sqrt(E) are a Kraus family like any other; a projector is its own root.

@@ -95,6 +95,40 @@ def test_writer_matches_reference(tree):
     assert canonical_json(tree) == reference_canonical_json(tree)
 
 
+# Matrix literals: rows of [re, im] pairs, the shape a one-call pair writer sees.
+_PAIR_PARTS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(min_value=-(10**20), max_value=10**20)
+    | st.booleans()
+    | st.sampled_from(_EDGE_FLOATS + [1.797e308, -1.797e308])
+)
+_PAIRS = st.tuples(_PAIR_PARTS, _PAIR_PARTS).map(list) | st.tuples(_PAIR_PARTS, _PAIR_PARTS)
+_LITERALS = st.lists(st.lists(_PAIRS, min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_LITERALS, max_size=3) | st.dictionaries(_TEXT, _LITERALS, max_size=3))
+def test_pair_writer_matches_reference(tree):
+    assert canonical_json(tree) == reference_canonical_json(tree)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    _LITERALS,
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float64("-inf")]),
+    st.booleans(),
+    st.data(),
+)
+def test_pair_holding_a_non_finite_part_raises_named_error(literal, bad, in_re, data):
+    row = data.draw(st.integers(0, len(literal) - 1))
+    col = data.draw(st.integers(0, len(literal[row]) - 1))
+    re, im = literal[row][col]
+    literal[row][col] = [bad, im] if in_re else [re, bad]
+    with pytest.raises(NonFiniteError):
+        canonical_json({"state": literal})
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_report_matches_reference(path):
     report = run_scenario(load_config(path))
