@@ -1,15 +1,18 @@
 """Batch front door: scenario configs in, deterministic reports out.
 
-All randomness flows from the config's single top-level seed; a scenario
-that samples (``fuse``, and ``estimate`` with ``mc_samples``) draws from one
-stream seeded by ``numpy.random.SeedSequence([seed, 0])``.  Re-running a
-config with the same seed reproduces the ``outputs`` section of the report
-bit-for-bit in canonical JSON.
+All randomness flows from the config's single top-level seed; the one
+scenario that samples, ``estimate`` with ``mc_samples``, draws from one
+stream seeded by ``numpy.random.SeedSequence([seed, 0])``.  ``fuse`` is
+computed in closed form, so its ``outputs`` do not depend on the seed.
+Re-running a config with the same seed reproduces the ``outputs`` section of
+the report bit-for-bit in canonical JSON.
 
-Exit codes: 0 success, 1 configuration/validation problems and an
-unwritable ``--out`` path, 2 numerical failures, invalid physics that passes
-the schema and reports that cannot be serialized (``NonFiniteError`` or
-``ReportError``; the error name is embedded in the emitted failure report).
+Exit codes, decided by ``_exit_code`` from the error's class: 0 success, 1
+configuration/validation problems and output that cannot be written (an
+unwritable ``--out`` path, or standard output that the reader closed), 2
+numerical failures, invalid physics that passes the schema and reports that
+cannot be serialized (``NonFiniteError`` or ``ReportError``; the error name
+is embedded in the emitted failure report).
 
 Each scenario imports the modules it runs when it runs, before the clock
 behind ``wall_clock_s`` starts, so ``validate``, ``reproduce-paper`` and an
@@ -35,8 +38,8 @@ from .reporting import emit_report, render_text
 from .tolerances import TOL_RANK
 
 _EXPLORATORY_NOTE = (
-    "EXPLORATORY: no canonical measure over measurement histories is claimed; "
-    "the configured family is one pluggable choice."
+    f"EXPLORATORY: the fused state is the average over the one {FUSE_FAMILY} measure, "
+    "computed in closed form; no canonical measure over measurement histories is claimed."
 )
 
 
@@ -150,9 +153,7 @@ def _run_fuse(payload: dict, seed: int):
     from . import fusion
 
     cfg = fusion.HistoryMeasureConfig(
-        n_samples=payload["n_samples"],
-        seed=_stream_seed(seed),
-        weight_exponent=payload.get("weight_exponent", 1.0),
+        n_samples=payload["n_samples"], weight_exponent=payload.get("weight_exponent", 1.0)
     )
     fused = fusion.averaged_fusion(
         literal_to_matrix(payload["rho_a"]), literal_to_matrix(payload["rho_b"]), cfg
@@ -247,7 +248,13 @@ def _resolve_out(path: str) -> Path:
 
 def _deliver(data: bytes, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(data.decode())
+        try:
+            sys.stdout.write(data.decode())
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # Python's documented idiom: stdout goes to devnull, so the interpreter's last flush is silent.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write standard output: {exc}") from exc
         return
     target = _resolve_out(out)
     try:
@@ -255,6 +262,11 @@ def _deliver(data: bytes, out: str | None) -> None:
         target.write_bytes(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {target}: {exc}") from exc
+
+
+def _exit_code(exc: QpoolError) -> int:
+    """1 for bad input, a config or an output that cannot be written (``ConfigError``); 2 for the rest."""
+    return 1 if isinstance(exc, ConfigError) else 2
 
 
 def _failure_report(cfg: dict, exc: QpoolError) -> dict:
@@ -295,12 +307,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             load_config(args.config)
-            print(f"OK: {args.config} is a valid scenario config")
+            _deliver(f"OK: {args.config} is a valid scenario config\n".encode(), None)
             return 0
 
         if args.command == "reproduce-paper":
             report = run_scenario({"kind": "reproduce-paper"})
-            sys.stdout.write(render_text(report))
+            _deliver(render_text(report).encode(), None)
             if args.out is not None:
                 _deliver(emit_report(report, "json"), args.out)
             return 0
@@ -309,17 +321,17 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         try:
-            _deliver(emit_report(run_scenario(cfg), args.format), args.out)
-        except ConfigError:
-            raise
+            data = emit_report(run_scenario(cfg), args.format)
         except QpoolError as exc:
-            _deliver(emit_report(_failure_report(cfg, exc), args.format), args.out)
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
+            if _exit_code(exc) == 2:  # the run failed: its report names the error
+                _deliver(emit_report(_failure_report(cfg, exc), args.format), args.out)
+            raise
+        _deliver(data, args.out)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except QpoolError as exc:
+        code = _exit_code(exc)
+        print(f"{'config error' if code == 1 else 'error: ' + type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

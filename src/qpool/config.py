@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, NonFiniteError, ShapeError
 
-FUSE_FAMILY = "haar-pure-intersection"  # the one measure ``fusion.averaged_fusion`` draws from
+FUSE_FAMILY = "haar-pure-intersection"  # the one measure ``fusion.averaged_fusion`` averages over
 
 _TYPES = {  # the exact types each JSON type admits with no further check
     "object": frozenset({dict}),

@@ -13,9 +13,8 @@ Two evaluation paths are provided and cross-checked against each other:
   real matrix-vector product with the block's table of populations and
   coherences, whose log is added to the sample's log weight, so a long record
   cannot underflow.  Readout is ``_weighted_state``, the package's one weighted
-  sum, shared with ``fusion.averaged_fusion``: it sums the real Gram matrix of
-  blocks of ``_BLOCK_FLOATS`` floats against their running top log weight and
-  reads the state out once, so it copies one block, not the ensemble;
+  sum: it sums the real Gram matrix of blocks of ``_BLOCK_FLOATS`` floats
+  against their running top log weight and reads the state out once, so it copies one block, not the ensemble;
   ``predictive_state`` is the one-copy ``definetti_state``; and
 * an exact path for diagonal qubit effects, where the posterior reduces to
   a polynomial in the excited-state population r (the population is
@@ -188,35 +187,28 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_FLOATS // (2 * dim))
 
 
-def _weighted_state(blocks, context: str) -> np.ndarray:
+def _weighted_state(blocks) -> np.ndarray:
     """sum_n w_n a_n a_n^dag / sum_n w_n from ``(parts, log_w)`` blocks, with w_n = exp(log_w_n).
 
     Each real row c_n of parts interleaves (Re a_i, Im a_i).  A block adds its weighted real Gram to a
-    running G = sum_n w_n c_n c_n^T, after scaling G and the weight total by exp(old top - new
-    top) if it holds a new top log weight.  A top of +inf or NaN ends the sum, and one not finite
-    raises ``ImpossibleOutcomeError`` naming ``context``.  The state is read out of G once:
+    running G = sum_n w_n c_n c_n^T, after scaling G and the weight total by exp(old top - new top) if
+    it holds a new top log weight.  The log weights are a ``WeightedStateEnsemble``'s, below +inf and
+    one of them finite, so the top ends finite.  The state is read out of G once:
     Re(a_i conj(a_j)) = G[re_i, re_j] + G[im_i, im_j], Im(a_i conj(a_j)) = G[im_i, re_j] - G[re_i, im_j].
-    The blocks are drawn under an ``np.errstate`` in which an overflowing log weight is infinite.
     """
     gram, total, top = 0.0, 0.0, -np.inf
-    with np.errstate(over="ignore"):
-        for parts, log_w in blocks:
-            block_top = log_w.max()
-            if not block_top <= top:  # a new top, +inf or NaN
-                if not block_top < np.inf:
-                    top = block_top
-                    break
-                scale = np.exp(top - block_top)
-                gram *= scale
-                total *= scale
-                top = block_top
-            if top == -np.inf:  # every weight so far is zero
-                continue
-            weights = np.exp(log_w - top)
-            gram += (parts.T * weights) @ parts
-            total += weights.sum()
-    if not np.isfinite(top):
-        raise ImpossibleOutcomeError(f"top log-weight {float(top)!r} at {context}")
+    for parts, log_w in blocks:
+        block_top = log_w.max()
+        if block_top > top:
+            scale = np.exp(top - block_top)
+            gram *= scale
+            total *= scale
+            top = block_top
+        if top == -np.inf:  # every weight so far is zero
+            continue
+        weights = np.exp(log_w - top)
+        gram += (parts.T * weights) @ parts
+        total += weights.sum()
     gram = gram / total
     out = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     return (out + dagger(out)) / 2
@@ -266,4 +258,4 @@ def definetti_state(
                 power = np.einsum("ni,nj->nij", power, amps).reshape(amps.shape[0], -1)
             yield np.ascontiguousarray(power).view(np.float64), posterior.log_weights[start : start + rows]
 
-    return _weighted_state(blocks(), "ensemble readout")
+    return _weighted_state(blocks())

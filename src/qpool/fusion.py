@@ -5,13 +5,11 @@ every such pair can be decomposed around a common term sigma, and a three-
 system measurement scenario realizes the pair with sigma as the state held
 by an observer who sees both outcome records.  Because sigma may be any
 state supported inside the intersection, the pooled state is not fixed by
-the two marginals alone; ``averaged_fusion`` explores one non-canonical
-measure over the realizations, weighting each pure common state x in the
-intersection basis, in log space, by the realized squared norm <x|M|x>.
-It streams the samples in blocks of a fixed size into
-``estimation._weighted_state``, the weighted sum that ``estimation``'s
-ensembles are read out by, which keeps only a running real Gram matrix, so
-its memory does not grow with the sample count.
+the two marginals alone; ``averaged_fusion`` averages over one
+non-canonical measure on the realizations, weighting each pure common state
+x in the intersection basis by a power of the realized squared norm
+<x|M|x>.  The average is computed in closed form, one B-spline integral
+per eigenvalue of M, and draws no random number.
 
 Each public function validates its matrices with ``linalg.ensure_states``
 into ``State``s that carry their eigenpairs and passes them on to the public
@@ -21,8 +19,10 @@ no state is solved twice.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,15 +31,16 @@ from .errors import (
     ConfigError,
     DegenerateConstructionError,
     InconsistentStatesError,
+    NonFiniteError,
     PositivityError,
 )
-from .estimation import _block_rows, _weighted_state
-from .haar import sample_amplitudes
+from .haar import sample_amplitudes  # unused; perfbench's tracer wraps it by name until ROADMAP item 5
 from .linalg import (
     TOL_PSD,
     TOL_RANK,
     TOL_RECON,
     TOL_REMAINDER,
+    TOL_SPECTRUM,
     TOL_TRACE,
     dagger,
     ensure_states,
@@ -342,11 +343,12 @@ class HistoryMeasureConfig:
     uniformly (invariant measure) from the pure states of the support
     intersection and weights each draw by the probability that both
     observers land on matched outcomes in the realized scenario.  No
-    canonical measure is claimed; results are labeled exploratory.
+    canonical measure is claimed; results are labeled exploratory.  The
+    average is exact, so ``n_samples`` and ``seed`` do not change it.
     """
 
-    n_samples: int
-    seed: int = 0
+    n_samples: int  # validated and echoed while perfbench reads it, until ROADMAP item 5
+    seed: int = 0  # likewise
     weight_exponent: float = 1.0
 
     def __post_init__(self):
@@ -355,22 +357,102 @@ class HistoryMeasureConfig:
         # An integer exponent beyond the float range acts as the infinity it rounds to.
         if abs(self.weight_exponent) > sys.float_info.max:
             object.__setattr__(self, "weight_exponent", np.inf if self.weight_exponent > 0 else -np.inf)
+        if math.isnan(self.weight_exponent):
+            raise NonFiniteError("weight_exponent is NaN")
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Nodes and weights of n-point Gauss-Legendre quadrature, by Newton's method on P_n: no eigen-solve."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(12):  # quadratic convergence from this start leaves no digit after about 5 steps
+        p, q = x, np.ones_like(x)  # P_j(x), P_(j-1)(x)
+        for j in range(2, n + 1):
+            p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
+        slope = n * (x * p - q) / (x * x - 1)
+        x = x - p / slope
+    weights = 2 / ((1 - x * x) * slope**2)
+    x.setflags(write=False)  # every caller shares the cached arrays
+    weights.setflags(write=False)
+    return x, weights
+
+
+def _fused_spectrum(m: np.ndarray, w: float) -> np.ndarray:
+    """f_i = E[p_i x^-w] / E[x^-w] for x = m.p, p flat on the simplex and m ascending and positive.
+
+    x has the B-spline density M(x | m) (Curry and Schoenberg), and p_i times the flat density is 1/k
+    times the one with knot m_i doubled, so f_i is proportional to int x^-w M(x | m, m_i) dx.  The m
+    within ``TOL_SPECTRUM * max(m)`` count as equal.  Past |w| log(gap) = 2^56 k, from the peak u of
+    x^-w to the next m, f is within about 2^-56 of its limit, an even split over the m equal to u.
+    Else each interval between the m is cut, from its end nearer u, into pieces where |w| log x moves
+    by at most 2 and log x by at most log 1.5, of ceil(k/2) + 10 Gauss-Legendre nodes, up to
+    |w| |log(x/u)| = V = 42 + (k - 1) log max(1, 2|w|G), G = (m_k - m_1) / m_1: the p within 1/(2|w|G)
+    of u's vertex, of probability (2|w|G)^-(k-1), keep E[x^-w] above e^(1-V) u^-w, e^41 times what lies
+    past V.  Cox-de Boor forms x - t_j and t_j - x from each node's offsets to its interval's ends, so
+    close knots cost no digits, and rescales each node into its log weight every 4 orders.
+    """
+    k = m.size
+    run = np.concatenate([[True], np.diff(m) > TOL_SPECTRUM * m[-1]])
+    m, u = m[np.flatnonzero(run)[np.cumsum(run) - 1]], m[run]  # each m set to the first of its run
+    if u.size == 1 or w == 0:
+        return np.full(k, 1.0 / k)
+    ref, beside = (u[0], u[1]) if w > 0 else (u[-1], u[-2])
+    if abs(w) >= 2.0**56 * k / abs(math.log(beside / ref)):
+        return (m == ref) / np.count_nonzero(m == ref)
+    lo, hi = u[:-1], u[1:]
+    span = np.log1p((hi - lo) / lo)  # log(hi / lo)
+    reach = (42.0 + (k - 1) * math.log(max(1.0, 2.0 * abs(w) * (u[-1] - u[0]) / u[0]))) / abs(w)
+    far = np.minimum(span, reach - (np.log1p((lo - ref) / ref) if w > 0 else np.log1p((ref - hi) / hi)))
+    counts = np.ceil(np.maximum(far, 0.0) / min(math.log(1.5), 2.0 / abs(w))).astype(int)
+    piece = np.repeat(np.arange(lo.size), counts)  # the interval of each piece
+    j = np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = (far / np.maximum(counts, 1))[piece]
+    sa, sb = j * step, np.where(j + 1 == counts[piece], far[piece], (j + 1) * step)  # log distances
+    lo, hi, span = lo[piece], hi[piece], span[piece]
+    if w > 0:  # each piece's near end to lo, its far end to hi, and its length
+        near, rest = lo * np.expm1(sa), lo * np.exp(sb) * np.expm1(span - sb)
+        length = lo * np.exp(sa) * np.expm1(sb - sa)
+    else:  # each piece's near end to hi, its far end to lo, and its length
+        near, rest, length = -hi * np.expm1(-sa), lo * np.expm1(span - sb), hi * np.exp(-sb) * np.expm1(sb - sa)
+    nodes, weights = _gauss_legendre(-(-k // 2) + 10)
+    near = (near[:, None] + length[:, None] * (1 + nodes) / 2).ravel()
+    rest = (rest[:, None] + length[:, None] * (1 - nodes) / 2).ravel()
+    left, right = (near, rest) if w > 0 else (rest, near)  # x - lo and hi - x at every node
+    knots = np.sort(np.column_stack([np.tile(m, (k, 1)), m]), axis=1).T  # column i: m and m_i
+    first = np.count_nonzero(knots[:, :, None] <= lo, axis=0) - 1  # the order-1 basis of each piece
+    at = np.repeat(np.arange(piece.size), nodes.size)  # the piece of each node
+    lo, hi = lo[at], hi[at]
+    offset = (lo - ref) + left if w > 0 else -((ref - hi) + right)  # x - u
+    log_w = np.log((length[:, None] * weights / 2).ravel()) - w * np.log1p(offset / ref)
+    gaps = [(knots[r - 1 : k] - knots[: k - r + 1], knots[r:] - knots[1 : k - r + 2]) for r in range(2, k + 1)]
+    with np.errstate(divide="ignore"):  # a repeated knot's 1 / 0 meets a basis of empty support
+        inverse = [[np.where(d > 0, 1 / d, 0.0)[:, :, None] for d in pair] for pair in gaps]
+    values, logs, rows = [], [], max(1, 2**17 // (k * (k + 1)))  # nodes per chunk of the recursion
+    for s in range(0, at.size, rows):
+        c = slice(s, s + rows)
+        x_minus_t, t_minus_x = (lo[c] - knots[:, :, None]) + left[c], (knots[:, :, None] - hi[c]) + right[c]
+        b = (np.arange(k)[:, None, None] == first[:, at[c]]).astype(float)
+        logs.append(log_w[c].copy())
+        for r, (left_inverse, right_inverse) in enumerate(inverse, start=2):
+            b = x_minus_t[: k - r + 1] * left_inverse * b[:-1] + t_minus_x[r:] * right_inverse * b[1:]
+            if r % 4 == 0 or r == k:
+                top = b.max(axis=(0, 1))
+                b /= top
+                logs[-1] += np.log(top)
+        values.append(b[0])
+    logs = np.concatenate(logs)
+    total = np.concatenate(values, axis=1) @ np.exp(logs - logs.max())
+    return total / total.sum()
 
 
 def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
-    """Monte-Carlo average of pooled states over the configured measure.
+    """The pooled state averaged over the configured measure, in closed form: no random number is drawn.
 
-    A sample is a unit vector x in the intersection basis B.  With C = (V^dag B) / sqrt(lam)
+    A common state is a unit vector x in the intersection basis B.  With C = (V^dag B) / sqrt(lam)
     from each state's support eigenpairs, the realized squared norm at half the admissible
-    weights is <x|M|x> for M = -I + 2 (C_a^dag C_a + C_b^dag C_b).  Its -weight_exponent power,
-    taken in log space relative to the largest so far, weighs the sample.
-
-    The samples are streamed: one generator seeded with ``cfg.seed`` draws blocks of
-    ``estimation._block_rows(k)`` rows in turn, which are the rows one draw of all
-    ``n_samples`` would give, byte for byte.  The blocks and their log-weights go to
-    ``estimation._weighted_state``, which sums them against a running top and reads the state
-    out once, so memory does not grow with ``n_samples``.  The fixed block size sets the order
-    of summation, so the result depends on it at the level of rounding.  Deterministic per seed.
+    weights is <x|M|x> for M = -I + 2 (C_a^dag C_a + C_b^dag C_b), and its -weight_exponent power
+    weighs x.  In the eigenbasis U of M = U diag(m) U^dag the phases of a Haar x average the
+    off-diagonals away, which leaves (B U) diag(f) (B U)^dag with f from ``_fused_spectrum``.
     """
     a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
     consistent, intersection = check_consistency(a, b)
@@ -382,15 +464,7 @@ def averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
     for lam, vecs in (support_cutoff(s.vals, s.vecs, TOL_RANK) for s in (a, b)):
         c = (dagger(vecs) @ basis) / np.sqrt(lam)[:, None]
         quad = quad + 2.0 * (dagger(c) @ c)
-    # On interleaved (Re x, Im x) rows, M = A + iB acts as the real symmetric [[A, -B], [B, A]] per entry.
-    real_quad = np.kron(quad.real, np.eye(2)) + np.kron(quad.imag, [[0.0, -1.0], [1.0, 0.0]])
-    rng = np.random.default_rng(cfg.seed)
-    n_samples, rows = int(cfg.n_samples), _block_rows(k)
-
-    def blocks():  # an overflow of the log-weight gives -inf (weight 0) or an infinite top
-        for start in range(0, n_samples, rows):
-            parts = sample_amplitudes(k, min(rows, n_samples - start), rng).view(np.float64)
-            yield parts, -cfg.weight_exponent * np.log(np.einsum("ij,ij->i", parts @ real_quad, parts))
-
-    fused = basis @ _weighted_state(blocks(), f"exponent {cfg.weight_exponent!r}") @ dagger(basis)
+    m, frame = np.linalg.eigh(quad)
+    frame = basis @ frame
+    fused = (frame * _fused_spectrum(m, float(cfg.weight_exponent))) @ dagger(frame)
     return (fused + dagger(fused)) / 2

@@ -29,6 +29,7 @@ from .tolerances import (  # re-exported: every tolerance is defined in ``tolera
     TOL_RECON,
     TOL_REMAINDER,
     TOL_SINGULAR,
+    TOL_SPECTRUM,
     TOL_TRACE,
 )
 

@@ -140,24 +140,25 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_number(value) -> str:
+    """An int as canonical JSON writes it, whatever its size; anything else through ``_format_float``."""
+    return str(int(value)) if isinstance(value, int) else _format_float(float(value))
+
+
 def render_csv(report: dict) -> str:
     """Flatten every numeric leaf of the outputs to key,i,j,re,im rows; a failure adds ``error.<name>``."""
     rows = ["key,i,j,re,im"]
 
     def emit(key: str, value) -> None:
-        if isinstance(value, bool):
-            rows.append(f"{key},,,{int(value)},0")
-        elif isinstance(value, (int, float)):
-            rows.append(f"{key},,,{_format_float(float(value))},0")
+        if isinstance(value, (int, float)):
+            rows.append(f"{key},,,{_csv_number(value)},0")
         elif _is_matrix_literal(value):
             for i, row in enumerate(value):
                 for j, (re, im) in enumerate(row):
-                    rows.append(
-                        f"{key},{i},{j},{_format_float(float(re))},{_format_float(float(im))}"
-                    )
+                    rows.append(f"{key},{i},{j},{_csv_number(re)},{_csv_number(im)}")
         elif isinstance(value, list) and all(isinstance(v, (int, float)) for v in value):
             for i, v in enumerate(value):
-                rows.append(f"{key},{i},,{_format_float(float(v))},0")
+                rows.append(f"{key},{i},,{_csv_number(v)},0")
         elif isinstance(value, dict):
             for sub in sorted(value):
                 emit(f"{key}.{sub}", value[sub])

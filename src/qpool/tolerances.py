@@ -18,3 +18,6 @@ TOL_DIAGONAL = 1e-9  # off-diagonal entries for the matrix-form Bayes rule
 TOL_COMMUTE = 1e-9  # absolute: Frobenius norm of [rho_a, rho_b] for commuting pooling
 TOL_PROB_SUM = 1e-12  # absolute: probability vectors' negative entries and |sum - 1|
 TOL_SINGULAR = 1e-15  # absolute: vanishing denominator of the matching constraint
+# Eigenvalues of fuse's M within TOL_SPECTRUM * max(m) count as equal: eigh resolves them only to a
+# few k * eps * max(m), so at |w| = inf the limit splits its weight evenly over such a run.
+TOL_SPECTRUM = 1e-14

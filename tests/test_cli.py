@@ -20,8 +20,8 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 import qpool
-from qpool import measurement
-from qpool.cli import _KINDS, _build_history, main, run_scenario
+from qpool import errors, measurement
+from qpool.cli import _KINDS, _build_history, _exit_code, main, run_scenario
 from qpool.config import (
     _MATRIX,
     literal_to_matrix,
@@ -500,7 +500,8 @@ SAMPLE_COUNT_SITES = (
 
 # Invalid inputs.  Config validation rejects the unknown family and a non-finite
 # tol (exit 1, naming the field); the others pass it and must leave through a
-# failure report that names the error (exit 2).
+# failure report that names the error (exit 2).  The fuse exponents beyond the
+# float range once failed so too; the closed form gives their limit (exit 0).
 INVALID_INPUTS = {
     "realize_trace_not_one": (
         {"kind": "realize", "payload": {"rho_a": TRACE_09, "rho_b": EYE2, "sigma": PROJ0}},
@@ -578,8 +579,8 @@ INVALID_INPUTS = {
             "kind": "fuse",
             "payload": {"rho_a": EYE2, "rho_b": EYE2, "n_samples": 10, "weight_exponent": 1e308},
         },
-        2,
-        "ImpossibleOutcomeError",
+        0,
+        None,
     ),
     # A JSON integer beyond the float range gets what its infinite counterpart gets.
     "entry_beyond_float_range": (
@@ -602,8 +603,8 @@ INVALID_INPUTS = {
             "kind": "fuse",
             "payload": {"rho_a": EYE2, "rho_b": EYE2, "n_samples": 10, "weight_exponent": 10**400},
         },
-        2,
-        "ImpossibleOutcomeError",
+        0,
+        None,
     ),
 }
 
@@ -616,7 +617,10 @@ def test_invalid_input_exits_with_named_error(case, tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["run", str(path), "--out", str(out_file)]) == code
     err = capsys.readouterr().err
-    if code == 1:
+    if code == 0:  # the maximally mixed pair's one run of equal m: I/2 at every exponent
+        fused = json.loads(out_file.read_text())["outputs"]["fused"]
+        assert err == "" and fused == [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    elif code == 1:
         assert err.startswith(f"config error: {error}:") and not out_file.exists()
     else:
         assert json.loads(out_file.read_text())["error"]["name"] == error
@@ -707,6 +711,56 @@ def test_history_step_with_both_povm_and_kraus_is_rejected(command, tmp_path, ca
     assert capsys.readouterr().err.startswith("config error: $.payload.steps[1]: names both")
     with pytest.raises(ConfigError, match=r"^\$\.payload\.steps\[1\]: "):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_an_int_beyond_the_float_range_is_written_in_every_format(fmt, tmp_path, capsys, monkeypatch):
+    """Canonical JSON writes such an int with ``json.dumps``; CSV writes it with ``str`` too."""
+    monkeypatch.setitem(_KINDS, "pool-classical", (lambda payload, seed: ({"x": 10**400}, []), ("classical",)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "pool-classical", "payload": {"p": [1.0], "q": [1.0]}}))
+    assert main(["run", "--format", fmt, str(path)]) == 0
+    out = capsys.readouterr().out
+    assert str(10**400) in out
+    if fmt == "csv":
+        assert out == f"key,i,j,re,im\nx,,,{10**400},0\n"
+
+
+@pytest.mark.parametrize("value, written", [(10**17, "100000000000000000"), (2**53 + 1, "9007199254740993"), (3, "3")])
+def test_csv_writes_ints_as_canonical_json_does(value, written):
+    report = {"outputs": {"n": value, "v": [value, 0.5]}}
+    assert render_csv(report) == f"key,i,j,re,im\nn,,,{written},0\nv,0,,{written},0\nv,1,,0.5,0\n"
+
+
+def _error_classes(cls=errors.QpoolError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", sorted(_error_classes(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_exit_codes_come_from_the_error_class(error):
+    assert _exit_code(error("x")) == (1 if issubclass(error, errors.ConfigError) else 2)
+
+
+@pytest.mark.parametrize("argv", [["run", "big.json"], ["reproduce-paper"]], ids=["run", "reproduce-paper"])
+def test_a_closed_stdout_exits_one_without_a_traceback(argv, tmp_path):
+    """A reader that exits before the report is written: one line on stderr, exit 1, and a silent
+    last flush.  The 64x64 consistency report is about 75 kB, more than a pipe buffer holds."""
+    eye = [[[1 / 64 if i == j else 0, 0] for j in range(64)] for i in range(64)]
+    (tmp_path / "big.json").write_text(json.dumps({"kind": "consistency", "payload": {"rho_a": eye, "rho_b": eye}}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qpool.cli", *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("config error: cannot write standard output: [Errno 32] Broken pipe")
 
 
 def test_failed_run_csv_names_the_error(tmp_path, capsys):
@@ -951,13 +1005,12 @@ def _uniform_effects(seed: int, *counts) -> list:
 # seconds).  Each runs as ``python -W error::RuntimeWarning -m qpool.cli run``, so a numpy
 # warning is a traceback.
 CONSOLE_RUNS = {
-    # Fuse weights are taken in log space against a running top: +-600 runs with no warning
-    # over the blocks of 100000 samples, and log-weights that overflow exit 2 naming the error.
+    # The closed form runs +-600 with no warning, and 1e308 gives the limit.
     **{
         f"fuse_exponent_{exponent:g}": (
             _shipped_with("fuse", n_samples=100_000, weight_exponent=exponent),
-            0 if abs(exponent) < 1e300 else 2,
-            "error: ImpossibleOutcomeError:",
+            0,
+            None,
             60,
         )
         for exponent in (600.0, -600.0, 1e308)

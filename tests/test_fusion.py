@@ -1,7 +1,8 @@
 import dataclasses
 import json
-import re
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -17,14 +18,15 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import fractional_matrix_power, logm
 
 from qpool import cli, fusion, linalg
 from qpool.estimation import _block_rows
 from qpool.errors import (
     AmbiguityPreconditionError,
     DegenerateConstructionError,
-    ImpossibleOutcomeError,
     InconsistentStatesError,
+    NonFiniteError,
     PositivityError,
     ShapeError,
 )
@@ -282,7 +284,7 @@ class TestAveragedFusion:
     def test_symmetric_family_recovers_maximally_mixed(self):
         cfg = HistoryMeasureConfig(n_samples=100_000, seed=11)
         fused = averaged_fusion(np.eye(2) / 2, np.eye(2) / 2, cfg)
-        np.testing.assert_allclose(fused, np.eye(2) / 2, atol=5e-3)
+        np.testing.assert_allclose(fused, np.eye(2) / 2, rtol=0, atol=1e-15)
 
     def test_inconsistent_states(self):
         with pytest.raises(InconsistentStatesError):
@@ -306,14 +308,30 @@ class TestAveragedFusion:
             averaged_fusion(rho_a, rho_b, cfg), averaged_fusion(rho_a, rho_b, cfg)
         )
 
-    def test_underflowing_weights_rejected(self):
-        cfg = HistoryMeasureConfig(n_samples=10, weight_exponent=1e308)
-        with pytest.raises(ImpossibleOutcomeError):
-            averaged_fusion(np.eye(2) / 2, np.eye(2) / 2, cfg)
+    def test_overflowing_exponent_gives_the_limit(self):
+        """The shipped pair has M = diag(6.2, 25/3): the limit is the eigenvector of the smallest m
+        for w -> +inf and of the largest for w -> -inf, beyond the float range too."""
+        for exponent in (1e308, -1e308, np.inf, -np.inf, 10**400, -(10**400)):
+            cfg = HistoryMeasureConfig(n_samples=10, weight_exponent=exponent)
+            fused = averaged_fusion(np.eye(2) / 2, np.diag([0.625, 0.375]), cfg)
+            assert_same_bytes(fused, np.diag([1.0, 0.0] if exponent > 0 else [0.0, 1.0]).astype(complex))
+
+    def test_nan_exponent_is_rejected(self):
+        with pytest.raises(NonFiniteError, match="weight_exponent is NaN"):
+            HistoryMeasureConfig(n_samples=10, weight_exponent=float("nan"))
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             HistoryMeasureConfig(n_samples=0)
+
+    def test_draws_no_random_number(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("averaged_fusion drew a random number")
+
+        monkeypatch.setattr(fusion, "sample_amplitudes", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        rho_a, rho_b, _ = random_consistent_pair(np.random.Generator(np.random.PCG64(4)), 6, overlap=3)
+        averaged_fusion(rho_a, rho_b, HistoryMeasureConfig(n_samples=1_000_000, seed=7))
 
 
 class TestRealizePair:
@@ -512,7 +530,7 @@ SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EIGEN_SOLVES = {
     "realize": (2, 5, 5),
     "ambiguity": (7, 8, 14),
-    "fuse": (0, 2, 2),
+    "fuse": (0, 3, 2),  # one more eigh, for M
     "consistency": (0, 2, 2),
     "history": (0, 4, 4),
     "estimate": (0, 2, 2),
@@ -668,8 +686,74 @@ def test_psd_edge_is_decided_by_the_validation_eigen_solve(entry, lam_min, accep
             call(psd_edge_state(lam_min))
 
 
+def intersection_quad(rho_a, rho_b):
+    """(m, B U): the eigenpairs of M = -I + 2 B^dag (rho_a^+ + rho_b^+) B, by numpy's eigh, SVD and pinv,
+    with the eigenvectors carried to the full space by the intersection basis B."""
+    basis = intersection_basis(rho_a, rho_b)
+    pinv = np.linalg.pinv(rho_a, rcond=1e-9, hermitian=True) + np.linalg.pinv(rho_b, rcond=1e-9, hermitian=True)
+    m, frame = np.linalg.eigh(-np.eye(basis.shape[1]) + 2 * dagger(basis) @ pinv @ basis)
+    return m, basis @ frame
+
+
+def divided_difference_spectrum(m, w, dps: int = 60) -> np.ndarray:
+    """f_i by Hermite-Genocchi at ``dps`` digits: int x^-w M(x | t_0..t_n) dx = n! G[t_0..t_n] for
+    G^(n) = x^-w, so f_i is proportional to G[m, m_i] with G = x^(k - w), or x^(k - w) log x at an
+    integer w in 1..k (constant factors, common to every i, cancel).  The divided-difference table
+    runs over all k + 1 knots at once; a repeated knot takes G's derivative."""
+    k = len(m)
+    with mpmath.workdps(dps):
+        w = mpmath.mpf(w)
+        power = k - w
+        if w == int(w) and 1 <= w <= k:
+            G = lambda x: x**power * mpmath.log(x)
+        else:
+            G = lambda x: x**power
+
+        def table(t):
+            memo = {}
+
+            def dd(a, b):
+                if (a, b) not in memo:
+                    if t[a] == t[b]:
+                        memo[a, b] = mpmath.diff(G, t[a], b - a) / mpmath.factorial(b - a)
+                    else:
+                        memo[a, b] = (dd(a + 1, b) - dd(a, b - 1)) / (t[b] - t[a])
+                return memo[a, b]
+
+            return dd(0, len(t) - 1)
+
+        knots = [mpmath.mpf(float(x)) for x in m]
+        nums = [table(sorted(knots + [mi])) for mi in knots]
+        return np.array([float(x / mpmath.fsum(nums)) for x in nums])
+
+
+def opitz_spectrum(m, w) -> np.ndarray:
+    """f_i from scipy: by Opitz's formula G[t_0..t_n] = G(J)[0, n] for the bidiagonal J with the knots
+    on its diagonal and ones above it, with G as in ``divided_difference_spectrum``, taken by
+    ``fractional_matrix_power`` and, at an integer w in 1..k, times ``logm(J)``."""
+    k = len(m)
+    nums = []
+    for mi in m:
+        J = np.diag(np.sort(np.append(m, mi))) + np.diag(np.ones(k), 1)
+        if float(w).is_integer() and 1 <= w <= k:
+            with warnings.catch_warnings():  # logm's own error estimate; the comparison decides
+                warnings.simplefilter("ignore", RuntimeWarning)
+                value = np.linalg.matrix_power(J, int(k - w)) @ logm(J)
+        else:
+            value = fractional_matrix_power(J, k - w)
+        nums.append(value[0, -1].real)
+    return np.array(nums) / sum(nums)
+
+
+def limit_spectrum(m, w) -> np.ndarray:
+    """Equal weights on the m equal to the smallest (w > 0) or the largest (w < 0)."""
+    peak = np.asarray(m) == (min(m) if w > 0 else max(m))
+    return peak / peak.sum()
+
+
 def reference_averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
-    """The route through ``check_consistency`` and a support pseudo-inverse per state."""
+    """The route through ``check_consistency``, a support pseudo-inverse per state, and mpmath's
+    divided-difference spectrum of M."""
 
     def support_pinv(rho):
         lam, basis = support_cutoff(*hermitian_eig(rho), TOL_RANK)
@@ -677,123 +761,87 @@ def reference_averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.nda
 
     consistent, intersection = check_consistency(rho_a, rho_b)
     assert consistent
-    local = sample_amplitudes(intersection.dimension, int(cfg.n_samples), np.random.default_rng(cfg.seed))
-    states = local @ intersection.basis.T
-    alpha = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), support_pinv(rho_a), states).real
-    beta = 0.5 / np.einsum("nd,dc,nc->n", states.conj(), support_pinv(rho_b), states).real
-    weights = (1.0 / (1.0 + (1.0 - alpha) / alpha + (1.0 - beta) / beta)) ** cfg.weight_exponent
-    fused = (states.T * weights) @ states.conj() / weights.sum()
-    return (fused + dagger(fused)) / 2
+    basis = intersection.basis
+    quad = -np.eye(intersection.dimension) + 2 * dagger(basis) @ (support_pinv(rho_a) + support_pinv(rho_b)) @ basis
+    m, frame = np.linalg.eigh(quad)
+    frame = basis @ frame
+    return (frame * divided_difference_spectrum(m, cfg.weight_exponent)) @ dagger(frame)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(consistent_pairs(6), st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+@given(consistent_pairs(6), st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
 def test_averaged_fusion_matches_the_check_consistency_route(pair, n_samples, seed, exponent):
     rho_a, rho_b, _ = pair
     cfg = HistoryMeasureConfig(n_samples=n_samples, seed=seed, weight_exponent=exponent)
     np.testing.assert_allclose(
-        averaged_fusion(rho_a, rho_b, cfg), reference_averaged_fusion(rho_a, rho_b, cfg), rtol=0, atol=1e-13
+        averaged_fusion(rho_a, rho_b, cfg), reference_averaged_fusion(rho_a, rho_b, cfg), rtol=0, atol=1e-12
     )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(consistent_pairs(6), st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-700.0, 700.0))
-def test_averaged_fusion_weighs_each_sample_by_its_realized_norm(pair, n_samples, seed, exponent):
-    """Each sample s weighs ``norm_psi_sq ** -exponent`` of the scenario realizing |s><s|.
-
-    The weights are normalized in mpmath, so exponents whose float powers
-    underflow or overflow (|exponent| above about 650) still have a reference.
-    """
+@given(consistent_pairs(6), st.integers(0, 2**32 - 1))
+def test_averaged_fusion_weighs_each_sample_by_its_realized_norm(pair, seed):
+    """At exponent -1 the weight enters linearly.  For Haar x in k dimensions
+    E[|x><x| <x|M|x>] = (M + Tr M I) / (k (k + 1)) and E[<x|M|x>] = Tr M / k, so on the intersection
+    the fused state is F = (M + Tr M I) / ((k + 1) Tr M), and (k + 1) <x|F|x> - 1 = <x|M|x> / Tr M.
+    For every unit x in the intersection that must be the squared norm of the scenario realizing
+    |x><x| (``realize_pair``), over the sum of those of an orthonormal basis."""
     rho_a, rho_b, _ = pair
     _, intersection = check_consistency(rho_a, rho_b)
-    local = sample_amplitudes(intersection.dimension, n_samples, np.random.default_rng(seed))
-    states = local @ intersection.basis.T
-    norms = [realize_pair(rho_a, rho_b, proj(s))[-1].norm_psi_sq for s in states]
-    powers = [mpmath.mpf(x) ** -exponent for x in norms]
-    total = mpmath.fsum(powers)
-    weights = np.array([float(w / total) for w in powers])
-    cfg = HistoryMeasureConfig(n_samples=n_samples, seed=seed, weight_exponent=exponent)
-    np.testing.assert_allclose(
-        averaged_fusion(rho_a, rho_b, cfg), (states.T * weights) @ states.conj(), rtol=0, atol=1e-13
-    )
-
-
-def one_shot_averaged_fusion(rho_a, rho_b, cfg: HistoryMeasureConfig) -> np.ndarray:
-    """``averaged_fusion`` with every sample at once: all weights taken against the top of all,
-    normalized as reals, and one weighted copy of the samples multiplied into their real Gram."""
-    a, b = ensure_states(rho_a=rho_a, rho_b=rho_b)
-    consistent, intersection = check_consistency(a, b)
-    assert consistent
     basis, k = intersection.basis, intersection.dimension
-    quad = -np.eye(k)
-    for lam, vecs in (support_cutoff(s.vals, s.vecs, TOL_RANK) for s in (a, b)):
-        c = (dagger(vecs) @ basis) / np.sqrt(lam)[:, None]
-        quad = quad + 2.0 * (dagger(c) @ c)
-    real_quad = np.kron(quad.real, np.eye(2)) + np.kron(quad.imag, [[0.0, -1.0], [1.0, 0.0]])
-    parts = sample_amplitudes(k, int(cfg.n_samples), np.random.default_rng(cfg.seed)).view(np.float64)
-    norm_sq = np.einsum("ij,ij->i", parts @ real_quad, parts)
-    with np.errstate(over="ignore"):
-        log_w = -cfg.weight_exponent * np.log(norm_sq)
-    top = log_w.max()
-    if not np.isfinite(top):
-        raise ImpossibleOutcomeError(f"top log-weight {float(top)!r} at exponent {cfg.weight_exponent!r}")
-    weights = np.exp(log_w - top)
-    weights = weights / weights.max()
-    gram = (parts.T * (weights / weights.sum())) @ parts
-    local = (gram[0::2, 0::2] + gram[1::2, 1::2]) + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
-    fused = basis @ ((local + dagger(local)) / 2) @ dagger(basis)
-    return (fused + dagger(fused)) / 2
+    fused = averaged_fusion(rho_a, rho_b, HistoryMeasureConfig(n_samples=1, weight_exponent=-1.0))
+
+    def norm(x):
+        return realize_pair(rho_a, rho_b, proj(x))[-1].norm_psi_sq
+
+    trace = sum(norm(column) for column in basis.T)
+    for x in sample_amplitudes(k, 4, np.random.default_rng(seed)) @ basis.T:
+        assert abs((k + 1) * np.vdot(x, fused @ x).real - 1 - norm(x) / trace) <= 1e-12
 
 
 @st.composite
 def streamed_pairs(draw, k: int):
-    """``(rho_a, rho_b, n_samples)``: an intersection of dimension k, and n_samples of 1, one
-    block of rows less one, one block, one block and one row, or two to four blocks."""
+    """``(rho_a, rho_b)`` whose supports meet in k dimensions, in ambient dimensions k to 8."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rho_a, rho_b, _ = random_consistent_pair(rng, k + draw(st.integers(0, 8 - k)), overlap=k)
-    rows = _block_rows(k)
-    n_samples = draw(st.sampled_from([1, rows - 1, rows, rows + 1, None]))
-    if n_samples is None:
-        n_samples = draw(st.integers(2 * rows, 4 * rows))
-    return rho_a, rho_b, n_samples
+    return rho_a, rho_b
+
+
+def one_shot_averaged_fusion(rho_a, rho_b, exponent: float) -> np.ndarray:
+    """The fused state from numpy's M and the divided-difference table over all knots at once."""
+    m, frame = intersection_quad(rho_a, rho_b)
+    return (frame * divided_difference_spectrum(m, exponent)) @ dagger(frame)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_streamed_fusion_matches_the_one_shot_reference(k, data):
-    """Both sum the same n weighted rank-one terms, each entry at most 1 once the weights are
-    normalized, in another order.  Recursive summation of n terms errs by at most about n eps of
-    their total (Higham, ch. 4), once in the Gram and once in the weight total, and the streamed
-    sum adds one rounding per block where a rescale by exp(old top - new top) falls.  An absolute
-    tolerance of 4 n eps covers all three."""
+    """The closed form streams its quadrature nodes through the Cox-de Boor recursion a chunk at a
+    time, on pieces of bounded exponent; mpmath's table takes every knot in one shot, at 60 digits."""
     exponent = data.draw(st.floats(-700.0, 700.0))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rho_a, rho_b, n_samples = data.draw(streamed_pairs(k))
-    cfg = HistoryMeasureConfig(n_samples=n_samples, seed=seed, weight_exponent=exponent)
-    atol = 4 * n_samples * np.finfo(float).eps
+    rho_a, rho_b = data.draw(streamed_pairs(k))
+    cfg = HistoryMeasureConfig(n_samples=data.draw(st.integers(1, 10**6)), weight_exponent=exponent)
     np.testing.assert_allclose(
-        averaged_fusion(rho_a, rho_b, cfg), one_shot_averaged_fusion(rho_a, rho_b, cfg), rtol=0, atol=atol
+        averaged_fusion(rho_a, rho_b, cfg), one_shot_averaged_fusion(rho_a, rho_b, exponent), rtol=0, atol=1e-12
     )
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("exponent", [-700.0, -1.0, 1.0, 700.0])
 def test_rescaled_blocks_match_the_one_shot_reference(k, exponent):
-    """Four blocks and three rows, so later blocks bring new top log-weights and rescale the sum."""
+    """At |w| = 700 the kept range is cut into many pieces, and at k = 8 the recursion rescales each
+    node twice; neither moves the result off the one-shot reference."""
     rho_a, rho_b, _ = random_consistent_pair(np.random.default_rng(k), 8, overlap=k)
-    n_samples = 4 * _block_rows(k) + 3
-    cfg = HistoryMeasureConfig(n_samples=n_samples, seed=k, weight_exponent=exponent)
+    cfg = HistoryMeasureConfig(n_samples=10, seed=k, weight_exponent=exponent)
     np.testing.assert_allclose(
-        averaged_fusion(rho_a, rho_b, cfg),
-        one_shot_averaged_fusion(rho_a, rho_b, cfg),
-        rtol=0,
-        atol=4 * n_samples * np.finfo(float).eps,
+        averaged_fusion(rho_a, rho_b, cfg), one_shot_averaged_fusion(rho_a, rho_b, exponent), rtol=0, atol=1e-12
     )
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_block_draws_are_the_single_draw(k):
+    """``sample_amplitudes`` drawn in blocks from one generator gives the rows of one draw, byte for byte."""
     rows = _block_rows(k)
     n_samples = 3 * rows + 5
     rng = np.random.default_rng(k)
@@ -801,20 +849,21 @@ def test_block_draws_are_the_single_draw(k):
     assert_same_bytes(np.concatenate(blocks), sample_amplitudes(k, n_samples, np.random.default_rng(k)))
 
 
-@pytest.mark.parametrize("exponent", [1e308, -1e308, np.inf, np.nan])
-def test_overflowing_log_weights_keep_the_one_shot_message(exponent):
-    """At the maximally mixed qubit pair every <x|M|x> is 7, so +-1e308 log 7 overflows in every
-    block, and a NaN exponent makes every log-weight NaN."""
-    cfg = HistoryMeasureConfig(n_samples=3 * _block_rows(2) + 1, seed=4, weight_exponent=exponent)
-    with pytest.raises(ImpossibleOutcomeError) as expected:
-        one_shot_averaged_fusion(np.eye(2) / 2, np.eye(2) / 2, cfg)
-    with pytest.raises(ImpossibleOutcomeError, match=f"^{re.escape(str(expected.value))}$"):
-        averaged_fusion(np.eye(2) / 2, np.eye(2) / 2, cfg)
+@pytest.mark.parametrize("exponent", [1e308, -1e308, np.inf, -np.inf])
+def test_overflowing_exponents_give_the_limit(exponent):
+    """Random pairs whose M has distinct eigenvalues: beyond the float range of |w| log(gap) the
+    closed form returns the limit exactly."""
+    for seed in range(5):
+        rho_a, rho_b, _ = random_consistent_pair(np.random.default_rng(seed), 6, overlap=4)
+        m, frame = intersection_quad(rho_a, rho_b)
+        fused = averaged_fusion(rho_a, rho_b, HistoryMeasureConfig(n_samples=3, weight_exponent=exponent))
+        expected = (frame * limit_spectrum(m, exponent)) @ dagger(frame)
+        np.testing.assert_allclose(fused, expected, rtol=0, atol=1e-12)
 
 
 def test_fusion_memory_does_not_grow_with_the_sample_count():
-    """At k = 8 a block is 4096 rows of 16 floats (512 kB); the traced peak holds a few block-sized
-    buffers, whatever n_samples is."""
+    """The closed form allocates nothing per sample: at k = 8 the traced peak is the same for 5e4 and
+    5e5 samples, and small."""
     rng = np.random.default_rng(21)
     a, b = ensure_states(rho_a=random_density(rng, 8), rho_b=random_density(rng, 8))
     peaks = []
@@ -827,9 +876,6 @@ def test_fusion_memory_does_not_grow_with_the_sample_count():
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
     assert max(peaks) < 4e6
-
-
-MC_SIGMAS = 6.0  # as in perfbench/oracles.py: a Monte-Carlo entry lies within this many standard errors
 
 
 def laplace_spectrum(m, w) -> list:
@@ -886,30 +932,13 @@ def intersection_basis(rho_a, rho_b) -> np.ndarray:
 @given(consistent_pairs(6, min_overlap=2), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
 def test_averaged_fusion_converges_to_the_laplace_integral(pair, fraction, seed):
     """In the eigenbasis of M = -I + 2 B^dag (rho_a^+ + rho_b^+) B the fused state is diag(f), f from
-    ``laplace_spectrum``.  The standard error of each entry is sqrt(Var / ESS): ESS is the Kish
-    effective sample size (sum w)^2 / sum w^2 of the sample weights w = <y|M|y>^-w, and Var the
-    w^2-weighted variance of the entry of |y><y| about the exact value."""
+    ``laplace_spectrum`` for 0 < w < k, whatever the seed."""
     rho_a, rho_b, _ = pair
-    basis = intersection_basis(rho_a, rho_b)
-    k = basis.shape[1]
-    exponent = fraction * k
-    pinv = np.linalg.pinv(rho_a, rcond=1e-9, hermitian=True) + np.linalg.pinv(rho_b, rcond=1e-9, hermitian=True)
-    m, frame = np.linalg.eigh(-np.eye(k) + 2 * dagger(basis) @ pinv @ basis)
-    exact = np.diag(laplace_spectrum(m, exponent))
-    assert abs(np.trace(exact) - 1) <= 1e-12
-
+    m, frame = intersection_quad(rho_a, rho_b)
+    exponent = fraction * m.size
     cfg = HistoryMeasureConfig(n_samples=100_000, seed=seed, weight_exponent=exponent)
-    fused = dagger(basis @ frame) @ averaged_fusion(rho_a, rho_b, cfg) @ (basis @ frame)
-
-    y = sample_amplitudes(k, cfg.n_samples, np.random.default_rng(seed))  # Haar in any basis
-    probs = np.abs(y) ** 2
-    log_w = -exponent * np.log(probs @ m)
-    w = np.exp(log_w - log_w.max())
-    ess = w.sum() ** 2 / (w**2).sum()
-    w2 = w**2 / (w**2).sum()
-    var = np.einsum("n,nij->ij", w2, np.abs(y[:, :, None] * y[:, None, :].conj() - exact[None]) ** 2)
-    se = np.sqrt(var / ess)
-    assert np.all(np.abs(fused - exact) <= MC_SIGMAS * se)
+    fused = dagger(frame) @ averaged_fusion(rho_a, rho_b, cfg) @ frame
+    np.testing.assert_allclose(fused, np.diag(laplace_spectrum(m, exponent)), rtol=0, atol=1e-12)
 
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -998,20 +1027,99 @@ def test_averaged_fusion_converges_to_the_spline_integral(k, exponent_of_k):
     seed = 100 * k + list(SPLINE_EXPONENTS.values()).index(exponent_of_k)
     rng = np.random.default_rng(seed)
     rho_a, rho_b, _ = random_consistent_pair(rng, k + int(rng.integers(0, 7 - k)), overlap=k)
-    basis = intersection_basis(rho_a, rho_b)
-    pinv = np.linalg.pinv(rho_a, rcond=1e-9, hermitian=True) + np.linalg.pinv(rho_b, rcond=1e-9, hermitian=True)
-    m, frame = np.linalg.eigh(-np.eye(k) + 2 * dagger(basis) @ pinv @ basis)
-    exact = np.diag(spline_spectrum(m, exponent))
-    assert abs(np.trace(exact) - 1) <= 1e-12
-
+    m, frame = intersection_quad(rho_a, rho_b)
     cfg = HistoryMeasureConfig(n_samples=100_000, seed=seed, weight_exponent=exponent)
-    fused = dagger(basis @ frame) @ averaged_fusion(rho_a, rho_b, cfg) @ (basis @ frame)
+    fused = dagger(frame) @ averaged_fusion(rho_a, rho_b, cfg) @ frame
+    np.testing.assert_allclose(fused, np.diag(spline_spectrum(m, exponent)), rtol=0, atol=1e-12)
 
-    y = sample_amplitudes(k, cfg.n_samples, np.random.default_rng(seed))  # Haar in any basis
-    log_w = -exponent * np.log(np.abs(y) ** 2 @ m)
-    w = np.exp(log_w - log_w.max())
-    ess = w.sum() ** 2 / (w**2).sum()
-    w2 = w**2 / (w**2).sum()
-    var = np.einsum("n,nij->ij", w2, np.abs(y[:, :, None] * y[:, None, :].conj() - exact[None]) ** 2)
-    se = np.sqrt(var / ess)
-    assert np.all(np.abs(fused - exact) <= MC_SIGMAS * se)
+
+def random_spectrum(rng, k: int, min_gap: float = 1e-2) -> np.ndarray:
+    """k ascending eigenvalues of M in [3, 40], no two closer than ``min_gap`` relative."""
+    while True:
+        m = np.sort(rng.uniform(3.0, 40.0, k))
+        if np.all(np.diff(m) >= min_gap * m[1:]):
+            return m
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_closed_form_matches_three_oracles(k):
+    """mpmath's divided differences and scipy's Opitz formula at any w, integers 1..k included,
+    the 64-node spline integral at any w, and mpmath's Laplace integral for 0 < w < k."""
+    rng = np.random.default_rng(40 + k)
+    for _ in range(3):
+        m = random_spectrum(rng, k)
+        for w in (0.3, k / 2, k - 0.3, -2.0, k + 3.0, 50.0, -50.0, *range(1, k + 1)):
+            closed = fusion._fused_spectrum(m, float(w))
+            oracles = [divided_difference_spectrum(m, w), opitz_spectrum(m, w), spline_spectrum(m, w)]
+            if 0 < w < k:
+                oracles.append(laplace_spectrum(m, w))
+            for oracle in oracles:
+                np.testing.assert_allclose(closed, oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_close_eigenvalues_cost_no_digits(k, gap):
+    """Two eigenvalues of M a relative ``gap`` apart, against 60-digit mpmath.  The closed form forms
+    x - t_j from each node's offsets to its interval's ends, so the 1e-12 pair is as exact as the
+    1e-3 one, where the 64-node spline integral would lose its digits (MIN_KNOT_GAP)."""
+    rng = np.random.default_rng(round(-np.log10(gap)) + 10 * k)
+    m = random_spectrum(rng, k)
+    j = int(rng.integers(0, k - 1))
+    m[j + 1] = m[j] * (1 + gap)
+    m = np.sort(m)
+    for w in (1.0, -2.0, float(k), 30.0, -30.0, 3000.0):
+        np.testing.assert_allclose(fusion._fused_spectrum(m, w), divided_difference_spectrum(m, w), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_equal_eigenvalues_share_the_weight(k):
+    """All-equal m gives 1/k at every w, including m that differ by eigh's rounding, below
+    TOL_SPECTRUM; a run of equal smallest m shares the w -> +inf limit evenly."""
+    m = np.full(k, 7.0)
+    noisy = m * (1 + np.arange(k) * 2e-16)
+    for w in (1.0, -3.0, 1e6, np.inf, -np.inf):
+        assert_same_bytes(fusion._fused_spectrum(m, w), np.full(k, 1 / k))
+        np.testing.assert_allclose(fusion._fused_spectrum(noisy, w), np.full(k, 1 / k), rtol=0, atol=1e-15)
+    if k > 2:
+        m = np.concatenate([[4.0, 4.0], np.linspace(9.0, 30.0, k - 2)])
+        assert_same_bytes(fusion._fused_spectrum(m, np.inf), limit_spectrum(m, 1.0))
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_large_finite_exponents_meet_the_limit(k):
+    """For w -> +-inf the weight off the peak eigenvalue falls like (k - 1) / (|w| gap); the closed
+    form stays exact on the way (mpmath at w = +-1e4) and meets the limit at |w| = 1e16."""
+    m = random_spectrum(np.random.default_rng(70 + k), k, min_gap=0.1)
+    for w in (1e4, -1e4):
+        np.testing.assert_allclose(fusion._fused_spectrum(m, w), divided_difference_spectrum(m, w), rtol=0, atol=1e-12)
+    for w in (1e16, -1e16, 1e100, -1e100, np.inf, -np.inf):
+        np.testing.assert_allclose(fusion._fused_spectrum(m, w), limit_spectrum(m, w), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    consistent_pairs(8),
+    st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf, 1e300]),
+    st.integers(1, 10**6),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_state_is_a_state_inside_the_intersection(pair, exponent, n_samples, seed):
+    """PSD, trace 1, supported inside the intersection, and the same bytes for any seed and n_samples."""
+    rho_a, rho_b, _ = pair
+    fused = averaged_fusion(rho_a, rho_b, HistoryMeasureConfig(n_samples=n_samples, seed=seed, weight_exponent=exponent))
+    projector = check_consistency(rho_a, rho_b)[1].projector()
+    assert is_psd(fused, 1e-12) and abs(np.trace(fused).real - 1.0) <= 1e-12
+    assert float(np.abs(fused - projector @ fused @ projector).max()) <= 1e-12
+    assert_same_bytes(fused, averaged_fusion(rho_a, rho_b, HistoryMeasureConfig(n_samples=1, weight_exponent=exponent)))
+
+
+def test_cost_is_bounded_at_k_32():
+    """k = 32 takes about 0.1 s at the default exponent (2 vCPUs), and the kept range, not |w|, sets
+    the piece count, so steep exponents stay within a few times that."""
+    rho_a, rho_b, _ = random_consistent_pair(np.random.default_rng(32), 32, overlap=32)
+    for exponent, bound in ((1.0, 1.0), (-1e3, 3.0), (1e6, 3.0)):
+        start = time.perf_counter()
+        fused = averaged_fusion(rho_a, rho_b, HistoryMeasureConfig(n_samples=1, weight_exponent=exponent))
+        assert time.perf_counter() - start < bound
+        assert abs(np.trace(fused).real - 1.0) <= 1e-12
