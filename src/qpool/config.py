@@ -5,7 +5,12 @@ unknown fields anywhere are rejected rather than ignored.  Matrix literals
 are nested row-major arrays of ``[re, im]`` pairs; probability vectors are
 plain arrays of decimals.  The schemas are plain JSON Schema 2020-12 dicts; one
 walker of their 12 keywords judges a config and words a rejection as the Python
-reference validator's ``best_match`` does.  Only ``literal_to_matrix`` imports numpy.
+reference validator's ``best_match`` does.  It accepts a matrix literal's row of
+``[re, im]`` pairs of exact ints and floats by C-level checks alone (``map`` of
+``type`` and ``len`` over the row, and of ``type`` over its ``chain``-ed
+entries), with no Python code per pair; a row that fails them is walked, so
+every rejection is found and worded as before.  A literal is read into numpy,
+and written back out, as one array.  Only ``literal_to_matrix`` imports numpy.
 """
 
 from __future__ import annotations
@@ -193,14 +198,9 @@ def _violations(instance, schema: dict) -> tuple:
                 found += (((), key, f"{instance!r} is not of type {rule!r}"),)
         elif key == "items":
             if kind is list or isinstance(instance, list):
-                bare, lo, hi = _unwalked(rule)  # what passes with no call per element
+                unwalked = _unwalked(rule)  # what passes with no call per element
                 for k, item in enumerate(instance):
-                    if lo is None:
-                        if type(item) in bare:
-                            continue
-                    elif type(item) is list and lo <= len(item) <= hi and bare.issuperset(map(type, item)):
-                        continue
-                    if broken := _violations(item, rule):
+                    if not unwalked(item) and (broken := _violations(item, rule)):
                         found += _under(k, broken)
         elif key == "minItems":
             if (kind is list or isinstance(instance, list)) and len(instance) < rule:
@@ -244,24 +244,61 @@ def _violations(instance, schema: dict) -> tuple:
 
 
 _LENGTH_RULE = frozenset({"type", "items", "minItems", "maxItems"})
-_NOTHING = frozenset()
+_LISTS = frozenset({list})
+_UNWALKED: dict = {}  # id(rule) -> (rule, test); holding the rule keeps its id from being reused
 
 
-def _unwalked(rule: dict) -> tuple:
-    """``(types, lo, hi)``: the elements an ``items`` rule accepts by exact type, with no walk.
+def _unwalked(rule: dict):
+    """A test that accepts, by exact types and lengths alone, elements that satisfy ``rule``.
 
-    A bare ``{"type": t}`` accepts an element of an exact type in ``types``
-    (``lo`` is None).  An array of bare ``{"type": t}`` items, with nothing
-    else but ``minItems``/``maxItems``, accepts a list of ``lo`` to ``hi``
-    elements whose exact types are all in ``types``: an ``[re, im]`` pair.
-    Any other rule accepts nothing unwalked.
+    A bare ``{"type": t}`` accepts an element of an exact type ``_TYPES`` lists
+    for ``t``.  An array of such elements, with nothing else but
+    ``minItems``/``maxItems``, accepts a list of the right length of them:
+    an ``[re, im]`` pair.  An array of such pairs, again with only length
+    bounds, accepts a matrix literal's row in C-level passes over it (``map``
+    of ``type`` and ``len``, ``chain`` over the entries), with no Python code
+    per pair.  The test is False on any element of any other rule, which
+    ``_violations`` then walks.  Each rule's test is made once: the schemas
+    are constants.
     """
+    known = _UNWALKED.get(id(rule))
+    if known is None:
+        known = _UNWALKED[id(rule)] = rule, _unwalked_test(rule)
+    return known[1]
+
+
+def _unwalked_test(rule: dict):
     if len(rule) == 1:
-        return _TYPES.get(rule.get("type"), _NOTHING), None, None
+        types = _TYPES.get(rule.get("type"), frozenset())
+        return lambda item: type(item) in types
+    lo, hi, items = _bounds(rule)
+    if items is None:
+        return lambda item: False
+    if len(items) == 1:
+        types = _TYPES.get(items.get("type"), frozenset())
+        return lambda item: type(item) is list and lo <= len(item) <= hi and types.issuperset(map(type, item))
+    lo_pair, hi_pair, bare = _bounds(items)
+    if bare is None or len(bare) != 1 or hi_pair == math.inf:
+        return lambda item: False
+    types, widths = _TYPES.get(bare.get("type"), frozenset()), frozenset(range(lo_pair, hi_pair + 1))
+    from itertools import chain  # built in and loaded at start-up: a lookup, once per rule
+
+    return lambda item: (
+        type(item) is list
+        and lo <= len(item) <= hi
+        and _LISTS.issuperset(map(type, item))
+        and widths.issuperset(map(len, item))
+        and types.issuperset(map(type, chain.from_iterable(item)))
+    )
+
+
+def _bounds(rule: dict) -> tuple:
+    """``(minItems, maxItems, items)`` of an array rule with no other keyword but ``type``;
+    ``items`` is None for any other rule."""
     items = rule.get("items")
-    if items is not None and len(items) == 1 and rule.get("type") == "array" and rule.keys() <= _LENGTH_RULE:
-        return _TYPES.get(items.get("type"), _NOTHING), rule.get("minItems", 0), rule.get("maxItems", math.inf)
-    return _NOTHING, None, None
+    if items is None or rule.get("type") != "array" or not rule.keys() <= _LENGTH_RULE:
+        return 0, 0, None
+    return rule.get("minItems", 0), rule.get("maxItems", math.inf), items
 
 
 def _under(key, broken: tuple) -> tuple:
@@ -297,13 +334,29 @@ def load_config(path) -> dict:
 
 
 def literal_to_matrix(literal):
-    """Nested [re, im] rows -> complex numpy matrix."""
+    """Nested [re, im] rows -> complex numpy matrix.
+
+    A rectangular literal becomes one ``(rows, cols, 2)`` float array viewed as
+    complex: bit for bit the matrix of ``complex(float(re), float(im))`` entries
+    for the ints and floats a valid config holds (numpy, unlike ``float``, would
+    also read a ``None`` as NaN; the validator lets no ``None`` through).
+    A literal with no entries, or with rows of two widths, raises ``ShapeError``;
+    an int beyond the float range raises ``NonFiniteError``.
+    """
     import numpy as np  # here, so validating a config never imports numpy
 
+    try:
+        pairs = np.array(literal, dtype=float)
+    except (OverflowError, TypeError, ValueError):  # the loop below raises what it always raised
+        pairs = None
+    if pairs is not None and pairs.ndim == 3 and pairs.shape[2] == 2:
+        return pairs.view(complex)[..., 0]
     widths = [len(row) for row in literal]
     for r, width in enumerate(widths):
         if width != widths[0]:
             raise ShapeError(f"matrix literal row {r} has {width} entries, expected {widths[0]}")
+    if not widths or not widths[0]:
+        raise ShapeError("matrix literal has no entries")
     try:
         rows = [[complex(float(re), float(im)) for re, im in row] for row in literal]
     except OverflowError as exc:
@@ -312,8 +365,18 @@ def literal_to_matrix(literal):
 
 
 def matrix_to_literal(mat) -> list:
-    """Complex matrix -> nested row-major [re, im] pairs: numpy, float and Fraction entries alike."""
+    """Complex matrix -> nested row-major [re, im] pairs: numpy, float and Fraction entries alike.
+
+    A numpy float or complex matrix is written in one pass over a C-ordered
+    complex copy; other entries one by one, through ``float``.
+    """
     shape = getattr(mat, "shape", None)  # nested rows are taken to be two-dimensional
     if shape is not None and len(shape) != 2:
         raise ShapeError(f"expected a matrix, got shape {shape}")
+    if shape is not None and mat.dtype.kind in "fc":
+        # astype's C order is what lets the float view pair each entry's parts.
+        return mat.astype(complex, order="C").view(float).reshape(*shape, 2).tolist()
+    for r, row in enumerate(mat):
+        if not hasattr(row, "__iter__"):
+            raise ShapeError(f"expected a matrix, got row {r} = {row!r}")
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]

@@ -24,9 +24,9 @@ def canonical_json(obj) -> str:
 
     Floats go through ``_format_float``; ``None``, bools, ints, strings and
     keys through ``json.dumps``.  A non-string key or any other type raises
-    ``ReportError``, which is a ``TypeError``.  A matrix literal's ``[re, im]``
-    pair of finite exact floats is written by one format call, to the same
-    bytes.
+    ``ReportError``, which is a ``TypeError``.  A matrix literal, or a lone
+    ``[re, im]`` pair, of finite exact floats is written by one format call,
+    to the same bytes.
     """
     if isinstance(obj, float):
         return _format_float(obj)
@@ -35,6 +35,10 @@ def canonical_json(obj) -> str:
             re, im = obj
             if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
                 return "[%.17g,%.17g]" % (re + 0.0, im + 0.0)
+        if obj and type(obj[0]) is list and obj[0] and type(obj[0][0]) is list:
+            text = _literal_text(obj)
+            if text is not None:
+                return text
         return "[" + ",".join(map(canonical_json, obj)) + "]"
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
@@ -44,6 +48,41 @@ def canonical_json(obj) -> str:
     if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
     raise ReportError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+_LISTS = frozenset({list})
+_FLOATS = frozenset({float})
+_TEMPLATES: dict = {}  # (rows, cols) -> the "%" template of a literal of that shape
+
+
+def _literal_text(rows: list):
+    """The canonical JSON of a rectangular matrix literal of finite exact floats, in one
+    ``%`` call; None for anything else, which the recursion then writes or refuses."""
+    from itertools import chain  # built in and loaded at start-up: a lookup, once per literal
+
+    if not _LISTS.issuperset(map(type, rows)) or len(set(map(len, rows))) != 1:
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if not _LISTS.issuperset(map(type, pairs)) or set(map(len, pairs)) != {2}:
+        return None
+    parts = tuple(chain.from_iterable(pairs))
+    if not _FLOATS.issuperset(map(type, parts)):
+        return None
+    shape = len(rows), len(rows[0])
+    template = _TEMPLATES.get(shape)
+    if template is None:
+        if len(_TEMPLATES) >= 64:  # a bound on what a process with many shapes keeps
+            _TEMPLATES.clear()
+        row = "[" + ",".join(["[%.17g,%.17g]"] * shape[1]) + "]"
+        template = _TEMPLATES[shape] = "[" + ",".join([row] * shape[0]) + "]"
+    text = template % parts
+    if "n" in text:  # "inf" or "nan": the recursion has _format_float name the value
+        return None
+    # %.17g writes -0.0 as "-0" and ends no other field in "-0" (exponents have two
+    # digits), so this writes it as 0, as _format_float does.
+    if "-0," in text or "-0]" in text:
+        text = text.replace("-0,", "0,").replace("-0]", "0]")
+    return text
 
 
 def _is_matrix_literal(value) -> bool:

@@ -5,14 +5,17 @@ lines as they complete.  Every tolerance is pinned here; nothing is deferred
 to later calibration.
 """
 
+import hashlib
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_consistent_pair, random_intersection_state, residual_outside
 from scipy import stats
 
+from qpool.cli import run_scenario
 from qpool.classical import ProbDist, matrix_bayes_update, pool_classical, sequential_update
 from qpool.estimation import (
     DiagonalEffect,
@@ -33,8 +36,10 @@ from qpool.fusion import (
     max_common_weight,
     simulate_tripartite,
 )
+from qpool.config import load_config
 from qpool.haar import sample_amplitudes
 from qpool.linalg import support
+from qpool.reporting import canonical_json, emit_report
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -234,3 +239,32 @@ def test_criterion_9_consistency_checker():
         assert ok and inter.dimension == 1
         report = demonstrate_ambiguity(rho_a, rho_b, proj(eye[:, 0]), proj(eye[:, 0]))
         assert report.distance <= 1e-9
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# sha256 prefixes of each shipped config's reports: its canonical ``outputs``, its
+# json report without ``wall_clock_s``, and its text and csv reports.
+SHIPPED_DIGESTS = {
+    "ambiguity": ("a0ddb4583bac7aa2", "73758ad8821ba3ad", "5287cee3e9f472da", "b0fb89d79850093f"),
+    "consistency": ("30896940db9c4853", "6defb4250dac2067", "b1cd5b10f15fec4d", "4775ace3b8f3c163"),
+    "estimate": ("807cd4d1c3a77d59", "021dec9cc0434796", "d90f079055450ebe", "b609e55bb8160b50"),
+    "fuse": ("c85170fbf1b54adb", "bfe3d7ac0801918a", "7c5b8a04bc921f69", "81c978fd472c1ea3"),
+    "history": ("19ebc95cbab7f0ce", "b5e56ce66853f71f", "6b0315b1e150aaea", "2565e2895ad1e168"),
+    "pool-classical": ("4e24a818d9b77ebf", "81cfa742a96128bf", "823150dc65e5c2ff", "822b21b14f558a9d"),
+    "realize": ("c198b33471e5b1ca", "16bbe649065db28b", "f01db8050e1057ad", "d60d065dc18591d7"),
+    "reproduce-paper": ("432d4372da49ea16", "6d430eab00a37e04", "0bfddf73318f9358", "90410d4a4bcc9ade"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_reports_keep_their_bytes(name):
+    report = run_scenario(load_config(CONFIG_DIR / f"{name}.json"))
+    timeless = {key: value for key, value in report.items() if key != "wall_clock_s"}
+    written = (
+        canonical_json(report["outputs"]).encode(),
+        emit_report(timeless, "json"),
+        emit_report(report, "text"),
+        emit_report(report, "csv"),
+    )
+    assert tuple(hashlib.sha256(data).hexdigest()[:16] for data in written) == SHIPPED_DIGESTS[name]
+    assert sorted(SHIPPED_DIGESTS) == sorted(path.stem for path in CONFIG_DIR.glob("*.json"))

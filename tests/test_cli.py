@@ -1,8 +1,10 @@
 import copy
 import importlib
 import json
+import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_kraus_povm
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
@@ -52,8 +54,122 @@ class TestMatrixLiterals:
         np.testing.assert_array_equal(literal_to_matrix(matrix_to_literal(mat)), mat)
 
     def test_ragged_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(errors.ShapeError, match="row 1 has 1 entries, expected 2"):
             literal_to_matrix([[[1, 0], [0, 0]], [[0, 0]]])
+
+    @pytest.mark.parametrize("literal", [[], [[]], [[], []]], ids=["no_rows", "one_empty_row", "two_empty_rows"])
+    def test_literal_without_entries_rejected(self, literal):
+        with pytest.raises(errors.ShapeError, match="no entries"):
+            literal_to_matrix(literal)
+
+    def test_flat_sequence_is_not_a_matrix(self):
+        with pytest.raises(errors.ShapeError, match="expected a matrix"):
+            matrix_to_literal([1.0, 2.0])
+        with pytest.raises(errors.ShapeError, match="expected a matrix"):
+            matrix_to_literal(np.array([1.0, 2.0]))
+
+
+# The per-entry conversions the one-array ones replaced, kept as their references.
+def reference_literal_to_matrix(literal):
+    widths = [len(row) for row in literal]
+    for r, width in enumerate(widths):
+        if width != widths[0]:
+            raise errors.ShapeError(f"matrix literal row {r} has {width} entries, expected {widths[0]}")
+    try:
+        rows = [[complex(float(re), float(im)) for re, im in row] for row in literal]
+    except OverflowError as exc:
+        raise errors.NonFiniteError("matrix literal has an entry beyond the float range") from exc
+    return np.asarray(rows, dtype=complex)
+
+
+def reference_matrix_to_literal(mat):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
+def _outcome(convert, value):
+    """What ``convert(value)`` returns, or the type and message of what it raises."""
+    try:
+        return convert(value)
+    except (errors.QpoolError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _literal_bits(literal):
+    """Each part of a literal as its 8 bytes, so -0.0 and the place of each NaN count."""
+    return [[[struct.pack("<d", part) for part in pair] for pair in row] for row in literal]
+
+
+_PART = (
+    st.floats(allow_nan=False)
+    | st.floats(allow_nan=False).map(np.float64)
+    | st.integers(-(10**300), 10**300)
+    | st.sampled_from([0.0, -0.0, 5e-324, -1.7976931348623157e308, math.inf])
+)
+
+
+@st.composite
+def _entry_literals(draw):
+    """Rectangular literals up to 16 x 16, some with a NaN, a ragged row or an int past the float range."""
+    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    literal = draw(st.lists(st.lists(st.lists(_PART, min_size=2, max_size=2), min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    row, col, part = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(st.integers(0, 1))
+    edit = draw(st.sampled_from(["none", "none", "nan", "ragged", "too_large"]))
+    if edit == "nan":
+        literal[row][col][part] = draw(st.sampled_from([math.nan, -math.nan, np.float64("nan")]))
+    elif edit == "ragged":
+        literal[row] = literal[row][:col] or literal[row] + [[0, 0]]
+    elif edit == "too_large":
+        literal[row][col][part] = draw(st.sampled_from([1, -1])) * 10**309
+    return literal
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_entry_literals())
+def test_literal_to_matrix_matches_the_per_entry_reference(literal):
+    got, want = _outcome(literal_to_matrix, literal), _outcome(reference_literal_to_matrix, literal)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_ARRAY_FLOATS = st.floats(width=64) | st.sampled_from([0.0, -0.0, math.inf, -math.nan])
+
+
+@st.composite
+def _arrays(draw):
+    """Float and complex matrices in C order, F order, transposed and strided."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    parts = draw(st.lists(_ARRAY_FLOATS, min_size=8 * rows * cols, max_size=8 * rows * cols))
+    base = np.array(parts, dtype=float).reshape(2 * rows, 2 * cols, 2)
+    dtype = draw(st.sampled_from(["float64", "float32", "complex128", "complex64"]))
+    with np.errstate(over="ignore"):  # a float64 beyond the float32 range becomes inf
+        mat = (base[..., 0] if dtype.startswith("float") else base.view(complex)[..., 0]).astype(dtype)
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "C":
+        return np.ascontiguousarray(mat[:rows, :cols])
+    if layout == "F":
+        return np.asfortranarray(mat[:rows, :cols])
+    if layout == "transposed":
+        return mat[:cols, :rows].T
+    return mat[::2, 1::2]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_arrays())
+def test_matrix_to_literal_matches_the_per_entry_reference(mat):
+    got, want = matrix_to_literal(mat), reference_matrix_to_literal(mat)
+    assert _literal_bits(got) == _literal_bits(want)
+    assert all(type(part) is float for row in got for pair in row for part in pair)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30), min_size=1, max_size=5),
+                min_size=1, max_size=5))
+def test_fraction_rows_match_the_per_entry_reference(rows):
+    assert _literal_bits(matrix_to_literal(rows)) == _literal_bits(reference_matrix_to_literal(rows))
 
 
 class TestValidateConfig:

@@ -101,14 +101,29 @@ def _verdict(instance, schema, root):
     return None
 
 
+def _deep_literal(bad=None, size=9):
+    """A ``size`` x ``size`` literal, with ``bad`` in place of the last pair of its last row."""
+    literal = [[[0.5, 0] if r == c else [0, -0.0] for c in range(size)] for r in range(size)]
+    if bad is not None:
+        literal[-1][-1] = bad
+    return literal
+
+
 SEEDS = [json.loads(path.read_text()) for path in SHIPPED] + [
     make(literal)
     for make in LITERAL_SITES.values()
-    for literal in [*VALID_LITERALS.values(), *INVALID_LITERALS.values()]
+    for literal in [*VALID_LITERALS.values(), *INVALID_LITERALS.values(), _deep_literal(size=8)]
 ]
 REPLACEMENTS = [
     True, None, "x", math.nan, math.inf, -math.inf, 0, -1, 1.5, 10**7, 2.0, np.float64(0.25),
-    [], [1], {}, [[[1, 0]]],
+    [], [1], [0.5, 0, 0], {}, [[[1, 0]]],
+]
+# A bad pair in row 8 or later of a literal of at least 8 x 8, at both literal sites.
+DEEP_BAD_PAIRS = [
+    make(_deep_literal(bad, size))
+    for make in LITERAL_SITES.values()
+    for bad in ([0.5, 0, 0], [True, 0], [0, "0"])
+    for size in (9, 12)
 ]
 
 
@@ -161,11 +176,7 @@ def mutated_configs(draw):
     return cfg
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(mutated_configs())
-# An error of another keyword at the same path outranks the anyOf's.
-@example({"kind": "history", "payload": {"steps": [{"owner": "alice", "zz": 1}]}})
-def test_validator_agrees_with_jsonschema(cfg):
+def _agree_with_jsonschema(cfg):
     for instance, schema, root in _stages(cfg):
         expected = _jsonschema_verdict(instance, schema, root)
         assert _verdict(instance, schema, root) == expected
@@ -174,6 +185,22 @@ def test_validator_agrees_with_jsonschema(cfg):
                 validate_config(cfg)
             assert str(info.value) == expected
             return
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_configs())
+# An error of another keyword at the same path outranks the anyOf's.
+@example({"kind": "history", "payload": {"steps": [{"owner": "alice", "zz": 1}]}})
+def test_validator_agrees_with_jsonschema(cfg):
+    _agree_with_jsonschema(cfg)
+
+
+@pytest.mark.parametrize("cfg", DEEP_BAD_PAIRS, ids=lambda cfg: cfg["kind"])
+def test_deep_bad_pair_is_walked_and_worded_as_by_jsonschema(cfg):
+    # The row shortcut refuses the row, and the walk names the pair as jsonschema does.
+    with pytest.raises(ConfigError, match=r"\[8\]|\[11\]"):
+        validate_config(cfg)
+    _agree_with_jsonschema(cfg)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
@@ -191,16 +218,18 @@ def test_walker_accepts_valid_literals(case, site):
 
 
 def test_matrix_literal_pairs_cost_no_walk(monkeypatch):
-    # The number of walks does not grow with the pairs in a row: each [re, im] pair
-    # of exact ints and floats passes the pair rule by its exact types alone.
+    # The number of walks grows with neither the pairs in a row nor the rows in a
+    # literal: each row of [re, im] pairs of exact ints and floats passes the row
+    # rule by its exact types and lengths alone.
     calls = []
     monkeypatch.setattr("qpool.config._violations", lambda *args: calls.append(1) or _violations(*args))
     counts = []
-    for width in (1, 40):
+    for rows, width in ((1, 1), (1, 40), (40, 1), (40, 40)):
         calls.clear()
-        validate_config({"kind": "consistency", "payload": {"rho_a": [[[0.5, 0]] * width], "rho_b": [[[1, 0]]]}})
+        literal = [[[0.5, 0]] * width for _ in range(rows)]
+        validate_config({"kind": "consistency", "payload": {"rho_a": literal, "rho_b": [[[1, 0]]]}})
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert len(set(counts)) == 1, counts
 
 
 FUSE = {"rho_a": [[[1, 0]]], "rho_b": [[[1, 0]]], "n_samples": 1}

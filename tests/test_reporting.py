@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qpool.cli import run_scenario
@@ -104,16 +104,46 @@ _PAIR_PARTS = (
     | st.sampled_from(_EDGE_FLOATS + [1.797e308, -1.797e308])
 )
 _PAIRS = st.tuples(_PAIR_PARTS, _PAIR_PARTS).map(list) | st.tuples(_PAIR_PARTS, _PAIR_PARTS)
-_LITERALS = st.lists(st.lists(_PAIRS, min_size=1, max_size=4), min_size=1, max_size=4)
+# Pairs of exact finite floats only, the literals the one-call literal writer takes.
+_FLOAT_PAIRS = st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS),
+                        min_size=2, max_size=2)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+def _shaped(pairs):
+    """Square and rectangular literals up to 16 x 16, and ragged ones."""
+    def rectangle(shape):
+        return st.lists(st.lists(pairs, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0])
+
+    sides = st.integers(1, 16)
+    return (
+        sides.map(lambda n: (n, n)).flatmap(rectangle)
+        | st.tuples(sides, sides).flatmap(rectangle)
+        | st.lists(st.lists(pairs, min_size=1, max_size=16), min_size=1, max_size=16)
+    )
+
+
+_LITERALS = _shaped(_PAIRS) | _shaped(_FLOAT_PAIRS)
+# What a pair's place, or a part's, can hold that the literal writer must leave to the recursion.
+_MISFIT_PAIRS = st.sampled_from([(1.0,), (1.0, 2.0, 3.0), [1.0], [0.5, 0.5, 0.5], {"re": 1.0}, {}, None, "x",
+                                 [[1.0, 0.0]], (0.5, 0.5)])
+_MISFIT_PARTS = st.sampled_from([0, 1, -1, True, False, 10**20, np.float64(0.5), np.float64(-0.0), None, "0.5"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_LITERALS, max_size=3) | st.dictionaries(_TEXT, _LITERALS, max_size=3))
 def test_pair_writer_matches_reference(tree):
     assert canonical_json(tree) == reference_canonical_json(tree)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_shaped(_FLOAT_PAIRS), _MISFIT_PAIRS | _MISFIT_PARTS.map(lambda part: [0.25, part]), st.data())
+def test_literal_holding_a_misfit_matches_reference(literal, misfit, data):
+    row = data.draw(st.integers(0, len(literal) - 1))
+    literal[row][data.draw(st.integers(0, len(literal[row]) - 1))] = misfit
+    assert canonical_json({"state": literal}) == reference_canonical_json({"state": literal})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     _LITERALS,
     st.sampled_from([float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float64("-inf")]),
@@ -137,6 +167,8 @@ def test_shipped_report_matches_reference(path):
 
 def test_negative_zero_is_written_as_zero():
     assert canonical_json([-0.0, np.float64(-0.0), {"x": -0.0}]) == '[0,0,{"x":0}]'
+    literal = [[[-0.0, -1e-10], [0.5, -0.0]], [[-0.0, -0.0], [-20.0, 1e-05]]]
+    assert canonical_json(literal) == "[[[0,-1e-10],[0.5,0]],[[0,0],[-20,1.0000000000000001e-05]]]"
     assert render_csv({"outputs": {"x": -0.0}}) == "key,i,j,re,im\nx,,,0,0\n"
 
 
