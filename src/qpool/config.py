@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .errors import ConfigError, NonFiniteError, ShapeError
@@ -281,8 +282,6 @@ def _unwalked_test(rule: dict):
     if bare is None or len(bare) != 1 or hi_pair == math.inf:
         return lambda item: False
     types, widths = _TYPES.get(bare.get("type"), frozenset()), frozenset(range(lo_pair, hi_pair + 1))
-    from itertools import chain  # built in and loaded at start-up: a lookup, once per rule
-
     return lambda item: (
         type(item) is list
         and lo <= len(item) <= hi
@@ -336,21 +335,16 @@ def load_config(path) -> dict:
 def literal_to_matrix(literal):
     """Nested [re, im] rows -> complex numpy matrix.
 
-    A rectangular literal becomes one ``(rows, cols, 2)`` float array viewed as
-    complex: bit for bit the matrix of ``complex(float(re), float(im))`` entries
-    for the ints and floats a valid config holds (numpy, unlike ``float``, would
-    also read a ``None`` as NaN; the validator lets no ``None`` through).
-    A literal with no entries, or with rows of two widths, raises ``ShapeError``;
-    an int beyond the float range raises ``NonFiniteError``.
+    The literal becomes one ``(rows, cols, 2)`` float array viewed as complex:
+    bit for bit the matrix of ``complex(float(re), float(im))`` entries for the
+    ints and floats a valid config holds (numpy, unlike ``float``, would also
+    read a ``None`` as NaN; the validator lets no ``None`` through).  Rows of
+    two widths, a literal with no entries, or entries that are not ``[re, im]``
+    pairs raise ``ShapeError``; an int beyond the float range raises
+    ``NonFiniteError``.
     """
     import numpy as np  # here, so validating a config never imports numpy
 
-    try:
-        pairs = np.array(literal, dtype=float)
-    except (OverflowError, TypeError, ValueError):  # the loop below raises what it always raised
-        pairs = None
-    if pairs is not None and pairs.ndim == 3 and pairs.shape[2] == 2:
-        return pairs.view(complex)[..., 0]
     widths = [len(row) for row in literal]
     for r, width in enumerate(widths):
         if width != widths[0]:
@@ -358,10 +352,14 @@ def literal_to_matrix(literal):
     if not widths or not widths[0]:
         raise ShapeError("matrix literal has no entries")
     try:
-        rows = [[complex(float(re), float(im)) for re, im in row] for row in literal]
+        pairs = np.array(literal, dtype=float)
     except OverflowError as exc:
         raise NonFiniteError("matrix literal has an entry beyond the float range") from exc
-    return np.asarray(rows, dtype=complex)
+    except ValueError as exc:  # pairs of two lengths, or a part that is no number
+        raise ShapeError(f"matrix literal entries are not [re, im] pairs of numbers: {exc}") from exc
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ShapeError(f"matrix literal entries are not [re, im] pairs: shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]
 
 
 def matrix_to_literal(mat) -> list:
@@ -376,7 +374,7 @@ def matrix_to_literal(mat) -> list:
     if shape is not None and mat.dtype.kind in "fc":
         # astype's C order is what lets the float view pair each entry's parts.
         return mat.astype(complex, order="C").view(float).reshape(*shape, 2).tolist()
-    for r, row in enumerate(mat):
-        if not hasattr(row, "__iter__"):
-            raise ShapeError(f"expected a matrix, got row {r} = {row!r}")
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    try:
+        return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    except TypeError as exc:  # a row that is a number, not a sequence of them
+        raise ShapeError(f"expected a matrix, got rows that are not sequences: {exc}") from exc

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 from .errors import ConfigError, NonFiniteError, ReportError
 
@@ -52,14 +53,11 @@ def canonical_json(obj) -> str:
 
 _LISTS = frozenset({list})
 _FLOATS = frozenset({float})
-_TEMPLATES: dict = {}  # (rows, cols) -> the "%" template of a literal of that shape
 
 
 def _literal_text(rows: list):
     """The canonical JSON of a rectangular matrix literal of finite exact floats, in one
     ``%`` call; None for anything else, which the recursion then writes or refuses."""
-    from itertools import chain  # built in and loaded at start-up: a lookup, once per literal
-
     if not _LISTS.issuperset(map(type, rows)) or len(set(map(len, rows))) != 1:
         return None
     pairs = list(chain.from_iterable(rows))
@@ -68,14 +66,8 @@ def _literal_text(rows: list):
     parts = tuple(chain.from_iterable(pairs))
     if not _FLOATS.issuperset(map(type, parts)):
         return None
-    shape = len(rows), len(rows[0])
-    template = _TEMPLATES.get(shape)
-    if template is None:
-        if len(_TEMPLATES) >= 64:  # a bound on what a process with many shapes keeps
-            _TEMPLATES.clear()
-        row = "[" + ",".join(["[%.17g,%.17g]"] * shape[1]) + "]"
-        template = _TEMPLATES[shape] = "[" + ",".join([row] * shape[0]) + "]"
-    text = template % parts
+    row = "[" + ",".join(["[%.17g,%.17g]"] * len(rows[0])) + "]"
+    text = ("[" + ",".join([row] * len(rows)) + "]") % parts
     if "n" in text:  # "inf" or "nan": the recursion has _format_float name the value
         return None
     # %.17g writes -0.0 as "-0" and ends no other field in "-0" (exponents have two

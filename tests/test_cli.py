@@ -62,6 +62,12 @@ class TestMatrixLiterals:
         with pytest.raises(errors.ShapeError, match="no entries"):
             literal_to_matrix(literal)
 
+    @pytest.mark.parametrize("literal", [[[[1, 0, 0]]], [[[1, 0], [1]]], [[1, 2]], [[["x", 0]]]],
+                             ids=["three_parts", "pairs_of_two_lengths", "numbers_not_pairs", "a_string_part"])
+    def test_entries_that_are_not_pairs_rejected(self, literal):
+        with pytest.raises(errors.ShapeError, match=r"not \[re, im\] pairs"):
+            literal_to_matrix(literal)
+
     def test_flat_sequence_is_not_a_matrix(self):
         with pytest.raises(errors.ShapeError, match="expected a matrix"):
             matrix_to_literal([1.0, 2.0])
